@@ -42,7 +42,6 @@ from .quadrature import (
     apply_dalpha_minus_1,
     apply_green_derivative,
     as_weight_spec,
-    check_condition_h,
 )
 from .regularity import GreenProblem, classify
 from .solve import NonlinearitySpec, solve_linear, solve_nonlinear
@@ -278,27 +277,12 @@ def render_line_plot(path: Path, curves, title: str = "") -> None:
 # --- commands ----------------------------------------------------------------
 
 
-def _require_condition_h(w: WeightSpec, alpha: float) -> Optional[int]:
-    report = check_condition_h(w, alpha)
-    if not report.satisfied:
-        print(
-            "condition (H) violated: exponent margin"
-            f" {report.exponent_margin:.6g}",
-            file=sys.stderr,
-        )
-        return EXIT_CONDITION_H
-    return None
-
-
 def cmd_solve(args) -> int:
     spec = _problem_spec(args)
     alpha, n = spec.alpha, spec.n
 
     if spec.forcing is not None:
         w = spec.forcing
-        bad = _require_condition_h(w, alpha)
-        if bad is not None:
-            return bad
         solution = solve_linear(w, alpha, n)
         converged, status = True, "direct"
     else:
@@ -309,9 +293,6 @@ def cmd_solve(args) -> int:
                 " for signed data",
                 0,
             )
-        bad = _require_condition_h(w, alpha)
-        if bad is not None:
-            return bad
         report = solve_nonlinear(
             w, spec.f, alpha, n,
             tol=spec.tol, max_iter=spec.max_iter, damping=spec.damping,
@@ -337,14 +318,13 @@ def cmd_solve(args) -> int:
 
     nodes = mesh.nodes
     du = [""] + [
-        _fmt(apply_green_derivative(t, beta_g, g_reg, alpha, mesh))
-        for t in nodes[1:-1]
+        _fmt(v)
+        for v in apply_green_derivative(nodes[1:-1], beta_g, g_reg, alpha, mesh)
     ] + [""]
     q = np.zeros(len(nodes))
-    for i in range(1, len(nodes)):
-        q[i] = nodes[i] ** (alpha - 1.0) * apply_dalpha_minus_1(
-            nodes[i], beta_g, g_reg, alpha, mesh
-        )
+    q[1:] = nodes[1:] ** (alpha - 1.0) * apply_dalpha_minus_1(
+        nodes[1:], beta_g, g_reg, alpha, mesh
+    )
 
     rows = (
         [_fmt(t), _fmt(v), d, _fmt(qv)]
@@ -364,9 +344,6 @@ def cmd_solve(args) -> int:
 def cmd_classify(args) -> int:
     spec = _problem_spec(args)
     w = spec.weight if spec.weight is not None else spec.forcing
-    bad = _require_condition_h(w, spec.alpha)
-    if bad is not None:
-        return bad
     problem = GreenProblem.build(w, spec.alpha, spec.n)
     report = classify(problem)
 

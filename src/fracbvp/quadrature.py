@@ -29,6 +29,16 @@ Three constructions replace adaptivity:
 Fixed-order Gauss-Legendre (12 points) is used on every transformed panel:
 once the integrands are regularized, panel count - not order - controls the
 error.
+
+The three operators share one assembly and accept any array of targets in
+one pass.  g_reg is evaluated once at each quadrature point: in one call on
+the plain panels between mesh nodes, which all targets share, and in one
+call per block of targets on the 3 x 12 points of the panels each target
+owns (origin panel, left panel ending at t, right panel starting at t).  Over the shared panels the parts
+that do not depend on t reduce to prefix and suffix sums: (1-s)^(alpha-1)
+in the right parts of u and u', and both kernels of D^(alpha-1)u.  Only the
+left brackets of u and u' remain a dense lower-triangular block, built in
+fixed square tiles so that memory stays bounded for any n.
 """
 
 from __future__ import annotations
@@ -194,76 +204,54 @@ def build_mesh(n: int, w, alpha: float) -> GradedMesh:
 # --- operator evaluation -----------------------------------------------------
 
 
-def apply_green(t, g_singular_exponent, g_regular, alpha, mesh) -> float:
+def apply_green(t, g_singular_exponent, g_regular, alpha, mesh):
     """int_0^1 G(t,s) g(s) ds for g(s) = s^(-beta_g) g_regular(s).
 
-    ``g_regular`` must accept numpy arrays of s in (0, 1).  Returns exactly
-    0.0 at t = 0 and t = 1 where the kernel vanishes.
+    ``t`` is a scalar in [0, 1] (a float is returned) or an array of such
+    targets (an array of the same shape is returned).  ``g_regular`` must
+    accept numpy arrays of s in [0, 1].  The value is exactly 0.0 at t = 0
+    and t = 1 where the kernel vanishes.
     """
     alpha = _checked_alpha(alpha)
-    t = _checked_t(t, endpoint_ok=True)
-    if t == 0.0 or t == 1.0:
-        return 0.0
-    a1 = alpha - 1.0
-
-    def left_kernel(s):
-        return bracket_values(t, s, alpha)
-
-    def right_kernel(s):
-        return np.power(t * (1.0 - s), a1)
-
-    total = _assemble(
-        t, g_singular_exponent, g_regular, alpha, mesh,
-        left_kernel, right_kernel, t_panel=_green_t_panel,
+    t = _checked_t(t, "[0, 1]")
+    out = np.zeros(t.shape)
+    inner = (t > 0.0) & (t < 1.0)
+    out[inner] = _green_integrals(
+        "u", t[inner], g_singular_exponent, g_regular, alpha, mesh
     )
-    return total / gamma(alpha)
+    return _as_result(out / gamma(alpha))
 
 
-def apply_green_derivative(t, g_singular_exponent, g_regular, alpha, mesh) -> float:
-    """u'(t) of the Green representation, t strictly inside (0, 1)."""
+def apply_green_derivative(t, g_singular_exponent, g_regular, alpha, mesh):
+    """u'(t) of the Green representation for t (scalar or array) in (0, 1)."""
     alpha = _checked_alpha(alpha)
-    t = _checked_t(t, endpoint_ok=False)
-    a1 = alpha - 1.0
-    a2 = alpha - 2.0
-    t_pow = t**a2
-
-    def left_kernel(s):
-        return _derivative_bracket(t, s, alpha)
-
-    def right_kernel(s):
-        return t_pow * np.power(1.0 - s, a1)
-
-    total = _assemble(
-        t, g_singular_exponent, g_regular, alpha, mesh,
-        left_kernel, right_kernel, t_panel=_derivative_t_panel,
+    t = _checked_t(t, "(0, 1)")
+    total = _green_integrals(
+        "du", t.ravel(), g_singular_exponent, g_regular, alpha, mesh
     )
-    return total * a1 / gamma(alpha)
+    return _as_result(total.reshape(t.shape) * (alpha - 1.0) / gamma(alpha))
 
 
-def apply_dalpha_minus_1(t, g_singular_exponent, g_regular, alpha, mesh) -> float:
-    """D^(alpha-1)u(t) of the Green representation, t in (0, 1].
+def apply_dalpha_minus_1(t, g_singular_exponent, g_regular, alpha, mesh):
+    """D^(alpha-1)u(t) of the Green representation for t (scalar or array) in (0, 1].
 
     The integrand has no kink at s = t (only the integral splits there), so
     no substitution is needed on the abutting panel; t = 1 is admitted with
     an empty right part.
     """
     alpha = _checked_alpha(alpha)
-    t = _checked_t(t, endpoint_ok=False, right_endpoint_ok=True)
-    a1 = alpha - 1.0
-
-    def left_kernel(s):
-        return np.expm1(a1 * np.log1p(-s))
-
-    def right_kernel(s):
-        return np.power(1.0 - s, a1)
-
-    return _assemble(
-        t, g_singular_exponent, g_regular, alpha, mesh,
-        left_kernel, right_kernel, t_panel=None,
+    t = _checked_t(t, "(0, 1]")
+    total = _green_integrals(
+        "dalpha", t.ravel(), g_singular_exponent, g_regular, alpha, mesh
     )
+    return _as_result(total.reshape(t.shape))
 
 
 # --- internals ---------------------------------------------------------------
+
+# Side of the square tiles in which the dense left-bracket block is built;
+# it bounds every temporary of that block at _TILE**2 elements.
+_TILE = 128
 
 
 def _checked_alpha(alpha: float) -> float:
@@ -273,16 +261,18 @@ def _checked_alpha(alpha: float) -> float:
     return alpha
 
 
-def _checked_t(t, endpoint_ok: bool, right_endpoint_ok: bool = False) -> float:
-    t = float(t)
-    if endpoint_ok:
-        if not 0.0 <= t <= 1.0:
-            raise ValueError(f"t must lie in [0, 1], got {t!r}")
-    else:
-        hi_ok = t < 1.0 or (right_endpoint_ok and t == 1.0)
-        if not (0.0 < t and hi_ok):
-            raise ValueError(f"t must lie strictly inside (0, 1), got {t!r}")
+def _checked_t(t, interval: str) -> np.ndarray:
+    # ``interval`` is "[0, 1]", "(0, 1)" or "(0, 1]"; NaN fails every test.
+    t = np.asarray(t, dtype=float)
+    ok = (t >= 0.0) if interval[0] == "[" else (t > 0.0)
+    ok &= (t <= 1.0) if interval[-1] == "]" else (t < 1.0)
+    if not np.all(ok):
+        raise ValueError(f"t must lie in {interval}, got {float(t[~ok].flat[0])!r}")
     return t
+
+
+def _as_result(values: np.ndarray):
+    return float(values) if values.ndim == 0 else values
 
 
 def _derivative_bracket(t, s, alpha):
@@ -297,6 +287,11 @@ def _derivative_bracket(t, s, alpha):
     return np.where(d > -0.6931, xp * np.expm1(d), pp - xp)
 
 
+def _dalpha_bracket(t, s, alpha):
+    # (1-s)^(a-1) - 1, the left kernel of D^(alpha-1)u; it is free of t.
+    return np.expm1((alpha - 1.0) * np.log1p(-s))
+
+
 def _origin_substitution_order(alpha: float, beta_g: float) -> int:
     margin = alpha - beta_g
     if margin <= 0.0:
@@ -307,83 +302,121 @@ def _origin_substitution_order(alpha: float, beta_g: float) -> int:
     return max(1, math.ceil(2.0 / margin))
 
 
-def _assemble(t, beta_g, g_regular, alpha, mesh, left_kernel, right_kernel, t_panel):
+def _gauss(a, b):
+    # Gauss-Legendre points and weights on the panels [a_i, b_i], one per row.
+    half = 0.5 * (b - a)
+    return a[:, None] + half[:, None] * (_GL_X + 1.0), half[:, None] * _GL_W
+
+
+def _green_integrals(kind, t, beta_g, g_regular, alpha, mesh) -> np.ndarray:
+    """Unscaled operator integrals at a 1-D array of targets.
+
+    ``kind`` is "u" (Green integral), "du" (u' without its factor
+    (alpha-1)/Gamma(alpha)) or "dalpha" (D^(alpha-1)u).  Targets lie in
+    (0, 1), or (0, 1] for "dalpha".  The plain panels between mesh nodes
+    are shared by all targets; each target also owns three panels (see
+    _own_panels).  Targets are taken in ascending row blocks of _TILE.
+    """
+    if t.size == 0:
+        return t
     beta_g = float(beta_g)
     m = _origin_substitution_order(alpha, beta_g)
+    a1 = alpha - 1.0
     nodes = mesh.nodes
+    left_kernel = {
+        "u": bracket_values, "du": _derivative_bracket, "dalpha": _dalpha_bracket,
+    }[kind]
 
-    def integrand_left(s):
-        return left_kernel(s) * np.power(s, -beta_g) * g_regular(s)
+    # Shared panels [nodes[j], nodes[j+1]], j = 1..n-1 (row j-1).  Their
+    # t-free kernels reduce to prefix sums (left part of D^(alpha-1)u) and
+    # suffix sums (int (1-s)^(alpha-1) g ds, the right part of all three).
+    sf, wf = _gauss(nodes[1:-1], nodes[2:])
+    wgf = wf * np.power(sf, -beta_g) * g_regular(sf.ravel()).reshape(sf.shape)
+    left_panels = np.sum(_dalpha_bracket(None, sf, alpha) * wgf, axis=1)
+    left_sums = np.append(0.0, np.cumsum(left_panels))
+    right_panels = np.sum(np.power(1.0 - sf, a1) * wgf, axis=1)
+    right_sums = np.append(np.cumsum(right_panels[::-1])[::-1], 0.0)
+    sf, wgf = sf.ravel(), wgf.ravel()
 
-    def integrand_right(s):
-        return right_kernel(s) * np.power(s, -beta_g) * g_regular(s)
-
-    inner = nodes[(nodes > 0.0) & (nodes < t)]
-    left_edges = np.concatenate(([0.0], inner, [t]))
-    if t_panel is not None and len(left_edges) == 2:
-        # t sits inside the first mesh panel: isolate the origin treatment
-        # from the s = t substitution.
-        left_edges = np.array([0.0, 0.5 * t, t])
-
-    total = _first_panel(left_edges[1], m, beta_g, g_regular, left_kernel)
-    if len(left_edges) > 2:
-        if t_panel is None:
-            total += _plain_panels(left_edges[1:], integrand_left)
-        else:
-            total += _plain_panels(left_edges[1:-1], integrand_left)
-            total += t_panel(left_edges[-2], t, beta_g, g_regular, alpha)
-
-    if t < 1.0:
-        inner = nodes[(nodes > t) & (nodes < 1.0)]
-        total += _plain_panels(
-            np.concatenate(([t], inner, [1.0])), integrand_right
+    order = np.argsort(t, kind="stable")
+    out = np.empty(len(t))
+    for r0 in range(0, len(t), _TILE):
+        rows = order[r0:r0 + _TILE]
+        tb = t[rows]
+        # nodes[:lo] < t <= nodes[lo]; nodes[hi] is the first node above t.
+        lo = np.searchsorted(nodes, tb, side="left")
+        hi = np.minimum(np.searchsorted(nodes, tb, side="right"), mesh.n)
+        s, w, k = _own_panels(kind, left_kernel, tb, lo, hi, nodes, m, beta_g, alpha)
+        g = np.split(g_regular(np.concatenate([x.ravel() for x in s])), 3)
+        origin, tail, right = (
+            np.sum(kj * wj * gj.reshape(kj.shape), axis=1)
+            for wj, kj, gj in zip(w, k, g)
         )
-    return total
+        right += right_sums[hi - 1]
+        total = origin + tail
+        shared = np.maximum(lo - 2, 0)  # shared left panels j = 1..lo-2
+        if kind == "dalpha":
+            out[rows] = total + left_sums[shared] + right
+            continue
+        # The left bracket of u and u' depends on t: a dense lower-triangular
+        # block over the shared points, in _TILE x _TILE tiles.
+        count = GAUSS_ORDER * shared
+        for c0 in range(0, count[-1], _TILE):
+            cols = slice(c0, c0 + _TILE)
+            # columns at or past a row's count may have s >= t
+            with np.errstate(invalid="ignore", divide="ignore"):
+                kern = left_kernel(tb[:, None], sf[None, cols], alpha)
+            mine = np.arange(c0, c0 + kern.shape[1]) < count[:, None]
+            total += np.where(mine, kern, 0.0) @ wgf[cols]
+        out[rows] = total + tb ** (a1 if kind == "u" else alpha - 2.0) * right
+    return out
 
 
-def _plain_panels(edges, integrand) -> float:
-    if len(edges) < 2:
-        return 0.0
-    half = 0.5 * np.diff(edges)
-    s = edges[:-1, None] + half[:, None] * (_GL_X + 1.0)[None, :]
-    w = half[:, None] * _GL_W[None, :]
-    return float(np.sum(w * integrand(s.ravel()).reshape(s.shape)))
+def _own_panels(kind, left_kernel, t, lo, hi, nodes, m, beta_g, alpha):
+    """Points, weights and kernel values of the panels each target owns.
 
-
-def _first_panel(b, m, beta_g, g_regular, kernel) -> float:
-    # int_0^b kernel(s) s^(-beta_g) g_reg(s) ds under s = tau^m; the
-    # Jacobian and the singular power fold into one smooth tau power.
-    tau_hi = b ** (1.0 / m)
-    tau = 0.5 * tau_hi * (_GL_X + 1.0)
-    w = 0.5 * tau_hi * _GL_W
-    s = tau**m
-    fold = m * np.power(tau, m - 1.0 - m * beta_g)
-    return float(np.dot(w, kernel(s) * g_regular(s) * fold))
-
-
-def _green_t_panel(a, t, beta_g, g_regular, alpha) -> float:
-    # int_a^t [(t(1-s))^(a1) - (t-s)^(a1)] g ds under s = t - tau^(1/a1);
-    # the subtracted power becomes tau itself.
+    Three (len(t), GAUSS_ORDER) arrays each, for: the origin panel, the left
+    panel ending at t, and the right panel [t, nodes[hi]].  The weights
+    carry s^(-beta_g) and the Jacobians; the right kernel is (1-s)^(alpha-1).
+    """
     a1 = alpha - 1.0
-    p = 1.0 / a1
-    tau_hi = (t - a) ** a1
-    tau = 0.5 * tau_hi * (_GL_X + 1.0)
-    w = 0.5 * tau_hi * _GL_W
-    s = t - tau**p
-    kern = np.power(t * (1.0 - s), a1) - tau
-    vals = kern * np.power(s, -beta_g) * g_regular(s) * p * np.power(tau, p - 1.0)
-    return float(np.dot(w, vals))
+    tc = t[:, None]
+    # t inside the first mesh panel: the origin panel ends at t, or at t/2
+    # to keep it apart from the s = t substitution of u and u'.
+    cut = t if kind == "dalpha" else 0.5 * t
+    first = lo == 1
+    origin_end = np.where(first, cut, nodes[1])
+    tail_start = np.where(first, cut, nodes[lo - 1])
 
+    # Origin panel under s = tau^m; the Jacobian and the singular power fold
+    # into one smooth tau power.
+    tau_hi = origin_end ** (1.0 / m)
+    tau = 0.5 * tau_hi[:, None] * (_GL_X + 1.0)
+    s0 = tau**m
+    w0 = 0.5 * tau_hi[:, None] * _GL_W * m * np.power(tau, m - 1.0 - m * beta_g)
+    k0 = left_kernel(tc, s0, alpha)
 
-def _derivative_t_panel(a, t, beta_g, g_regular, alpha) -> float:
-    # int_a^t [t^(a-2)(1-s)^(a-1) - (t-s)^(a-2)] g ds under the same map;
-    # (t-s)^(a-2) ds reduces to dtau/(alpha-1) exactly.
-    a1 = alpha - 1.0
-    p = 1.0 / a1
-    tau_hi = (t - a) ** a1
-    tau = 0.5 * tau_hi * (_GL_X + 1.0)
-    w = 0.5 * tau_hi * _GL_W
-    s = t - tau**p
-    kern = t ** (alpha - 2.0) * np.power(1.0 - s, a1) * np.power(tau, p - 1.0) - 1.0
-    vals = kern * np.power(s, -beta_g) * g_regular(s) * p
-    return float(np.dot(w, vals))
+    # Left panel ending at t.  For u and u' it is mapped by s = t - tau^p,
+    # p = 1/(alpha-1): (t-s)^(alpha-1) becomes tau, and (t-s)^(alpha-2) ds
+    # reduces to dtau/(alpha-1).
+    if kind == "dalpha":
+        s1, w1 = _gauss(tail_start, t)
+        w1 = w1 * np.power(s1, -beta_g)
+        k1 = left_kernel(tc, s1, alpha)
+    else:
+        p = 1.0 / a1
+        tau_hi = (t - tail_start) ** a1
+        tau = 0.5 * tau_hi[:, None] * (_GL_X + 1.0)
+        s1 = tc - tau**p
+        w1 = 0.5 * tau_hi[:, None] * _GL_W * p * np.power(s1, -beta_g)
+        if kind == "u":
+            k1 = np.power(tc * (1.0 - s1), a1) - tau
+            w1 = w1 * np.power(tau, p - 1.0)
+        else:
+            k1 = tc ** (alpha - 2.0) * np.power(1.0 - s1, a1) * np.power(tau, p - 1.0)
+            k1 -= 1.0
+
+    s2, w2 = _gauss(t, nodes[hi])
+    w2 = w2 * np.power(s2, -beta_g)
+    k2 = np.power(1.0 - s2, a1)
+    return (s0, s1, s2), (w0, w1, w2), (k0, k1, k2)

@@ -99,28 +99,18 @@ def q_profile(problem: GreenProblem, t_list: Sequence[float]) -> list[tuple[floa
     """Samples of q(t) = t^(alpha-1) D^(alpha-1) u(t)."""
     beta_g, regular = problem.decomposition()
     alpha, mesh = problem.alpha, problem.mesh
-    return [
-        (
-            float(t),
-            t ** (alpha - 1.0)
-            * apply_dalpha_minus_1(t, beta_g, regular, alpha, mesh),
-        )
-        for t in t_list
-    ]
+    t = np.asarray(t_list, dtype=float)
+    q = t ** (alpha - 1.0) * apply_dalpha_minus_1(t, beta_g, regular, alpha, mesh)
+    return list(zip(t.tolist(), q.tolist()))
 
 
 def p_profile(problem: GreenProblem, t_list: Sequence[float]) -> list[tuple[float, float]]:
     """Samples of p(t) = t^(2-alpha) u'(t)."""
     beta_g, regular = problem.decomposition()
     alpha, mesh = problem.alpha, problem.mesh
-    return [
-        (
-            float(t),
-            t ** (2.0 - alpha)
-            * apply_green_derivative(t, beta_g, regular, alpha, mesh),
-        )
-        for t in t_list
-    ]
+    t = np.asarray(t_list, dtype=float)
+    p = t ** (2.0 - alpha) * apply_green_derivative(t, beta_g, regular, alpha, mesh)
+    return list(zip(t.tolist(), p.tolist()))
 
 
 def classify(
@@ -148,15 +138,9 @@ def classify(
     alpha, mesh = problem.alpha, problem.mesh
     grid = GradedMesh.from_grading(NORM_GRID_PANELS, mesh.grading).nodes
     pts = np.unique(np.concatenate((grid[(grid > 0.0) & (grid < 1.0)], ts)))
-    u_max = max(
-        abs(apply_green(t, beta_g, regular, alpha, mesh)) for t in pts
-    )
-    q_max = max(
-        abs(q) for _, q in q_profile(problem, pts)
-    )
-    p_max = max(
-        abs(p) for _, p in p_profile(problem, pts)
-    )
+    u_max = float(np.max(np.abs(apply_green(pts, beta_g, regular, alpha, mesh))))
+    q_max = max(abs(q) for _, q in q_profile(problem, pts))
+    p_max = max(abs(p) for _, p in p_profile(problem, pts))
 
     return RegularityReport(
         q_limit_estimate=q_limit,

@@ -176,13 +176,6 @@ class SolveReport:
     seeded: bool = False
 
 
-def _green_profile(mesh, beta_g, g_regular, alpha) -> np.ndarray:
-    values = np.zeros(mesh.n + 1)
-    for i in range(1, mesh.n):
-        values[i] = apply_green(mesh.nodes[i], beta_g, g_regular, alpha, mesh)
-    return values
-
-
 def solve_linear(g, alpha: float, n: int = 512) -> GridFunction:
     """Solve D^alpha u + g = 0, u(0) = u(1) = 0 by Green quadrature.
 
@@ -192,7 +185,8 @@ def solve_linear(g, alpha: float, n: int = 512) -> GridFunction:
     w = as_weight_spec(g)
     mesh = build_mesh(n, w, alpha)
     beta_g, regular = w.singular_decomposition()
-    return GridFunction(mesh, _green_profile(mesh, beta_g, regular, alpha), alpha)
+    values = apply_green(mesh.nodes, beta_g, regular, alpha, mesh)
+    return GridFunction(mesh, values, alpha)
 
 
 def solve_nonlinear(
@@ -212,8 +206,8 @@ def solve_nonlinear(
     Stops when the sup-norm update drops to ``tol`` or after ``max_iter``
     sweeps; nonconvergence is reported, not raised.
     """
-    if tol <= 0.0:
-        raise ValueError(f"tol must be positive, got {tol!r}")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter!r}")
     if not 0.0 < damping <= 1.0:
@@ -232,7 +226,7 @@ def solve_nonlinear(
         def g_reg(s):
             return regular(s) * f(np.maximum(interp(s), 0.0))
 
-        tu = _green_profile(mesh, beta_g, g_reg, alpha)
+        tu = apply_green(mesh.nodes, beta_g, g_reg, alpha, mesh)
         new = (1.0 - damping) * u + damping * tu
         update = float(np.max(np.abs(new - u)))
         if (
@@ -245,7 +239,7 @@ def solve_nonlinear(
         ):
             # u = 0 is a fixed point of T but f is nontrivial: restart from
             # the weight profile (the f = 1 solve).
-            u = _green_profile(mesh, beta_g, regular, alpha)
+            u = apply_green(mesh.nodes, beta_g, regular, alpha, mesh)
             updates.append(float(np.max(np.abs(u))))
             seeded = True
             continue

@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from fracbvp import ONE, PowerSum, WeightSpec, solve_linear
+from fracbvp import (
+    ONE,
+    PowerSum,
+    WeightSpec,
+    classical_derivative,
+    frac_derivative,
+    solve_linear,
+)
 from fracbvp.cli import (
     EXIT_CONDITION_H,
     EXIT_NO_CONVERGENCE,
@@ -15,7 +22,7 @@ from fracbvp.cli import (
     parse_weight,
 )
 
-from helpers import forcing
+from helpers import PAIRS, forcing
 
 
 def _read_csv(path):
@@ -143,6 +150,38 @@ def test_solve_recovers_u3_within_tolerance(tmp_path):
     u = np.array([float(r[1]) for r in rows])
     exact = t**0.2 * (1.0 - t)
     assert np.max(np.abs(u - exact)) <= 2e-3
+
+
+def test_solve_du_and_q_columns_match_calculus(tmp_path):
+    out = tmp_path / "u3.csv"
+    g = forcing("u3")
+    text = " + ".join(f"{c!r}*t^{lam!r}" for c, lam in g)
+    code = main([
+        "solve", "--alpha", "1.5", "--forcing", text,
+        "--n", "128", "--out", str(out),
+    ])
+    assert code == EXIT_OK
+    _, rows = _read_csv(out)
+    t = np.array([float(r[0]) for r in rows])
+    q = np.array([float(r[3]) for r in rows])
+    du = np.array([float(r[2]) for r in rows[1:-1]])
+    u = PAIRS["u3"]
+    # u' blows up like t^-0.8, so the first nodes are left out
+    keep = t[1:-1] >= 1e-6
+    du_exact = classical_derivative(u)(t[1:-1][keep])
+    assert np.max(np.abs(du[keep] - du_exact) / np.abs(du_exact)) <= 1e-4
+    q_exact = t[1:] ** 0.5 * frac_derivative(u, 0.5)(t[1:])
+    assert q[0] == 0.0
+    assert np.max(np.abs(q[1:] - q_exact)) <= 1e-4
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf"])
+def test_solve_rejects_non_finite_tol(tmp_path, tol):
+    code = main([
+        "solve", "--alpha", "1.5", "--weight", "power:0", "--f", "power:0.5",
+        "--tol", tol, "--out", str(tmp_path / "x.csv"),
+    ])
+    assert code == EXIT_PARSE
 
 
 def test_solve_condition_h_violation_exit_code(tmp_path, capsys):

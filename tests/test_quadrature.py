@@ -239,6 +239,58 @@ def test_dalpha_consistency_with_oracle_across_the_pairs():
             assert got == pytest.approx(oracle(float(t)), abs=1e-4)
 
 
+# --- array targets ---------------------------------------------------------------
+
+
+def _unsorted_targets(mesh):
+    # on nodes, just either side of them, below t_1, duplicated, unsorted
+    nodes = mesh.nodes[[1, 2, 5, mesh.n // 2, mesh.n - 1]]
+    t = np.concatenate((
+        nodes, nodes * (1.0 + 1e-12), nodes * (1.0 - 1e-12),
+        [1e-12, 0.3 * mesh.nodes[1], 0.37, 0.5, 0.37, nodes[2]],
+    ))
+    return t[::-1]
+
+
+@pytest.mark.parametrize(
+    "w,alpha",
+    [
+        (WeightSpec(1.2), 1.6),
+        (as_weight_spec(forcing("u3")), ALPHA_PAIRS),
+        # u' and D^(alpha-1)u vanish exactly at t = 0.5
+        (WeightSpec(0.0), 2.0),
+    ],
+)
+@pytest.mark.parametrize(
+    "op,endpoints",
+    [
+        (apply_green, [0.0, 1.0]),
+        (apply_green_derivative, []),
+        (apply_dalpha_minus_1, [1.0]),
+    ],
+)
+def test_array_targets_match_scalar_calls(op, endpoints, w, alpha):
+    mesh = build_mesh(64, w, alpha)
+    beta_g, reg = w.singular_decomposition()
+    t = np.concatenate((_unsorted_targets(mesh), endpoints))
+    scalar = [op(float(x), beta_g, reg, alpha, mesh) for x in t]
+    assert all(isinstance(v, float) for v in scalar)
+    got = op(t, beta_g, reg, alpha, mesh)
+    np.testing.assert_allclose(got, scalar, rtol=1e-13, atol=1e-15)
+    grid = op(t.reshape(-1, 1), beta_g, reg, alpha, mesh)
+    assert grid.shape == (len(t), 1)
+
+
+@pytest.mark.parametrize(
+    "op", [apply_green, apply_green_derivative, apply_dalpha_minus_1]
+)
+@pytest.mark.parametrize("bad", [-0.1, 1.5, np.nan])
+def test_array_with_one_bad_target_raises(op, bad):
+    mesh = build_mesh(64, WeightSpec(0.0), 1.5)
+    with pytest.raises(ValueError):
+        op(np.array([0.2, bad, 0.7]), 0.0, ONE, 1.5, mesh)
+
+
 # --- convergence and sign --------------------------------------------------------
 
 

@@ -180,8 +180,9 @@ def test_damping_between_zero_and_one_still_converges():
 def test_parameter_validation():
     w = WeightSpec(0.0)
     f = NonlinearitySpec.constant(1.0)
-    with pytest.raises(ValueError):
-        solve_nonlinear(w, f, 1.5, 64, tol=0.0)
+    for tol in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            solve_nonlinear(w, f, 1.5, 64, tol=tol)
     with pytest.raises(ValueError):
         solve_nonlinear(w, f, 1.5, 64, max_iter=0)
     with pytest.raises(ValueError):
