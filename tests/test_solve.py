@@ -1,6 +1,12 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import fracbvp
+from fracbvp import solve
 from fracbvp import (
     ConditionHError,
     GradedMesh,
@@ -239,3 +245,70 @@ def test_gl_residual_window_and_m_validation():
     assert max(ts) <= 0.9 + 1e-12
     with pytest.raises(ValueError):
         gl_residual(sol, g, 2.0, 100)
+
+
+# --- interpolants and import cost --------------------------------------------
+
+# Samples of functions of t, as the solver interpolates: a t^0.2 onset
+# (monotone), sign changes, and flat runs where PCHIP's slopes are zero.
+# Data drawn independently per node would make the 17-node grading-8 spline
+# system ill-conditioned: there scipy's pivoted solve and the sweep both
+# differ from a 60-digit solve by about 1e-11, so they cannot agree to 1e-13.
+# The bound is relative to the largest term of the Hermite form, max|y| or
+# max |y'(x_i)| (x_(i+1) - x_i): on the 17-node grading-8 mesh the t^0.2
+# spline oscillates with terms near 700 against max|y| = 1.5, and slopes
+# that agree to 4e-16 relative give values that differ by 1.3e-13.
+INTERP_DATA = {
+    "monotone": lambda t: t**0.2 - 0.5 * t**1.2 + t,
+    "sign_changes": lambda t: np.sin(9.0 * t) - t**0.3 * np.cos(3.0 * t),
+    "flat_runs": lambda t: np.clip(np.sin(7.0 * t), -0.5, 0.5),
+}
+
+
+@pytest.mark.parametrize("nodes", [17, 513, 2049])
+@pytest.mark.parametrize("data", sorted(INTERP_DATA))
+def test_interpolants_match_scipy(nodes, data):
+    from scipy import interpolate
+
+    rng = np.random.default_rng(nodes)
+    for grading in (1.0, 2.0, 3.5, 5.0, 6.5, 8.0):
+        x = GradedMesh.from_grading(nodes - 1, grading).nodes
+        y = INTERP_DATA[data](x)
+        points = np.concatenate((x, rng.random(1000)))
+        for ours, theirs in (
+            (solve.PchipInterpolator, interpolate.PchipInterpolator),
+            (solve.CubicSpline, interpolate.CubicSpline),
+        ):
+            got, want = ours(x, y), theirs(x, y)
+            scale = max(np.max(np.abs(y)), np.max(np.abs(want(x[:-1], 1) * np.diff(x))))
+            diff = np.max(np.abs(got(points) - want(points)))
+            assert diff <= 1e-13 * scale, (ours.__name__, grading, diff / scale)
+            assert np.shape(got(0.3)) == np.shape(want(0.3))
+
+
+def test_interpolants_reject_bad_data():
+    x = np.linspace(0.0, 1.0, 5)
+    for bad_x, bad_y in (
+        (x[::-1], x),  # decreasing
+        (x, np.append(x[:-1], np.nan)),
+        (x, x[:-1]),  # length mismatch
+        (x[:1], x[:1]),  # one point
+    ):
+        for cls in (solve.PchipInterpolator, solve.CubicSpline):
+            with pytest.raises(ValueError):
+                cls(bad_x, bad_y)
+    with pytest.raises(ValueError):
+        solve.CubicSpline(x[:3], x[:3])  # not-a-knot needs four points
+
+
+def test_import_loads_no_scipy():
+    code = (
+        "import sys, fracbvp, fracbvp.cli\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    src = str(Path(fracbvp.__file__).resolve().parent.parent)
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={"PYTHONPATH": src}, capture_output=True, text=True, check=True, timeout=60,
+    )
+    assert out.stdout.strip() == "[]"
