@@ -7,15 +7,27 @@ For order alpha in (1, 2] the kernel is
 
 Both branches agree at s = t, G vanishes on t in {0, 1}, and G >= 0.
 
-The delicate regime is s << t, where the two powers in the first branch
-agree to O(s/t) and naive subtraction loses every digit; the Green integral
-of a forcing that blows up like s^(-beta) at the origin leans exactly on
-that cancellation.  The bracket is therefore evaluated as
+The left branch is one case of the bracket
 
-    (t-s)^(alpha-1) * expm1( (alpha-1) * [log1p(-s) - log1p(-s/t)] )
+    B_e(t, s) = t^e (1-s)^(alpha-1) - (t-s)^e,   0 <= s < t <= 1,
 
-whenever the two powers are within a factor of two of each other, which
-keeps full relative accuracy all the way down to s = 0.
+with e = alpha-1 for G (and the Green integral u) and e = alpha-2 for the
+left kernel of u'.  The delicate regime is s << t, where the two terms
+agree to O(s/t) and naive subtraction loses every digit; the Green
+integral of a forcing that blows up like s^(-beta) at the origin leans
+exactly on that cancellation.  The bracket is therefore evaluated through
+the exact identity
+
+    B_e = (t-s)^e * expm1(d),     d = (alpha-1)*log1p(-s) - e*log1p(-s/t),
+    (t-s)^e = t^e * exp(e*log1p(-s/t)),
+
+which keeps full relative accuracy all the way down to s = 0.  With t^e per
+row and log1p(-s), (1-s)^(alpha-1) per column, an element costs one log1p,
+one exp and one expm1.  Where |d| >= ln 2 the two terms differ by at least
+a factor of two and there is nothing to cancel; there the direct
+difference t^e (1-s)^(alpha-1) - (t-s)^e is taken with the exact t - s,
+which keeps the digits of (t-s)^e that rounding s/t loses once 1 - s/t is
+small.
 """
 
 from __future__ import annotations
@@ -26,30 +38,42 @@ from .gammafn import gamma
 
 __all__ = ["green_eval", "green_values"]
 
-# Below this separation the (t-s)^(alpha-1) term is dropped outright; the
-# power of anything <= 1e-300 is negligible against the co-factor and the
-# logarithm path would produce spurious infinities.
-_UNDERFLOW = 1e-300
+
+def column_terms(s, alpha: float):
+    """((alpha-1)*log1p(-s), (1-s)^(alpha-1)): the t-free factors of B_e."""
+    return (alpha - 1.0) * np.log1p(-s), np.power(1.0 - s, alpha - 1.0)
 
 
-def bracket_values(t: float, s: np.ndarray, alpha: float) -> np.ndarray:
-    """(t*(1-s))^(alpha-1) - (t-s)^(alpha-1) for s < t, cancellation-safe.
+def bracket_values(t, s, alpha: float, e: float, t_e=None, s_terms=None):
+    """B_e(t, s) = t^e (1-s)^(alpha-1) - (t-s)^e, cancellation-safe.
 
-    Internal helper shared with the quadrature module; assumes
-    0 < t <= 1 and 0 <= s < t elementwise.
+    Internal helper shared with the quadrature module.  ``t`` and ``s``
+    broadcast against each other with 0 < t <= 1 and 0 <= s < t
+    elementwise; ``e`` is alpha-1 or alpha-2.  ``t_e = t**e`` and
+    ``s_terms = column_terms(s, alpha)`` may be passed when the caller
+    already holds them.
     """
-    a1 = alpha - 1.0
-    pp = np.power(t * (1.0 - s), a1)
-    x = t - s
-    tiny = x <= _UNDERFLOW
-    x = np.where(tiny, 1.0, x)
-    xp = np.power(x, a1)
-    with np.errstate(divide="ignore"):
-        d = a1 * (np.log1p(-s) - np.log1p(-s / t))
-    # d >= 0 always (t <= 1); values with d > log 2 take the direct branch.
-    safe = xp * np.expm1(np.minimum(d, 2.0))
-    out = np.where(xp > 0.5 * pp, safe, pp - xp)
-    return np.where(tiny, pp, out)
+    if t_e is None:
+        t_e = np.power(t, e)
+    log_s, pow_s = column_terms(s, alpha) if s_terms is None else s_terms
+    x = np.divide(s, np.negative(t))
+    np.log1p(x, out=x)
+    x *= e
+    d = np.subtract(log_s, x)
+    np.exp(x, out=x)
+    x *= t_e  # (t-s)^e
+    np.expm1(d, out=d)
+    # log1p(-s/t) <= log1p(-s) <= 0 for t <= 1, so d >= 0 for e = alpha-1
+    # and d <= 0 for e = alpha-2; |d| >= ln 2 then means expm1(d) >= 1 or
+    # expm1(d) <= -1/2.
+    far = d >= 1.0 if e > 0.0 else d <= -0.5
+    d *= x
+    if far.any():  # the direct difference, with the exact t - s
+        np.subtract(t, s, out=x, where=far)
+        np.power(x, e, out=x, where=far)
+        np.multiply(t_e, pow_s, out=d, where=far)
+        np.subtract(d, x, out=d, where=far)
+    return d
 
 
 def green_values(t: float, s: np.ndarray, alpha: float) -> np.ndarray:
@@ -59,7 +83,7 @@ def green_values(t: float, s: np.ndarray, alpha: float) -> np.ndarray:
     out = np.power(t * (1.0 - s), a1)
     left = s < t
     if np.any(left):
-        out[left] = bracket_values(t, s[left], alpha)
+        out[left] = bracket_values(t, s[left], alpha, a1)
     return out / gamma(alpha)
 
 
@@ -74,4 +98,4 @@ def green_eval(t: float, s: float, alpha: float) -> float:
         raise ValueError(f"(t, s) must lie in the unit square, got {(t, s)!r}")
     if s >= t:
         return float((t * (1.0 - s)) ** (alpha - 1.0) / gamma(alpha))
-    return float(bracket_values(t, np.array([s]), alpha)[0] / gamma(alpha))
+    return float(bracket_values(t, np.array([s]), alpha, alpha - 1.0)[0] / gamma(alpha))

@@ -14,17 +14,20 @@ The admissible forcing class is fixed by the integrability condition at the
 origin, int_0^1 s^(alpha-1) g(s) ds < infty, which allows beta_g up to (not
 including) alpha - i.e. weights that are not integrable on their own.  Near
 s = 0 the kernels vanish like s, so the combined integrands are integrable;
-they are evaluated through the expm1/log1p brackets so that cancellation
-does not destroy that product structure.
+they are evaluated in expm1/log1p form so that cancellation does not
+destroy that product structure.  The left kernels of u and u' are one
+bracket, t^e (1-s)^(a-1) - (t-s)^e with e = a-1 and e = a-2
+(green.bracket_values); that of D^(a-1)u is expm1((a-1) log1p(-s)).
 
 Three constructions replace adaptivity:
 
 * panels follow a graded mesh t_i = (i/n)^grading, refined toward 0;
 * the first panel [0, e] is mapped by s = tau^m, m = ceil(2/(alpha-beta_g)),
   which turns the leading s^(margin-1)-type behaviour into a smooth power;
-* the panel ending at s = t (for the kernels with a kink or an
+* the panel ending at s = t (for u and u', whose bracket has a kink or an
   (t-s)^(alpha-2) blow-up there) is mapped by s = t - tau^(1/(alpha-1)),
-  which absorbs the singular factor into the Jacobian exactly.
+  which absorbs the singular factor into the Jacobian exactly; elsewhere
+  u and u' use the bracket kernel itself.
 
 Fixed-order Gauss-Legendre (12 points) is used on every transformed panel:
 once the integrands are regularized, panel count - not order - controls the
@@ -34,11 +37,15 @@ The three operators share one assembly and accept any array of targets in
 one pass.  g_reg is evaluated once at each quadrature point: in one call on
 the plain panels between mesh nodes, which all targets share, and in one
 call per block of targets on the 3 x 12 points of the panels each target
-owns (origin panel, left panel ending at t, right panel starting at t).  Over the shared panels the parts
-that do not depend on t reduce to prefix and suffix sums: (1-s)^(alpha-1)
-in the right parts of u and u', and both kernels of D^(alpha-1)u.  Only the
-left brackets of u and u' remain a dense lower-triangular block, built in
-fixed square tiles so that memory stays bounded for any n.
+owns (origin panel, left panel ending at t, right panel starting at t).
+Over the shared panels the parts that do not depend on t reduce to prefix
+and suffix sums: (1-s)^(alpha-1) in the right parts of u and u', and both
+kernels of D^(alpha-1)u.  Only the left brackets of u and u' remain a dense
+lower-triangular block, built in fixed square tiles so that memory stays
+bounded for any n.  Each tile is one call of the bracket kernel with t^e
+taken once per row and log1p(-s), (1-s)^(alpha-1) once per call, so an
+element costs one log1p, one exp and one expm1, plus a power only where
+the two terms of the bracket differ by a factor of two or more.
 """
 
 from __future__ import annotations
@@ -49,7 +56,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gammafn import gamma
-from .green import bracket_values
+from .green import bracket_values, column_terms
 from .powersum import ONE, PowerSum
 
 __all__ = [
@@ -280,19 +287,7 @@ def _as_result(values: np.ndarray):
     return float(values) if values.ndim == 0 else values
 
 
-def _derivative_bracket(t, s, alpha):
-    # t^(a-2)(1-s)^(a-1) - (t-s)^(a-2); always negative on (0, t).
-    a1 = alpha - 1.0
-    a2 = alpha - 2.0
-    pp = t**a2 * np.power(1.0 - s, a1)
-    xp = np.power(t - s, a2)
-    with np.errstate(divide="ignore"):
-        d = a1 * np.log1p(-s) + (2.0 - alpha) * np.log1p(-s / t)
-    # d <= 0 always; |d| <= log 2 marks the cancellation regime.
-    return np.where(d > -0.6931, xp * np.expm1(d), pp - xp)
-
-
-def _dalpha_bracket(t, s, alpha):
+def _dalpha_bracket(s, alpha):
     # (1-s)^(a-1) - 1, the left kernel of D^(alpha-1)u; it is free of t.
     return np.expm1((alpha - 1.0) * np.log1p(-s))
 
@@ -327,31 +322,32 @@ def _green_integrals(kind, t, beta_g, g_regular, alpha, mesh) -> np.ndarray:
     beta_g = float(beta_g)
     m = _origin_substitution_order(alpha, beta_g)
     a1 = alpha - 1.0
+    # exponent of the left bracket t^e (1-s)^(alpha-1) - (t-s)^e of u and u'
+    e = a1 if kind == "u" else alpha - 2.0
     nodes = mesh.nodes
-    left_kernel = {
-        "u": bracket_values, "du": _derivative_bracket, "dalpha": _dalpha_bracket,
-    }[kind]
 
     # Shared panels [nodes[j], nodes[j+1]], j = 1..n-1 (row j-1).  Their
     # t-free kernels reduce to prefix sums (left part of D^(alpha-1)u) and
     # suffix sums (int (1-s)^(alpha-1) g ds, the right part of all three).
     sf, wf = _gauss(nodes[1:-1], nodes[2:])
     wgf = wf * np.power(sf, -beta_g) * g_regular(sf.ravel()).reshape(sf.shape)
-    left_panels = np.sum(_dalpha_bracket(None, sf, alpha) * wgf, axis=1)
+    log_sf, pow_sf = column_terms(sf, alpha)
+    left_panels = np.sum(np.expm1(log_sf) * wgf, axis=1)  # (1-s)^(a-1) - 1
     left_sums = np.append(0.0, np.cumsum(left_panels))
-    right_panels = np.sum(np.power(1.0 - sf, a1) * wgf, axis=1)
+    right_panels = np.sum(pow_sf * wgf, axis=1)
     right_sums = np.append(np.cumsum(right_panels[::-1])[::-1], 0.0)
-    sf, wgf = sf.ravel(), wgf.ravel()
+    sf, wgf, log_sf, pow_sf = (x.ravel() for x in (sf, wgf, log_sf, pow_sf))
 
     order = np.argsort(t, kind="stable")
     out = np.empty(len(t))
     for r0 in range(0, len(t), _TILE):
         rows = order[r0:r0 + _TILE]
         tb = t[rows]
+        te = None if kind == "dalpha" else tb**e
         # nodes[:lo] < t <= nodes[lo]; nodes[hi] is the first node above t.
         lo = np.searchsorted(nodes, tb, side="left")
         hi = np.minimum(np.searchsorted(nodes, tb, side="right"), mesh.n)
-        s, w, k = _own_panels(kind, left_kernel, tb, lo, hi, nodes, m, beta_g, alpha)
+        s, w, k = _own_panels(kind, tb, e, te, lo, hi, nodes, m, beta_g, alpha)
         g = np.split(g_regular(np.concatenate([x.ravel() for x in s])), 3)
         origin, tail, right = (
             np.sum(kj * wj * gj.reshape(kj.shape), axis=1)
@@ -366,27 +362,31 @@ def _green_integrals(kind, t, beta_g, g_regular, alpha, mesh) -> np.ndarray:
         # The left bracket of u and u' depends on t: a dense lower-triangular
         # block over the shared points, in _TILE x _TILE tiles.
         count = GAUSS_ORDER * shared
+        tc, tec = tb[:, None], te[:, None]
         for c0 in range(0, count[-1], _TILE):
             cols = slice(c0, c0 + _TILE)
+            args = (tc, sf[None, cols], alpha, e, tec, (log_sf[cols], pow_sf[cols]))
             if c0 + _TILE <= count[0]:
                 # every row of the ascending block owns these columns
-                total += left_kernel(tb[:, None], sf[None, cols], alpha) @ wgf[cols]
+                total += bracket_values(*args) @ wgf[cols]
                 continue
             # columns at or past a row's count may have s >= t
             with np.errstate(invalid="ignore", divide="ignore"):
-                kern = left_kernel(tb[:, None], sf[None, cols], alpha)
+                kern = bracket_values(*args)
             mine = np.arange(c0, c0 + kern.shape[1]) < count[:, None]
             total += np.where(mine, kern, 0.0) @ wgf[cols]
-        out[rows] = total + tb ** (a1 if kind == "u" else alpha - 2.0) * right
+        out[rows] = total + te * right
     return out
 
 
-def _own_panels(kind, left_kernel, t, lo, hi, nodes, m, beta_g, alpha):
+def _own_panels(kind, t, e, te, lo, hi, nodes, m, beta_g, alpha):
     """Points, weights and kernel values of the panels each target owns.
 
     Three (len(t), GAUSS_ORDER) arrays each, for: the origin panel, the left
     panel ending at t, and the right panel [t, nodes[hi]].  The weights
     carry s^(-beta_g) and the Jacobians; the right kernel is (1-s)^(alpha-1).
+    ``e`` is the exponent of the left bracket of u or u' and ``te`` is t^e
+    (unused for "dalpha").
     """
     a1 = alpha - 1.0
     tc = t[:, None]
@@ -403,7 +403,10 @@ def _own_panels(kind, left_kernel, t, lo, hi, nodes, m, beta_g, alpha):
     tau = 0.5 * tau_hi[:, None] * (_GL_X + 1.0)
     s0 = tau**m
     w0 = 0.5 * tau_hi[:, None] * _GL_W * m * np.power(tau, m - 1.0 - m * beta_g)
-    k0 = left_kernel(tc, s0, alpha)
+    if kind == "dalpha":
+        k0 = _dalpha_bracket(s0, alpha)
+    else:
+        k0 = bracket_values(tc, s0, alpha, e, te[:, None])
 
     # Left panel ending at t.  For u and u' it is mapped by s = t - tau^p,
     # p = 1/(alpha-1): (t-s)^(alpha-1) becomes tau, and (t-s)^(alpha-2) ds
@@ -411,7 +414,7 @@ def _own_panels(kind, left_kernel, t, lo, hi, nodes, m, beta_g, alpha):
     if kind == "dalpha":
         s1, w1 = _gauss(tail_start, t)
         w1 = w1 * np.power(s1, -beta_g)
-        k1 = left_kernel(tc, s1, alpha)
+        k1 = _dalpha_bracket(s1, alpha)
     else:
         p = 1.0 / a1
         tau_hi = (t - tail_start) ** a1
@@ -422,7 +425,7 @@ def _own_panels(kind, left_kernel, t, lo, hi, nodes, m, beta_g, alpha):
             k1 = np.power(tc * (1.0 - s1), a1) - tau
             w1 = w1 * np.power(tau, p - 1.0)
         else:
-            k1 = tc ** (alpha - 2.0) * np.power(1.0 - s1, a1) * np.power(tau, p - 1.0)
+            k1 = te[:, None] * np.power(1.0 - s1, a1) * np.power(tau, p - 1.0)
             k1 -= 1.0
 
     s2, w2 = _gauss(t, nodes[hi])

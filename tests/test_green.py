@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fracbvp import gamma, green_eval
-from fracbvp.green import green_values
+from fracbvp.green import bracket_values, green_values
 
 from helpers import GREEN_HALF_15
 
@@ -88,3 +88,23 @@ def test_matches_brute_force_quadrature_of_derivative_definition():
         x = np.linspace(t - s, t * (1.0 - s), 400001)
         ref = np.trapezoid((alpha - 1.0) * x ** (alpha - 2.0), x) / gamma(alpha)
         assert green_eval(t, s, alpha) == pytest.approx(ref, rel=1e-8)
+
+
+def test_bracket_matches_mpmath():
+    # B_e(t, s) = t^e (1-s)^(alpha-1) - (t-s)^e for e = alpha-1 (G, u) and
+    # e = alpha-2 (u'), against 50 digits at the double-rounded t and s; the
+    # ratios s/t straddle |d| = ln 2, where the kernel switches from the
+    # expm1/log1p form to the direct difference.
+    mpmath = pytest.importorskip("mpmath")
+    ratios = (1e-15, 1e-9, 1e-6, 1e-3, 0.1, 0.5, 0.65, 0.68, 0.7, 0.72, 0.9,
+              0.99, 1.0 - 1e-6, 1.0 - 1e-9)
+    with mpmath.workdps(50):
+        for alpha in (1.1, 1.3, 1.5, 1.6, 1.9, 2.0):
+            for e in (alpha - 1.0, alpha - 2.0):
+                for t in (1e-17, 1e-6, 0.3, 0.77, 1.0):
+                    s = t * np.array(ratios)
+                    got = bracket_values(t, s, alpha, e)
+                    for sj, gj in zip(s, got):
+                        tm, sm = mpmath.mpf(t), mpmath.mpf(float(sj))
+                        ref = tm**e * (1 - sm) ** (alpha - 1.0) - (tm - sm) ** e
+                        assert abs(gj - ref) <= 1e-14 * abs(ref), (alpha, e, t, sj)

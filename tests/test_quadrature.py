@@ -15,6 +15,7 @@ from fracbvp import (
     check_condition_h,
     frac_derivative,
 )
+from fracbvp import quadrature
 
 from helpers import (
     ALPHA_PAIRS,
@@ -289,6 +290,30 @@ def test_array_with_one_bad_target_raises(op, bad):
     mesh = build_mesh(64, WeightSpec(0.0), 1.5)
     with pytest.raises(ValueError):
         op(np.array([0.2, bad, 0.7]), 0.0, ONE, 1.5, mesh)
+
+
+@pytest.mark.parametrize(
+    "w,alpha", [(WeightSpec(1.2), 1.6), (as_weight_spec(forcing("u3")), ALPHA_PAIRS)]
+)
+def test_tiling_does_not_change_values(monkeypatch, w, alpha):
+    # Under the default tile the 160 sorted targets form two row blocks: the
+    # first (from t_1 up) has only masked tiles, the second starts far
+    # enough out that its first tile is owned by every row and skips the
+    # mask.  A 4096 tile puts all targets and columns in one masked tile.
+    mesh = build_mesh(64, w, alpha)
+    beta_g, reg = w.singular_decomposition()
+    rng = np.random.default_rng(5)
+    t = np.concatenate((mesh.nodes[1:-1], rng.uniform(mesh.nodes[1], 1.0, 97)))
+    tile = quadrature._TILE
+    second_block_lo = np.searchsorted(mesh.nodes, np.sort(t)[tile])
+    assert quadrature.GAUSS_ORDER * (second_block_lo - 2) >= tile
+    ops = (apply_green, apply_green_derivative)
+    tiled = [op(t, beta_g, reg, alpha, mesh) for op in ops]
+    monkeypatch.setattr(quadrature, "_TILE", 4096)
+    for got, op in zip(tiled, ops):
+        whole = op(t, beta_g, reg, alpha, mesh)
+        bound = 1e-13 * np.abs(whole) + 1e-15 * np.max(np.abs(whole))
+        assert np.all(np.abs(got - whole) <= bound)
 
 
 # --- convergence and sign --------------------------------------------------------
