@@ -22,7 +22,6 @@ bit-exactly.
 from __future__ import annotations
 
 import argparse
-import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -34,6 +33,7 @@ from .powersum import (
     ONE,
     PowerSum,
     PowerSumParseError,
+    float_at,
     parse_power_sum,
 )
 from .quadrature import (
@@ -62,32 +62,19 @@ EXIT_CONDITION_H = 2
 EXIT_PARSE = 3
 EXIT_NO_CONVERGENCE = 4
 
-_FLOAT_RE = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
-
-
-class WeightParseError(ValueError):
-    """Malformed weight/nonlinearity text; carries the offset of the problem."""
-
-    def __init__(self, message: str, position: int):
-        super().__init__(f"{message} (at position {position})")
-        self.position = position
+# Weights, forcings and nonlinearities share the power-sum number grammar
+# and its positioned parse error.
+WeightParseError = PowerSumParseError
 
 
 # --- grammar -----------------------------------------------------------------
-
-
-def _float_at(text: str, pos: int, what: str) -> tuple[float, int]:
-    m = _FLOAT_RE.match(text, pos)
-    if m is None:
-        raise WeightParseError(f"expected {what}", pos)
-    return float(m.group()), m.end()
 
 
 def parse_weight(text: str) -> WeightSpec:
     """Parse ``power:<beta>`` or ``power:<beta>*sum:<c>,<l>;...``."""
     if not text.startswith("power:"):
         raise WeightParseError("expected 'power:' prefix", 0)
-    beta, pos = _float_at(text, len("power:"), "singularity exponent")
+    beta, pos = float_at(text, len("power:"), "singularity exponent")
     if beta < 0.0:
         raise WeightParseError("singularity exponent must be >= 0", len("power:"))
     if pos == len(text):
@@ -97,11 +84,11 @@ def parse_weight(text: str) -> WeightSpec:
     pos += len("*sum:")
     terms = []
     while True:
-        coeff, pos = _float_at(text, pos, "a coefficient")
+        coeff, pos = float_at(text, pos, "a coefficient")
         if pos == len(text) or text[pos] != ",":
             raise WeightParseError("expected ',' between coefficient and exponent", pos)
         expo_pos = pos + 1
-        expo, pos = _float_at(text, expo_pos, "an exponent")
+        expo, pos = float_at(text, expo_pos, "an exponent")
         if expo < 0.0:
             raise WeightParseError("negative regular exponents are rejected", expo_pos)
         terms.append((coeff, expo))
@@ -144,7 +131,7 @@ def parse_nonlinearity(text: str) -> NonlinearitySpec:
             if pos >= len(text) or text[pos] != ",":
                 raise WeightParseError("expected ',' between parameters", pos)
             pos += 1
-        value, pos = _float_at(text, pos, "a parameter")
+        value, pos = float_at(text, pos, "a parameter")
         params.append(value)
     if pos != len(text):
         raise WeightParseError("unexpected trailing text", pos)
@@ -453,9 +440,6 @@ def main(argv=None) -> int:
     except ConditionHError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONDITION_H
-    except (WeightParseError, PowerSumParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -96,6 +96,4 @@ def green_eval(t: float, s: float, alpha: float) -> float:
         raise ValueError(f"order must lie in (1, 2], got {alpha!r}")
     if not (0.0 <= t <= 1.0 and 0.0 <= s <= 1.0):
         raise ValueError(f"(t, s) must lie in the unit square, got {(t, s)!r}")
-    if s >= t:
-        return float((t * (1.0 - s)) ** (alpha - 1.0) / gamma(alpha))
-    return float(bracket_values(t, np.array([s]), alpha, alpha - 1.0)[0] / gamma(alpha))
+    return float(green_values(t, np.array([s]), alpha)[0])

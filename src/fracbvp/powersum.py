@@ -58,7 +58,7 @@ class SingularEvaluationError(ValueError):
 
 
 class PowerSumParseError(ValueError):
-    """Malformed power-sum text; carries the byte offset of the problem."""
+    """Malformed power-sum, weight or nonlinearity text; carries the offset."""
 
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
@@ -324,23 +324,24 @@ def parse_power_sum(text: str) -> PowerSum:
         pos = _WS_RE.match(text, pos + 1).end()
 
 
+def float_at(text: str, pos: int, what: str) -> tuple[float, int]:
+    """The decimal literal at ``text[pos:]`` and the offset just past it.
+
+    Raises :class:`PowerSumParseError` at ``pos`` naming ``what`` was
+    expected when no literal starts there.
+    """
+    m = _FLOAT_RE.match(text, pos)
+    if m is None:
+        raise PowerSumParseError(f"expected {what}", pos)
+    return float(m.group()), m.end()
+
+
 def _parse_term(text: str, pos: int) -> tuple[float, float, int]:
     if text.startswith("t^", pos):
-        coeff = 1.0
-        pos += 2
-        m = _FLOAT_RE.match(text, pos)
-        if m is None:
-            raise PowerSumParseError("expected exponent after 't^'", pos)
-        return coeff, float(m.group()), m.end()
-    m = _FLOAT_RE.match(text, pos)
-    if m is None:
-        raise PowerSumParseError("expected a coefficient", pos)
-    coeff = float(m.group())
-    pos = m.end()
+        expo, pos = float_at(text, pos + 2, "exponent after 't^'")
+        return 1.0, expo, pos
+    coeff, pos = float_at(text, pos, "a coefficient")
     if not text.startswith("*t^", pos):
         return coeff, 0.0, pos
-    pos += 3
-    m = _FLOAT_RE.match(text, pos)
-    if m is None:
-        raise PowerSumParseError("expected exponent after '*t^'", pos)
-    return coeff, float(m.group()), m.end()
+    expo, pos = float_at(text, pos + 3, "exponent after '*t^'")
+    return coeff, expo, pos

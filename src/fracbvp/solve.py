@@ -270,11 +270,6 @@ class NonlinearitySpec:
     def value_at_zero(self) -> float:
         return float(self(0.0))
 
-    def describe(self) -> str:
-        body = ",".join(repr(v) for v in self.params)
-        name = {"constant": "const"}.get(self.kind, self.kind)
-        return f"{name}:{body}"
-
 
 @dataclass(frozen=True)
 class ResidualStats:

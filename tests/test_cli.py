@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -175,13 +177,35 @@ def test_solve_du_and_q_columns_match_calculus(tmp_path):
     assert np.max(np.abs(q[1:] - q_exact)) <= 1e-4
 
 
-@pytest.mark.parametrize("tol", ["nan", "inf"])
-def test_solve_rejects_non_finite_tol(tmp_path, tol):
+@pytest.mark.parametrize(
+    "flag,value",
+    [
+        pytest.param("--tol", "nan", id="nan"),
+        pytest.param("--tol", "inf", id="inf"),
+        pytest.param("--damping", "nan", id="damping-nan"),
+        pytest.param("--damping", "inf", id="damping-inf"),
+        pytest.param("--alpha", "nan", id="alpha-nan"),
+        pytest.param("--alpha", "inf", id="alpha-inf"),
+    ],
+)
+def test_solve_rejects_non_finite_tol(tmp_path, flag, value):
+    # a repeated --alpha takes the last value
     code = main([
         "solve", "--alpha", "1.5", "--weight", "power:0", "--f", "power:0.5",
-        "--tol", tol, "--out", str(tmp_path / "x.csv"),
+        flag, value, "--out", str(tmp_path / "x.csv"),
     ])
     assert code == EXIT_PARSE
+
+
+@pytest.mark.parametrize(
+    "flag,text", [("--weight", "power:abc"), ("--forcing", "1*t^")]
+)
+def test_solve_malformed_grammar_exits_with_position(tmp_path, capsys, flag, text):
+    code = main([
+        "solve", "--alpha", "1.5", flag, text, "--out", str(tmp_path / "x.csv"),
+    ])
+    assert code == EXIT_PARSE
+    assert re.search(r"\(at position \d+\)", capsys.readouterr().err)
 
 
 def test_solve_condition_h_violation_exit_code(tmp_path, capsys):

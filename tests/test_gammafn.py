@@ -91,3 +91,29 @@ def test_accuracy_against_mpmath_across_range():
         ref = float(mpmath.gamma(x))
         assert gamma(x) == pytest.approx(ref, rel=1e-13)
         count += 1
+
+
+def test_accuracy_to_a_few_ulps_against_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 50
+    rng = np.random.default_rng(2026)
+    worst = 0.0
+    for x in rng.uniform(-50.0, 50.0, 2000):
+        x = float(x)
+        if x < 0.5 and abs(x - round(x)) < 1e-3:
+            continue
+        ref = mpmath.gamma(mpmath.mpf(x))
+        worst = max(worst, float(abs((gamma(x) - ref) / ref)))
+    assert worst <= 2e-15
+
+
+def test_edge_values_past_the_double_range():
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 50
+    assert gamma(171.5) == pytest.approx(float(mpmath.gamma(171.5)), rel=1e-14)
+    assert gamma(180.0) == math.inf
+    assert reciprocal_gamma(180.0) == 0.0
+    tiny = gamma(-180.5)
+    assert tiny == 0.0 and math.copysign(1.0, tiny) == -1.0
+    assert reciprocal_gamma(-180.5) == -math.inf
+    assert reciprocal_gamma(-181.5) == math.inf
