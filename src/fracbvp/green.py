@@ -18,16 +18,26 @@ integral of a forcing that blows up like s^(-beta) at the origin leans
 exactly on that cancellation.  The bracket is therefore evaluated through
 the exact identity
 
-    B_e = (t-s)^e * expm1(d),     d = (alpha-1)*log1p(-s) - e*log1p(-s/t),
+    B_e = (t-s)^e * expm1(d),   d = log(t^e (1-s)^(alpha-1) / (t-s)^e),
+
+which keeps full relative accuracy all the way down to s = 0, provided d
+itself carries it.  For e = alpha-1 the ratio inside the log is
+(1 + s(1-t)/(t-s))^e, so
+
+    d = (alpha-1)*log1p(s(1-t)/(t-s)),   (t-s)^e = (t-s)**e,
+
+with no cancellation anywhere: in particular not for t near 1, where
+log1p(-s) and log1p(-s/t) would agree to many digits.  For e = alpha-2,
+
+    d = (alpha-1)*log1p(-s) - e*log1p(-s/t),
     (t-s)^e = t^e * exp(e*log1p(-s/t)),
 
-which keeps full relative accuracy all the way down to s = 0.  With t^e per
-row and log1p(-s), (1-s)^(alpha-1) per column, an element costs one log1p,
-one exp and one expm1.  Where |d| >= ln 2 the two terms differ by at least
-a factor of two and there is nothing to cancel; there the direct
-difference t^e (1-s)^(alpha-1) - (t-s)^e is taken with the exact t - s,
-which keeps the digits of (t-s)^e that rounding s/t loses once 1 - s/t is
-small.
+whose two terms of d have one sign.  With t^e per row and log1p(-s),
+(1-s)^(alpha-1) per column, an element costs one log1p, one expm1 and
+one power or exp.  Where |d| >= ln 2 the two terms differ by at least a
+factor of two and there is nothing to cancel; there the direct difference
+t^e (1-s)^(alpha-1) - (t-s)^e is taken with the exact t - s, which keeps
+the digits of (t-s)^e that rounding s/t loses once 1 - s/t is small.
 """
 
 from __future__ import annotations
@@ -56,21 +66,30 @@ def bracket_values(t, s, alpha: float, e: float, t_e=None, s_terms=None):
     if t_e is None:
         t_e = np.power(t, e)
     log_s, pow_s = column_terms(s, alpha) if s_terms is None else s_terms
-    x = np.divide(s, np.negative(t))
-    np.log1p(x, out=x)
-    x *= e
-    d = np.subtract(log_s, x)
-    np.exp(x, out=x)
-    x *= t_e  # (t-s)^e
+    if e > 0.0:  # e = alpha-1
+        x = np.subtract(t, s)
+        d = np.multiply(s, np.subtract(1.0, t))
+        d /= x
+        np.log1p(d, out=d)
+        d *= e
+        np.power(x, e, out=x)  # (t-s)^e from t - s, not from s/t
+    else:  # e = alpha-2
+        x = np.divide(s, np.negative(t))
+        np.log1p(x, out=x)
+        x *= e
+        d = np.subtract(log_s, x)
+        np.exp(x, out=x)
+        x *= t_e  # (t-s)^e
     np.expm1(d, out=d)
-    # log1p(-s/t) <= log1p(-s) <= 0 for t <= 1, so d >= 0 for e = alpha-1
-    # and d <= 0 for e = alpha-2; |d| >= ln 2 then means expm1(d) >= 1 or
+    # d >= 0 for e = alpha-1 and d <= 0 for e = alpha-2 (log1p(-s/t) <=
+    # log1p(-s) <= 0 for t <= 1); |d| >= ln 2 then means expm1(d) >= 1 or
     # expm1(d) <= -1/2.
     far = d >= 1.0 if e > 0.0 else d <= -0.5
     d *= x
     if far.any():  # the direct difference, with the exact t - s
-        np.subtract(t, s, out=x, where=far)
-        np.power(x, e, out=x, where=far)
+        if e <= 0.0:
+            np.subtract(t, s, out=x, where=far)
+            np.power(x, e, out=x, where=far)
         np.multiply(t_e, pow_s, out=d, where=far)
         np.subtract(d, x, out=d, where=far)
     return d

@@ -40,12 +40,20 @@ call per block of targets on the 3 x 12 points of the panels each target
 owns (origin panel, left panel ending at t, right panel starting at t).
 Over the shared panels the parts that do not depend on t reduce to prefix
 and suffix sums: (1-s)^(alpha-1) in the right parts of u and u', and both
-kernels of D^(alpha-1)u.  Only the left brackets of u and u' remain a dense
-lower-triangular block, built in fixed square tiles so that memory stays
-bounded for any n.  Each tile is one call of the bracket kernel with t^e
-taken once per row and log1p(-s), (1-s)^(alpha-1) once per call, so an
-element costs one log1p, one exp and one expm1, plus a power only where
-the two terms of the bracket differ by a factor of two or more.
+kernels of D^(alpha-1)u.  The left brackets of u and u' depend on t.  Each
+target splits its shared left panels at the last mesh node t_c <= EPS*t
+(EPS = 3/4).  Below t_c, on the far panels, x = s/t <= 3/4 and the bracket
+is t^e times an exact power series in x with the binomial coefficients of
+(1-x)^e, cut at a 2^-60 tail; no sum in it subtracts two terms of one sign.
+The far panels thus reduce to power moments about t_c, streamed up the mesh
+as the sorted targets ascend: O(n M) multiply-adds for M of about 110 to
+150 terms, with only the current moments held.  The band, from t_c up to
+the target's own left panel, goes through the bracket kernel in fixed
+tiles; it holds about 6% of the lower triangle at grading 5 and 25% at
+grading 1.  Each tile is one call of the bracket kernel with t^e taken
+once per row and log1p(-s), (1-s)^(alpha-1) once per call, so an element
+costs one log1p, one expm1 and one power (u) or exp (u'), plus for u' a
+power where the two terms of the bracket differ by a factor of two or more.
 """
 
 from __future__ import annotations
@@ -256,14 +264,30 @@ def apply_dalpha_minus_1(t, g_singular_exponent, g_regular, alpha, mesh):
 
 # --- internals ---------------------------------------------------------------
 
-# Side of the square tiles in which the dense left-bracket block is built;
-# it bounds every temporary of that block at _TILE**2 doubles.  glibc mmaps
-# blocks of 128 KiB (its default mmap threshold; 128**2 doubles exactly)
-# and trims the heap top once 128 KiB lie free there, so at 128, and in
-# some heap layouts from 104 up, every tile faults in fresh pages: about
+# Targets are taken in ascending row blocks of _TILE (the panels each target
+# owns are built per block), and each block in sub-blocks of _TILE // 4 rows
+# for the far field and the band.  The band is evaluated in tiles of
+# _TILE // 4 rows by 4 * _TILE columns, so no temporary of the bracket
+# kernel holds more than _TILE**2 doubles.  glibc mmaps blocks of 128 KiB
+# (its default mmap threshold; 128**2 doubles exactly) and trims the heap
+# top once 128 KiB lie free there; with square tiles of side 128, and in
+# some heap layouts from 104 up, every tile faulted in fresh pages: about
 # 70k-80k minor faults per n = 2048 solve, against about 1.3k at 96 (72 KiB
-# per temporary).  Smaller tiles are slower: 64 takes about 14% longer.
+# per temporary).  The band's rows own different columns, so a tile's rows
+# should lie close together: 96 x 96 tiles masked away about half of what
+# they evaluated and made an n = 2048 solve about 1.5x slower.
 _TILE = 96
+
+# Far-field cut.  A target t sums the shared panels below the last mesh node
+# t_c <= EPS*t from power moments (_LeftBracket); the shared panels from t_c up
+# to its own left panel, the band, go through the exact bracket kernel.
+EPS = 0.75
+# The series in s/t keeps the terms before the first index M whose tail
+# bound |b_M| EPS^M / (1 - EPS) is below this.
+_SERIES_TAIL = 2.0**-60
+# Mesh panels per step of the moment stream: 8 * GAUSS_ORDER points by at
+# most about 150 powers each stays below the 128 KiB mmap threshold.
+_STREAM_PANELS = 8
 
 
 def _checked_alpha(alpha: float) -> float:
@@ -314,32 +338,24 @@ def _green_integrals(kind, t, beta_g, g_regular, alpha, mesh) -> np.ndarray:
     ``kind`` is "u" (Green integral), "du" (u' without its factor
     (alpha-1)/Gamma(alpha)) or "dalpha" (D^(alpha-1)u).  Targets lie in
     (0, 1), or (0, 1] for "dalpha".  The plain panels between mesh nodes
-    are shared by all targets; each target also owns three panels (see
-    _own_panels).  Targets are taken in ascending row blocks of _TILE.
+    are shared by all targets (_SharedPanels); each target also owns three
+    panels (see _own_panels).  Targets are taken in ascending row blocks of
+    _TILE.
     """
     if t.size == 0:
         return t
     beta_g = float(beta_g)
     m = _origin_substitution_order(alpha, beta_g)
-    a1 = alpha - 1.0
     # exponent of the left bracket t^e (1-s)^(alpha-1) - (t-s)^e of u and u'
-    e = a1 if kind == "u" else alpha - 2.0
+    e = alpha - 1.0 if kind == "u" else alpha - 2.0
     nodes = mesh.nodes
-
-    # Shared panels [nodes[j], nodes[j+1]], j = 1..n-1 (row j-1).  Their
-    # t-free kernels reduce to prefix sums (left part of D^(alpha-1)u) and
-    # suffix sums (int (1-s)^(alpha-1) g ds, the right part of all three).
-    sf, wf = _gauss(nodes[1:-1], nodes[2:])
-    wgf = wf * np.power(sf, -beta_g) * g_regular(sf.ravel()).reshape(sf.shape)
-    log_sf, pow_sf = column_terms(sf, alpha)
-    left_panels = np.sum(np.expm1(log_sf) * wgf, axis=1)  # (1-s)^(a-1) - 1
-    left_sums = np.append(0.0, np.cumsum(left_panels))
-    right_panels = np.sum(pow_sf * wgf, axis=1)
-    right_sums = np.append(np.cumsum(right_panels[::-1])[::-1], 0.0)
-    sf, wgf, log_sf, pow_sf = (x.ravel() for x in (sf, wgf, log_sf, pow_sf))
+    panels = _SharedPanels.build(nodes, beta_g, g_regular, alpha)
+    if kind != "dalpha":
+        left = _LeftBracket(kind, alpha, nodes, panels)
 
     order = np.argsort(t, kind="stable")
     out = np.empty(len(t))
+    step = _TILE // 4  # rows per sub-block of the left bracket
     for r0 in range(0, len(t), _TILE):
         rows = order[r0:r0 + _TILE]
         tb = t[rows]
@@ -353,30 +369,172 @@ def _green_integrals(kind, t, beta_g, g_regular, alpha, mesh) -> np.ndarray:
             np.sum(kj * wj * gj.reshape(kj.shape), axis=1)
             for wj, kj, gj in zip(w, k, g)
         )
-        right += right_sums[hi - 1]
+        right += panels.right_sums[hi - 1]
         total = origin + tail
-        shared = np.maximum(lo - 2, 0)  # shared left panels j = 1..lo-2
         if kind == "dalpha":
-            out[rows] = total + left_sums[shared] + right
+            # shared left panels j = 1..lo-2
+            out[rows] = total + panels.left_sums[np.maximum(lo - 2, 0)] + right
             continue
-        # The left bracket of u and u' depends on t: a dense lower-triangular
-        # block over the shared points, in _TILE x _TILE tiles.
-        count = GAUSS_ORDER * shared
-        tc, tec = tb[:, None], te[:, None]
-        for c0 in range(0, count[-1], _TILE):
-            cols = slice(c0, c0 + _TILE)
-            args = (tc, sf[None, cols], alpha, e, tec, (log_sf[cols], pow_sf[cols]))
-            if c0 + _TILE <= count[0]:
-                # every row of the ascending block owns these columns
-                total += bracket_values(*args) @ wgf[cols]
-                continue
-            # columns at or past a row's count may have s >= t
-            with np.errstate(invalid="ignore", divide="ignore"):
-                kern = bracket_values(*args)
-            mine = np.arange(c0, c0 + kern.shape[1]) < count[:, None]
-            total += np.where(mine, kern, 0.0) @ wgf[cols]
+        for q0 in range(0, len(rows), step):
+            q = slice(q0, q0 + step)
+            total[q] += left.sums(tb[q], te[q], lo[q])
         out[rows] = total + te * right
     return out
+
+
+@dataclass(frozen=True)
+class _SharedPanels:
+    """Gauss points of the panels [nodes[j], nodes[j+1]], j = 1..n-1, row j-1.
+
+    ``wg`` holds the weights times g; ``log_s``, ``pow_s`` are
+    green.column_terms.  The t-free kernels over these panels reduce to
+    prefix sums, left_sums[k] = sum over rows < k of ((1-s)^(alpha-1) - 1)
+    w g (the left part of D^(alpha-1)u, and a part of u'), and suffix sums,
+    right_sums[k] = sum over rows >= k of (1-s)^(alpha-1) w g (the right
+    part of all three operators).
+    """
+
+    s: np.ndarray
+    wg: np.ndarray
+    log_s: np.ndarray
+    pow_s: np.ndarray
+    left_sums: np.ndarray
+    right_sums: np.ndarray
+
+    @classmethod
+    def build(cls, nodes, beta_g, g_regular, alpha) -> "_SharedPanels":
+        s, w = _gauss(nodes[1:-1], nodes[2:])
+        wg = w * np.power(s, -beta_g) * g_regular(s.ravel()).reshape(s.shape)
+        log_s, pow_s = column_terms(s, alpha)
+        left_sums = np.append(0.0, np.cumsum(np.sum(np.expm1(log_s) * wg, axis=1)))
+        right_sums = np.append(np.cumsum(np.sum(pow_s * wg, axis=1)[::-1])[::-1], 0.0)
+        return cls(s, wg, log_s, pow_s, left_sums, right_sums)
+
+
+def _series_coefficients(e: float) -> np.ndarray:
+    """b_m = (-1)^m C(e, m), m = 1..M-1, for e in (-1, 1].
+
+    (1-x)^e - 1 = sum b_m x^m.  |b_m| does not increase, so for x <= EPS
+    the terms dropped from M on sum to at most |b_M| EPS^M / (1 - EPS),
+    below _SERIES_TAIL.  For 0 < e < 1 every b_m < 0, for e < 0 every
+    b_m > 0; e = 1 keeps the one term -x and e = 0 none.
+    """
+    coeffs = []
+    b = 1.0
+    while True:
+        m = len(coeffs) + 1
+        b *= (m - 1.0 - e) / m
+        if abs(b) * EPS**m / (1.0 - EPS) < _SERIES_TAIL:
+            return np.array(coeffs)
+        coeffs.append(b)
+
+
+class _LeftBracket:
+    """Sums of the left bracket of u or u' over the shared panels left of t.
+
+    A target t with nodes[lo-1] < t <= nodes[lo] sums B_e(t, s) w(s) g(s)
+    over the shared panels j = 1..lo-2.  Those below the last node
+    t_c <= EPS*t, j < c, are the far panels: there x = s/t <= EPS, and with
+    (1-x)^e - 1 = sum_m b_m x^m (_series_coefficients)
+
+        u  (e = alpha-1):  B_e = t^e ((1-s)^e - (1-x)^e)
+                               = t^e sum_m b_m (t^m - 1) x^m,
+        u' (e = alpha-2):  B_e = t^e [((1-s)^(alpha-1) - 1) - sum_m b_m x^m],
+
+    where no sum subtracts two terms of one sign.  The far panels thus need
+    only the moments Phi_m(c) = sum (s/t_c)^m w g over the shared points
+    s < t_c: their x-moments are (t_c/t)^m Phi_m(c).  Phi(1) = 0, and
+    raising the cut by one panel is Phi(c+1) = (t_c/t_(c+1))^m Phi(c) + the
+    panel's own moments about t_(c+1).  Every factor is at most 1, so
+    nothing overflows, and what underflows lies below the double range
+    anyway.  Only the current Phi is kept, so targets must come in
+    ascending order across calls.  The band, panels c..lo-2, goes through
+    the bracket kernel.
+    """
+
+    def __init__(self, kind, alpha, nodes, panels: _SharedPanels):
+        self.u = kind == "u"
+        self.alpha = alpha
+        self.e = alpha - 1.0 if self.u else alpha - 2.0
+        self.nodes, self.panels = nodes, panels
+        self.b = _series_coefficients(self.e)
+        self.m = np.arange(1.0, len(self.b) + 1.0)
+        self.phi = np.zeros(len(self.b))
+        self.cut = 1
+        # the band's columns, flattened
+        self.s, self.wg, self.log_s, self.pow_s = (
+            x.ravel() for x in (panels.s, panels.wg, panels.log_s, panels.pow_s)
+        )
+
+    def sums(self, t, te, lo):
+        """The sums at ascending targets ``t``, with te = t^e and lo as above."""
+        cut = np.searchsorted(self.nodes, EPS * t, side="right") - 1
+        far = np.maximum(cut - 1, 0)
+        far_sum = self._series(t, cut)
+        if not self.u:
+            far_sum = self.panels.left_sums[far] - far_sum
+        band = self._band(t, te, GAUSS_ORDER * far, GAUSS_ORDER * np.maximum(lo - 2, 0))
+        return te * far_sum + band
+
+    def _series(self, t, cut):
+        # sum_m b_m (t^m - 1) x^m (u) or sum_m b_m x^m (u') over s < t_c
+        if not len(self.b):
+            return np.zeros(len(t))
+        x_moments = self._moments(cut.tolist())
+        # t_0 = 0 where there are no far panels, so x^m = 0 there
+        x_moments *= np.power((self.nodes[cut] / t)[:, None], self.m)
+        if self.u:
+            x_moments *= np.expm1(np.log(t)[:, None] * self.m)
+        return x_moments @ self.b
+
+    def _moments(self, cuts):
+        # Phi(c) for each of the ascending cuts c, one row each.
+        out = np.empty((len(cuts), len(self.phi)))
+        i = 0
+        while self.cut < cuts[-1]:
+            c0, c1 = self.cut, min(self.cut + _STREAM_PANELS, cuts[-1])
+            own, scale = self._panel_moments(c0, c1)
+            for c in range(c0, c1):
+                while cuts[i] <= c:
+                    out[i] = self.phi
+                    i += 1
+                self.phi *= scale[c - c0]
+                self.phi += own[c - c0]
+            self.cut = c1
+        out[i:] = self.phi
+        return out
+
+    def _panel_moments(self, c0, c1):
+        # Moments of the panels [t_c, t_(c+1)], c = c0..c1-1, about t_(c+1),
+        # and the factors (t_c/t_(c+1))^m that carry Phi(c) to t_(c+1).
+        top = self.nodes[c0 + 1:c1 + 1, None]
+        s, wg = self.panels.s[c0 - 1:c1 - 1], self.panels.wg[c0 - 1:c1 - 1]
+        powers = np.exp(np.log(s / top)[..., None] * self.m)
+        own = (wg[:, None, :] @ powers)[:, 0]
+        scale = np.exp(np.log(self.nodes[c0:c1, None] / top) * self.m)
+        return own, scale
+
+    def _band(self, t, te, start, stop):
+        # The bracket over the columns start..stop-1 of each row, in tiles of
+        # len(t) rows by 4 * _TILE columns; a tile that every row owns skips
+        # the mask.
+        total = np.zeros(len(t))
+        tc, tec = t[:, None], te[:, None]
+        width = 4 * _TILE
+        for c0 in range(start.min(), stop.max(), width):
+            cols = slice(c0, min(c0 + width, stop.max()))
+            args = (tc, self.s[None, cols], self.alpha, self.e, tec,
+                    (self.log_s[cols], self.pow_s[cols]))
+            if start.max() <= c0 and cols.stop <= stop.min():
+                total += bracket_values(*args) @ self.wg[cols]
+                continue
+            # columns at or past a row's stop may have s >= t
+            with np.errstate(invalid="ignore", divide="ignore"):
+                kern = bracket_values(*args)
+            col = np.arange(cols.start, cols.stop)
+            mine = (col >= start[:, None]) & (col < stop[:, None])
+            total += np.where(mine, kern, 0.0) @ self.wg[cols]
+        return total
 
 
 def _own_panels(kind, t, e, te, lo, hi, nodes, m, beta_g, alpha):

@@ -94,14 +94,16 @@ def test_bracket_matches_mpmath():
     # B_e(t, s) = t^e (1-s)^(alpha-1) - (t-s)^e for e = alpha-1 (G, u) and
     # e = alpha-2 (u'), against 50 digits at the double-rounded t and s; the
     # ratios s/t straddle |d| = ln 2, where the kernel switches from the
-    # expm1/log1p form to the direct difference.
+    # expm1/log1p form to the direct difference.  Near t = 1 the two log1p
+    # terms of the e = alpha-1 exponent agree to many digits; the kernel
+    # must not take their difference.
     mpmath = pytest.importorskip("mpmath")
     ratios = (1e-15, 1e-9, 1e-6, 1e-3, 0.1, 0.5, 0.65, 0.68, 0.7, 0.72, 0.9,
               0.99, 1.0 - 1e-6, 1.0 - 1e-9)
     with mpmath.workdps(50):
         for alpha in (1.1, 1.3, 1.5, 1.6, 1.9, 2.0):
             for e in (alpha - 1.0, alpha - 2.0):
-                for t in (1e-17, 1e-6, 0.3, 0.77, 1.0):
+                for t in (1e-17, 1e-6, 0.3, 0.77, 1.0 - 1e-7, 1.0 - 1e-8, 1.0):
                     s = t * np.array(ratios)
                     got = bracket_values(t, s, alpha, e)
                     for sj, gj in zip(s, got):

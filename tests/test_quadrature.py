@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -14,8 +17,10 @@ from fracbvp import (
     build_mesh,
     check_condition_h,
     frac_derivative,
+    solve_linear,
 )
 from fracbvp import quadrature
+from fracbvp.green import bracket_values
 
 from helpers import (
     ALPHA_PAIRS,
@@ -296,17 +301,21 @@ def test_array_with_one_bad_target_raises(op, bad):
     "w,alpha", [(WeightSpec(1.2), 1.6), (as_weight_spec(forcing("u3")), ALPHA_PAIRS)]
 )
 def test_tiling_does_not_change_values(monkeypatch, w, alpha):
-    # Under the default tile the 160 sorted targets form two row blocks: the
-    # first (from t_1 up) has only masked tiles, the second starts far
-    # enough out that its first tile is owned by every row and skips the
-    # mask.  A 4096 tile puts all targets and columns in one masked tile.
+    # Under the default tile the 160 sorted targets form two row blocks and
+    # seven sub-blocks, each with its own band tiles; every sub-block after
+    # the first has far panels, so it resumes the moment stream where the
+    # one before left it, and the later targets have bands.  A 4096 tile
+    # puts all targets in one block and one band tile.
     mesh = build_mesh(64, w, alpha)
     beta_g, reg = w.singular_decomposition()
     rng = np.random.default_rng(5)
     t = np.concatenate((mesh.nodes[1:-1], rng.uniform(mesh.nodes[1], 1.0, 97)))
     tile = quadrature._TILE
-    second_block_lo = np.searchsorted(mesh.nodes, np.sort(t)[tile])
-    assert quadrature.GAUSS_ORDER * (second_block_lo - 2) >= tile
+    ts = np.sort(t)
+    far = np.searchsorted(mesh.nodes, quadrature.EPS * ts, side="right") - 2
+    band = np.searchsorted(mesh.nodes, ts) - 2 - np.maximum(far, 0)
+    later = slice(tile // 4, None)
+    assert len(t) > tile and np.all(far[later] > 0) and np.max(band[later]) > 0
     ops = (apply_green, apply_green_derivative)
     tiled = [op(t, beta_g, reg, alpha, mesh) for op in ops]
     monkeypatch.setattr(quadrature, "_TILE", 4096)
@@ -314,6 +323,78 @@ def test_tiling_does_not_change_values(monkeypatch, w, alpha):
         whole = op(t, beta_g, reg, alpha, mesh)
         bound = 1e-13 * np.abs(whole) + 1e-15 * np.max(np.abs(whole))
         assert np.all(np.abs(got - whole) <= bound)
+
+
+def _far_field_targets(mesh, rng):
+    # nodes, off-mesh points, points below t_1, targets whose far-field cut
+    # falls on one of the first nodes, and targets next to t = 1, where the
+    # far series of u has the factors t^m - 1
+    nodes = mesh.nodes
+    first_cuts = nodes[1:5] / quadrature.EPS
+    t = np.concatenate((
+        nodes[1:-1],
+        rng.uniform(0.0, 1.0, 60),
+        nodes[1] * np.array([1e-12, 0.01, 0.5, 0.99]),
+        first_cuts * (1.0 - 1e-12), first_cuts, first_cuts * (1.0 + 1e-12),
+        [1.0 - 1e-6, 1.0 - 1e-9],
+    ))
+    return np.sort(t[(t > 0.0) & (t < 1.0)])
+
+
+@pytest.mark.parametrize("kind", ["u", "du"])
+@pytest.mark.parametrize("alpha", [1.05, 1.3, 1.6, 2.0])
+@pytest.mark.parametrize("grading", [1.0, 2.0, 5.0, 8.0])
+def test_far_field_matches_full_bracket_block(grading, alpha, kind):
+    # The left bracket over the shared panels left of each target (j = 1..
+    # lo-2), far panels from moments and the band from the kernel, against
+    # the bracket kernel over every (target, shared Gauss point) pair.
+    mesh = GradedMesh.from_grading(48, grading)
+    beta_g = max(alpha - 0.2, 0.0)
+    reg = PowerSum([(1.0, 0.0), (-0.7, 0.5)])  # 0.3 <= reg <= 1
+    t = _far_field_targets(mesh, np.random.default_rng(int(10 * grading)))
+    e = alpha - 1.0 if kind == "u" else alpha - 2.0
+    lo = np.searchsorted(mesh.nodes, t)
+    panels = quadrature._SharedPanels.build(mesh.nodes, beta_g, reg, alpha)
+    left = quadrature._LeftBracket(kind, alpha, mesh.nodes, panels)
+    got = np.concatenate([
+        left.sums(t[q:q + 24], t[q:q + 24] ** e, lo[q:q + 24])
+        for q in range(0, len(t), 24)
+    ])
+    s = panels.s.ravel()
+    with np.errstate(invalid="ignore", divide="ignore"):
+        kern = bracket_values(t[:, None], s[None, :], alpha, e)
+    mine = np.arange(s.size) < quadrature.GAUSS_ORDER * np.maximum(lo - 2, 0)[:, None]
+    ref = np.where(mine, kern, 0.0) @ panels.wg.ravel()
+    bound = 1e-12 * np.abs(ref) + 1e-15 * np.max(np.abs(ref))
+    assert np.all(np.abs(got - ref) <= bound)
+    # g > 0, so no sum cancels: the values stay relatively accurate next to
+    # t = 1 too, where those of u are O(1 - t)
+    near_one = t >= 1.0 - 1e-6
+    assert np.all(np.abs(got - ref)[near_one] <= 1e-12 * np.abs(ref[near_one]))
+
+
+@pytest.mark.parametrize("e", [0.4, -0.4, 0.05, 0.95])
+def test_series_reaches_the_binomial_at_the_cut(e):
+    # (1-x)^e - 1 = sum b_m x^m, truncated, at its worst point x = EPS
+    mpmath = pytest.importorskip("mpmath")
+    x = quadrature.EPS
+    b = quadrature._series_coefficients(e)
+    got = math.fsum(bm * x**m for m, bm in enumerate(b, start=1))
+    ref = float((1 - mpmath.mpf(x)) ** e - 1)
+    assert abs(got - ref) <= 4e-16 * abs(ref)
+
+
+def test_traced_memory_of_a_large_solve_stays_small():
+    # The far field streams its moments; an n x M table of them, or the
+    # series temporaries of a whole row block, would show here (about
+    # 1.4 MiB traced at n = 2048 with neither).
+    tracemalloc.start()
+    try:
+        solve_linear(WeightSpec(1.2), 1.6, 2048)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.75 * 2**20
 
 
 # --- convergence and sign --------------------------------------------------------
