@@ -12,7 +12,8 @@ Nonlinearities: ``const:<c>``, ``linear:<a>``, ``power:<p>``,
 ``affine:<a>,<b>``.
 
 Exit codes are a stable contract: 0 success, 2 condition-(H) violation,
-3 parse/validation error, 4 Picard nonconvergence (outputs still written).
+3 parse/validation error, 4 Picard nonconvergence or non-finite classify
+values (outputs still written).
 
 CSV files are UTF-8, comma-separated with a header row, LF line endings and
 17-significant-digit decimals, so reading a file back reproduces the floats
@@ -22,6 +23,7 @@ bit-exactly.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -347,6 +349,12 @@ def cmd_classify(args) -> int:
         [_fmt(t), _fmt(qv), _fmt(pv)] for t, qv, pv in report.samples
     )
     write_csv(spec.out, ["t", "q", "p"], rows)
+    values = [report.q_limit_estimate, report.p_limit_estimate,
+              report.e_alpha_norm, report.c1_norm]
+    values += [v for sample in report.samples for v in sample]
+    if not all(v is None or math.isfinite(v) for v in values):
+        print("error: the quadrature produced non-finite values", file=sys.stderr)
+        return EXIT_NO_CONVERGENCE
     return EXIT_OK
 
 

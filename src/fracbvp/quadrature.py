@@ -40,20 +40,22 @@ call per block of targets on the 3 x 12 points of the panels each target
 owns (origin panel, left panel ending at t, right panel starting at t).
 Over the shared panels the parts that do not depend on t reduce to prefix
 and suffix sums: (1-s)^(alpha-1) in the right parts of u and u', and both
-kernels of D^(alpha-1)u.  The left brackets of u and u' depend on t.  Each
-target splits its shared left panels at the last mesh node t_c <= EPS*t
-(EPS = 3/4).  Below t_c, on the far panels, x = s/t <= 3/4 and the bracket
-is t^e times an exact power series in x with the binomial coefficients of
-(1-x)^e, cut at a 2^-60 tail; no sum in it subtracts two terms of one sign.
-The far panels thus reduce to power moments about t_c, streamed up the mesh
-as the sorted targets ascend: O(n M) multiply-adds for M of about 110 to
-150 terms, with only the current moments held.  The band, from t_c up to
-the target's own left panel, goes through the bracket kernel in fixed
-tiles; it holds about 6% of the lower triangle at grading 5 and 25% at
-grading 1.  Each tile is one call of the bracket kernel with t^e taken
-once per row and log1p(-s), (1-s)^(alpha-1) once per call, so an element
-costs one log1p, one expm1 and one power (u) or exp (u'), plus for u' a
-power where the two terms of the bracket differ by a factor of two or more.
+kernels of D^(alpha-1)u.  The left brackets of u and u' depend on t.  The
+sorted targets are taken in sub-blocks of 16 that split their shared left
+panels at one cut, the last mesh node t_c <= EPS*t_min (EPS = 0.85).  Below
+t_c, on the far panels, x = s/t <= 0.85 for every target of the sub-block,
+and the bracket is t^e times an exact power series in x with the binomial
+coefficients of (1-x)^e, cut at a 2^-60 tail; no sum in it subtracts two
+terms of one sign.  The far panels thus reduce to power moments about t_c,
+streamed up the mesh once per sub-block; the M powers of a point (M of
+about 190 to 270) are products of two short tables, M/8 + 8 exps.  The
+band, from t_c up to each target's own left panel, goes through the bracket
+kernel in fixed tiles; it holds about 4% of the lower triangle at grading 5
+and n = 2048 (6% at n = 512) and 16% at grading 1.  Each tile is one call
+of the bracket kernel with t^e taken once per row and log1p(-s),
+(1-s)^(alpha-1) once per call, so an element costs one log1p, one expm1 and
+one power (u) or exp (u'), plus for u' a power where the two terms of the
+bracket differ by a factor of two or more.
 """
 
 from __future__ import annotations
@@ -265,29 +267,31 @@ def apply_dalpha_minus_1(t, g_singular_exponent, g_regular, alpha, mesh):
 # --- internals ---------------------------------------------------------------
 
 # Targets are taken in ascending row blocks of _TILE (the panels each target
-# owns are built per block), and each block in sub-blocks of _TILE // 4 rows
+# owns are built per block), and each block in sub-blocks of _TILE // 6 rows
 # for the far field and the band.  The band is evaluated in tiles of
-# _TILE // 4 rows by 4 * _TILE columns, so no temporary of the bracket
+# _TILE // 6 rows by 6 * _TILE columns, so no temporary of the bracket
 # kernel holds more than _TILE**2 doubles.  glibc mmaps blocks of 128 KiB
 # (its default mmap threshold; 128**2 doubles exactly) and trims the heap
 # top once 128 KiB lie free there; with square tiles of side 128, and in
 # some heap layouts from 104 up, every tile faulted in fresh pages: about
 # 70k-80k minor faults per n = 2048 solve, against about 1.3k at 96 (72 KiB
-# per temporary).  The band's rows own different columns, so a tile's rows
-# should lie close together: 96 x 96 tiles masked away about half of what
-# they evaluated and made an n = 2048 solve about 1.5x slower.
+# per temporary).  The rows of a sub-block share the cut of the smallest and
+# each row's band ends at its own panel, so the rows should lie close
+# together: the band tiles mask away 16% of what they evaluate at n = 2048.
 _TILE = 96
 
-# Far-field cut.  A target t sums the shared panels below the last mesh node
-# t_c <= EPS*t from power moments (_LeftBracket); the shared panels from t_c up
-# to its own left panel, the band, go through the exact bracket kernel.
-EPS = 0.75
+# Far-field cut.  A sub-block of targets sums the shared panels below the
+# last mesh node t_c <= EPS*t_min from power moments (_LeftBracket); the
+# shared panels from t_c up to each target's own left panel, the band, go
+# through the exact bracket kernel.  A higher cut shrinks the band (O(n^2))
+# and lengthens the series (O(n M)); at 0.85, M is at most 268.
+EPS = 0.85
 # The series in s/t keeps the terms before the first index M whose tail
 # bound |b_M| EPS^M / (1 - EPS) is below this.
 _SERIES_TAIL = 2.0**-60
-# Mesh panels per step of the moment stream: 8 * GAUSS_ORDER points by at
-# most about 150 powers each stays below the 128 KiB mmap threshold.
-_STREAM_PANELS = 8
+# Shared points per chunk of the moment stream: 256 points by at most 34 + 8
+# power factors each stay below the 128 KiB mmap threshold.
+_STREAM_POINTS = 256
 
 
 def _checked_alpha(alpha: float) -> float:
@@ -355,7 +359,7 @@ def _green_integrals(kind, t, beta_g, g_regular, alpha, mesh) -> np.ndarray:
 
     order = np.argsort(t, kind="stable")
     out = np.empty(len(t))
-    step = _TILE // 4  # rows per sub-block of the left bracket
+    step = _TILE // 6  # rows per sub-block of the left bracket
     for r0 in range(0, len(t), _TILE):
         rows = order[r0:r0 + _TILE]
         tb = t[rows]
@@ -433,9 +437,10 @@ class _LeftBracket:
     """Sums of the left bracket of u or u' over the shared panels left of t.
 
     A target t with nodes[lo-1] < t <= nodes[lo] sums B_e(t, s) w(s) g(s)
-    over the shared panels j = 1..lo-2.  Those below the last node
-    t_c <= EPS*t, j < c, are the far panels: there x = s/t <= EPS, and with
-    (1-x)^e - 1 = sum_m b_m x^m (_series_coefficients)
+    over the shared panels j = 1..lo-2.  The targets of one call share one
+    cut, the last node t_c <= EPS*t_min; below it, j < c, lie the far
+    panels, where x = s/t <= t_c/t <= EPS for every target of the call.
+    With (1-x)^e - 1 = sum_m b_m x^m (_series_coefficients)
 
         u  (e = alpha-1):  B_e = t^e ((1-s)^e - (1-x)^e)
                                = t^e sum_m b_m (t^m - 1) x^m,
@@ -443,9 +448,9 @@ class _LeftBracket:
 
     where no sum subtracts two terms of one sign.  The far panels thus need
     only the moments Phi_m(c) = sum (s/t_c)^m w g over the shared points
-    s < t_c: their x-moments are (t_c/t)^m Phi_m(c).  Phi(1) = 0, and
-    raising the cut by one panel is Phi(c+1) = (t_c/t_(c+1))^m Phi(c) + the
-    panel's own moments about t_(c+1).  Every factor is at most 1, so
+    s < t_c: their x-moments are (t_c/t)^m Phi_m(c).  Phi(1) = 0, and a
+    higher cut c' takes Phi(c') = (t_c/t_c')^m Phi(c) plus the moments about
+    t_c' of the points in [t_c, t_c').  Every factor is at most 1, so
     nothing overflows, and what underflows lies below the double range
     anyway.  Only the current Phi is kept, so targets must come in
     ascending order across calls.  The band, panels c..lo-2, goes through
@@ -459,6 +464,10 @@ class _LeftBracket:
         self.nodes, self.panels = nodes, panels
         self.b = _series_coefficients(self.e)
         self.m = np.arange(1.0, len(self.b) + 1.0)
+        # (s/t_c)^m = (s/t_c)^(8q) (s/t_c)^(j+1) for m = 8q + j + 1: Q + 8
+        # exps per point give all M powers.
+        self.m_coarse = 8.0 * np.arange(-(-len(self.b) // 8))
+        self.m_fine = np.arange(1.0, 9.0)
         self.phi = np.zeros(len(self.b))
         self.cut = 1
         # the band's columns, flattened
@@ -468,71 +477,61 @@ class _LeftBracket:
 
     def sums(self, t, te, lo):
         """The sums at ascending targets ``t``, with te = t^e and lo as above."""
-        cut = np.searchsorted(self.nodes, EPS * t, side="right") - 1
-        far = np.maximum(cut - 1, 0)
+        # t_c <= EPS * t[0]; no shared point lies below t_1
+        cut = max(int(np.searchsorted(self.nodes, EPS * t[0], side="right")) - 1, 1)
         far_sum = self._series(t, cut)
         if not self.u:
-            far_sum = self.panels.left_sums[far] - far_sum
-        band = self._band(t, te, GAUSS_ORDER * far, GAUSS_ORDER * np.maximum(lo - 2, 0))
-        return te * far_sum + band
+            far_sum = self.panels.left_sums[cut - 1] - far_sum
+        stop = GAUSS_ORDER * np.maximum(lo - 2, 0)
+        return te * far_sum + self._band(t, te, GAUSS_ORDER * (cut - 1), stop)
 
     def _series(self, t, cut):
         # sum_m b_m (t^m - 1) x^m (u) or sum_m b_m x^m (u') over s < t_c
-        if not len(self.b):
+        if not len(self.b) or cut == 1:
             return np.zeros(len(t))
-        x_moments = self._moments(cut.tolist())
-        # t_0 = 0 where there are no far panels, so x^m = 0 there
-        x_moments *= np.power((self.nodes[cut] / t)[:, None], self.m)
+        self._advance(cut)
+        log_t = np.log(t)[:, None]
+        x_moments = np.exp((math.log(self.nodes[cut]) - log_t) * self.m)
+        x_moments *= self.phi
         if self.u:
-            x_moments *= np.expm1(np.log(t)[:, None] * self.m)
+            x_moments *= np.expm1(log_t * self.m)
         return x_moments @ self.b
 
-    def _moments(self, cuts):
-        # Phi(c) for each of the ascending cuts c, one row each.
-        out = np.empty((len(cuts), len(self.phi)))
-        i = 0
-        while self.cut < cuts[-1]:
-            c0, c1 = self.cut, min(self.cut + _STREAM_PANELS, cuts[-1])
-            own, scale = self._panel_moments(c0, c1)
-            for c in range(c0, c1):
-                while cuts[i] <= c:
-                    out[i] = self.phi
-                    i += 1
-                self.phi *= scale[c - c0]
-                self.phi += own[c - c0]
-            self.cut = c1
-        out[i:] = self.phi
-        return out
-
-    def _panel_moments(self, c0, c1):
-        # Moments of the panels [t_c, t_(c+1)], c = c0..c1-1, about t_(c+1),
-        # and the factors (t_c/t_(c+1))^m that carry Phi(c) to t_(c+1).
-        top = self.nodes[c0 + 1:c1 + 1, None]
-        s, wg = self.panels.s[c0 - 1:c1 - 1], self.panels.wg[c0 - 1:c1 - 1]
-        powers = np.exp(np.log(s / top)[..., None] * self.m)
-        own = (wg[:, None, :] @ powers)[:, 0]
-        scale = np.exp(np.log(self.nodes[c0:c1, None] / top) * self.m)
-        return own, scale
+    def _advance(self, cut):
+        # Phi(cut) from Phi(self.cut), adding the shared points in
+        # [t_(self.cut), t_cut) in chunks of _STREAM_POINTS.
+        if cut <= self.cut:
+            return
+        top = self.nodes[cut]
+        self.phi *= np.exp(math.log(self.nodes[self.cut] / top) * self.m)
+        stop = GAUSS_ORDER * (cut - 1)
+        for p0 in range(GAUSS_ORDER * (self.cut - 1), stop, _STREAM_POINTS):
+            p = slice(p0, min(p0 + _STREAM_POINTS, stop))
+            log_r = np.log(self.s[p] / top)[:, None]
+            coarse = log_r * self.m_coarse
+            np.exp(coarse, out=coarse)
+            coarse *= self.wg[p, None]
+            self.phi += (coarse.T @ np.exp(log_r * self.m_fine)).ravel()[:len(self.b)]
+        self.cut = cut
 
     def _band(self, t, te, start, stop):
         # The bracket over the columns start..stop-1 of each row, in tiles of
-        # len(t) rows by 4 * _TILE columns; a tile that every row owns skips
+        # len(t) rows by 6 * _TILE columns; a tile that every row owns skips
         # the mask.
         total = np.zeros(len(t))
         tc, tec = t[:, None], te[:, None]
-        width = 4 * _TILE
-        for c0 in range(start.min(), stop.max(), width):
+        width = 6 * _TILE
+        for c0 in range(start, stop.max(), width):
             cols = slice(c0, min(c0 + width, stop.max()))
             args = (tc, self.s[None, cols], self.alpha, self.e, tec,
                     (self.log_s[cols], self.pow_s[cols]))
-            if start.max() <= c0 and cols.stop <= stop.min():
+            if cols.stop <= stop.min():
                 total += bracket_values(*args) @ self.wg[cols]
                 continue
             # columns at or past a row's stop may have s >= t
             with np.errstate(invalid="ignore", divide="ignore"):
                 kern = bracket_values(*args)
-            col = np.arange(cols.start, cols.stop)
-            mine = (col >= start[:, None]) & (col < stop[:, None])
+            mine = np.arange(cols.start, cols.stop) < stop[:, None]
             total += np.where(mine, kern, 0.0) @ self.wg[cols]
         return total
 

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import numpy as np
@@ -8,6 +9,7 @@ from fracbvp import (
     PowerSum,
     WeightSpec,
     classical_derivative,
+    classify,
     frac_derivative,
     solve_linear,
 )
@@ -267,6 +269,22 @@ def test_classify_command(tmp_path, capsys):
     header, rows = _read_csv(out)
     assert header == ["t", "q", "p"]
     assert len(rows) == 20
+
+
+def test_classify_non_finite_report_exits_4(tmp_path, capsys, monkeypatch):
+    # A NaN in any sample, limit or norm must not leave under exit 0.
+    def with_nan_sample(problem):
+        report = classify(problem)
+        samples = ((report.samples[0][0], float("nan"), report.samples[0][2]),)
+        return dataclasses.replace(report, samples=samples + report.samples[1:])
+
+    monkeypatch.setattr("fracbvp.cli.classify", with_nan_sample)
+    code = main([
+        "classify", "--alpha", "1.6", "--weight", "power:1.2",
+        "--n", "64", "--out", str(tmp_path / "cls.csv"),
+    ])
+    assert code == EXIT_NO_CONVERGENCE
+    assert "non-finite" in capsys.readouterr().err
 
 
 def test_classify_continuous_weight(tmp_path, capsys):

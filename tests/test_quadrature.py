@@ -302,20 +302,23 @@ def test_array_with_one_bad_target_raises(op, bad):
 )
 def test_tiling_does_not_change_values(monkeypatch, w, alpha):
     # Under the default tile the 160 sorted targets form two row blocks and
-    # seven sub-blocks, each with its own band tiles; every sub-block after
-    # the first has far panels, so it resumes the moment stream where the
-    # one before left it, and the later targets have bands.  A 4096 tile
-    # puts all targets in one block and one band tile.
+    # ten sub-blocks of 16.  The targets of a sub-block share one far-field
+    # cut, set by the first of them, and each sub-block has its own band
+    # tiles; every sub-block after the first has far panels, so it resumes
+    # the moment stream where the one before left it, and the later targets
+    # have bands.  A 4096 tile puts all targets in one block, one sub-block
+    # and one band tile.
     mesh = build_mesh(64, w, alpha)
     beta_g, reg = w.singular_decomposition()
     rng = np.random.default_rng(5)
     t = np.concatenate((mesh.nodes[1:-1], rng.uniform(mesh.nodes[1], 1.0, 97)))
     tile = quadrature._TILE
+    step = tile // 6
     ts = np.sort(t)
-    far = np.searchsorted(mesh.nodes, quadrature.EPS * ts, side="right") - 2
-    band = np.searchsorted(mesh.nodes, ts) - 2 - np.maximum(far, 0)
-    later = slice(tile // 4, None)
-    assert len(t) > tile and np.all(far[later] > 0) and np.max(band[later]) > 0
+    far = np.searchsorted(mesh.nodes, quadrature.EPS * ts[::step], side="right") - 2
+    far_of_row = np.repeat(np.maximum(far, 0), step)[:len(ts)]
+    band = np.searchsorted(mesh.nodes, ts) - 2 - far_of_row
+    assert len(t) > tile and np.all(far[1:] > 0) and np.max(band[step:]) > 0
     ops = (apply_green, apply_green_derivative)
     tiled = [op(t, beta_g, reg, alpha, mesh) for op in ops]
     monkeypatch.setattr(quadrature, "_TILE", 4096)
@@ -341,13 +344,17 @@ def _far_field_targets(mesh, rng):
     return np.sort(t[(t > 0.0) & (t < 1.0)])
 
 
-@pytest.mark.parametrize("kind", ["u", "du"])
-@pytest.mark.parametrize("alpha", [1.05, 1.3, 1.6, 2.0])
-@pytest.mark.parametrize("grading", [1.0, 2.0, 5.0, 8.0])
-def test_far_field_matches_full_bracket_block(grading, alpha, kind):
-    # The left bracket over the shared panels left of each target (j = 1..
-    # lo-2), far panels from moments and the band from the kernel, against
-    # the bracket kernel over every (target, shared Gauss point) pair.
+def _full_bracket_block(t, lo, panels, alpha, e):
+    # the bracket kernel over every (target, shared Gauss point) pair left
+    # of each target's own panels (j = 1..lo-2)
+    s = panels.s.ravel()
+    with np.errstate(invalid="ignore", divide="ignore"):
+        kern = bracket_values(t[:, None], s[None, :], alpha, e)
+    mine = np.arange(s.size) < quadrature.GAUSS_ORDER * np.maximum(lo - 2, 0)[:, None]
+    return np.where(mine, kern, 0.0) @ panels.wg.ravel()
+
+
+def _left_bracket_case(grading, alpha, kind):
     mesh = GradedMesh.from_grading(48, grading)
     beta_g = max(alpha - 0.2, 0.0)
     reg = PowerSum([(1.0, 0.0), (-0.7, 0.5)])  # 0.3 <= reg <= 1
@@ -355,16 +362,27 @@ def test_far_field_matches_full_bracket_block(grading, alpha, kind):
     e = alpha - 1.0 if kind == "u" else alpha - 2.0
     lo = np.searchsorted(mesh.nodes, t)
     panels = quadrature._SharedPanels.build(mesh.nodes, beta_g, reg, alpha)
+    ref = _full_bracket_block(t, lo, panels, alpha, e)
+    return mesh, t, e, lo, panels, ref
+
+
+def _left_bracket_sums(kind, alpha, mesh, panels, t, e, lo, rows):
     left = quadrature._LeftBracket(kind, alpha, mesh.nodes, panels)
-    got = np.concatenate([
-        left.sums(t[q:q + 24], t[q:q + 24] ** e, lo[q:q + 24])
-        for q in range(0, len(t), 24)
+    return np.concatenate([
+        left.sums(t[q:q + rows], t[q:q + rows] ** e, lo[q:q + rows])
+        for q in range(0, len(t), rows)
     ])
-    s = panels.s.ravel()
-    with np.errstate(invalid="ignore", divide="ignore"):
-        kern = bracket_values(t[:, None], s[None, :], alpha, e)
-    mine = np.arange(s.size) < quadrature.GAUSS_ORDER * np.maximum(lo - 2, 0)[:, None]
-    ref = np.where(mine, kern, 0.0) @ panels.wg.ravel()
+
+
+@pytest.mark.parametrize("kind", ["u", "du"])
+@pytest.mark.parametrize("alpha", [1.05, 1.3, 1.6, 2.0])
+@pytest.mark.parametrize("grading", [1.0, 2.0, 5.0, 8.0])
+def test_far_field_matches_full_bracket_block(grading, alpha, kind):
+    # The left bracket over the shared panels left of each target (j = 1..
+    # lo-2), far panels from moments and the band from the kernel, against
+    # the bracket kernel over every (target, shared Gauss point) pair.
+    mesh, t, e, lo, panels, ref = _left_bracket_case(grading, alpha, kind)
+    got = _left_bracket_sums(kind, alpha, mesh, panels, t, e, lo, 24)
     bound = 1e-12 * np.abs(ref) + 1e-15 * np.max(np.abs(ref))
     assert np.all(np.abs(got - ref) <= bound)
     # g > 0, so no sum cancels: the values stay relatively accurate next to
@@ -373,14 +391,40 @@ def test_far_field_matches_full_bracket_block(grading, alpha, kind):
     assert np.all(np.abs(got - ref)[near_one] <= 1e-12 * np.abs(ref[near_one]))
 
 
-@pytest.mark.parametrize("e", [0.4, -0.4, 0.05, 0.95])
+@pytest.mark.parametrize("kind", ["u", "du"])
+@pytest.mark.parametrize("alpha", [1.05, 1.6, 2.0])
+@pytest.mark.parametrize("grading", [1.0, 5.0, 8.0])
+@pytest.mark.parametrize("rows", [1, 5, 16, None])
+def test_sub_block_partition_does_not_matter(rows, grading, alpha, kind):
+    # The targets of one call share the cut set by the first of them, so a
+    # call of any size gives the same sums: one target per call (each its
+    # own cut), 5 and 16 rows, and all targets in one call (the first lies
+    # below t_1, so there are no far panels and the band is the whole left
+    # part).  With one row per call some call keeps the cut of the call
+    # before it, so the moment stream does not advance.
+    mesh, t, e, lo, panels, ref = _left_bracket_case(grading, alpha, kind)
+    rows = rows or len(t)
+    first = t[::rows]
+    cuts = np.searchsorted(mesh.nodes, quadrature.EPS * first, side="right") - 1
+    assert first[0] < mesh.nodes[1]
+    if rows == 1:
+        assert np.any((cuts[1:] == cuts[:-1]) & (cuts[1:] > 1))
+    got = _left_bracket_sums(kind, alpha, mesh, panels, t, e, lo, rows)
+    bound = 1e-12 * np.abs(ref) + 1e-15 * np.max(np.abs(ref))
+    assert np.all(np.abs(got - ref) <= bound)
+
+
+@pytest.mark.parametrize("e", [0.4, -0.4, 0.05, 0.95, -0.95])
 def test_series_reaches_the_binomial_at_the_cut(e):
-    # (1-x)^e - 1 = sum b_m x^m, truncated, at its worst point x = EPS
+    # (1-x)^e - 1 = sum b_m x^m, truncated, at its worst point x = EPS;
+    # e = -0.95 (u' at alpha = 1.05) has the longest series.  The reference
+    # needs more than double precision: (1-x)^e - 1 cancels for small e.
     mpmath = pytest.importorskip("mpmath")
     x = quadrature.EPS
     b = quadrature._series_coefficients(e)
     got = math.fsum(bm * x**m for m, bm in enumerate(b, start=1))
-    ref = float((1 - mpmath.mpf(x)) ** e - 1)
+    with mpmath.workdps(50):
+        ref = float((1 - mpmath.mpf(x)) ** e - 1)
     assert abs(got - ref) <= 4e-16 * abs(ref)
 
 
@@ -395,6 +439,22 @@ def test_traced_memory_of_a_large_solve_stays_small():
     finally:
         tracemalloc.stop()
     assert peak <= 1.75 * 2**20
+
+
+def test_band_evaluates_few_kernel_elements(monkeypatch):
+    # Kernel elements, as broadcast sizes of (t, s), that one solve passes to
+    # the bracket kernel: the band tiles plus the origin panels.  143,640 at
+    # the 0.85 cut with 16-row sub-blocks; per-target cuts with 24-row
+    # sub-blocks masked away about a third of what they evaluated (226,428).
+    count = [0]
+
+    def counted(t, s, *args, **kwargs):
+        count[0] += np.broadcast(t, s).size
+        return bracket_values(t, s, *args, **kwargs)
+
+    monkeypatch.setattr(quadrature, "bracket_values", counted)
+    solve_linear(WeightSpec(1.2), 1.6, 512)
+    assert 0 < count[0] <= 1.05 * 143_640
 
 
 # --- convergence and sign --------------------------------------------------------
