@@ -12,8 +12,9 @@ Nonlinearities: ``const:<c>``, ``linear:<a>``, ``power:<p>``,
 ``affine:<a>,<b>``.
 
 Exit codes are a stable contract: 0 success, 2 condition-(H) violation,
-3 parse/validation error, 4 Picard nonconvergence or non-finite classify
-values (outputs still written).
+3 parse/validation error, 4 Picard nonconvergence (CSV still written) or
+non-finite quadrature values: a solution, du or q of ``solve``, or a
+sample, limit or norm of ``classify`` (whose CSV is still written).
 
 CSV files are UTF-8, comma-separated with a header row, LF line endings and
 17-significant-digit decimals, so reading a file back reproduces the floats
@@ -23,7 +24,6 @@ bit-exactly.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -266,13 +266,18 @@ def render_line_plot(path: Path, curves, title: str = "") -> None:
 # --- commands ----------------------------------------------------------------
 
 
+def _require_finite(*values) -> None:
+    if not all(np.all(np.isfinite(v)) for v in values):
+        raise FloatingPointError("the quadrature produced non-finite values")
+
+
 def cmd_solve(args) -> int:
     spec = _problem_spec(args)
     alpha, n = spec.alpha, spec.n
 
     if spec.forcing is not None:
         w = spec.forcing
-        solution = solve_linear(w, alpha, n)
+        solution = solve_linear(w, alpha, n)  # raises on non-finite values
         converged, status = True, "direct"
     else:
         w = spec.weight
@@ -295,6 +300,7 @@ def cmd_solve(args) -> int:
             + (" seeded" if report.seeded else "")
         )
 
+    _require_finite(solution.values)
     mesh = solution.mesh
     beta_g, regular = w.singular_decomposition()
     if spec.forcing is not None:
@@ -306,18 +312,17 @@ def cmd_solve(args) -> int:
             return regular(s) * spec.f(np.maximum(interp(s), 0.0))
 
     nodes = mesh.nodes
-    du = [""] + [
-        _fmt(v)
-        for v in apply_green_derivative(nodes[1:-1], beta_g, g_reg, alpha, mesh)
-    ] + [""]
+    du = apply_green_derivative(nodes[1:-1], beta_g, g_reg, alpha, mesh)
     q = np.zeros(len(nodes))
     q[1:] = nodes[1:] ** (alpha - 1.0) * apply_dalpha_minus_1(
         nodes[1:], beta_g, g_reg, alpha, mesh
     )
+    _require_finite(du, q)
 
+    du_cells = [""] + [_fmt(v) for v in du] + [""]
     rows = (
         [_fmt(t), _fmt(v), d, _fmt(qv)]
-        for t, v, d, qv in zip(nodes, solution.values, du, q)
+        for t, v, d, qv in zip(nodes, solution.values, du_cells, q)
     )
     write_csv(spec.out, ["t", "u", "du", "q"], rows)
 
@@ -351,10 +356,7 @@ def cmd_classify(args) -> int:
     write_csv(spec.out, ["t", "q", "p"], rows)
     values = [report.q_limit_estimate, report.p_limit_estimate,
               report.e_alpha_norm, report.c1_norm]
-    values += [v for sample in report.samples for v in sample]
-    if not all(v is None or math.isfinite(v) for v in values):
-        print("error: the quadrature produced non-finite values", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
+    _require_finite([v for v in values if v is not None], report.samples)
     return EXIT_OK
 
 
@@ -448,6 +450,9 @@ def main(argv=None) -> int:
     except ConditionHError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONDITION_H
+    except FloatingPointError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NO_CONVERGENCE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -49,13 +49,23 @@ coefficients of (1-x)^e, cut at a 2^-60 tail; no sum in it subtracts two
 terms of one sign.  The far panels thus reduce to power moments about t_c,
 streamed up the mesh once per sub-block; the M powers of a point (M of
 about 190 to 270) are products of two short tables, M/8 + 8 exps.  The
-band, from t_c up to each target's own left panel, goes through the bracket
-kernel in fixed tiles; it holds about 4% of the lower triangle at grading 5
-and n = 2048 (6% at n = 512) and 16% at grading 1.  Each tile is one call
-of the bracket kernel with t^e taken once per row and log1p(-s),
-(1-s)^(alpha-1) once per call, so an element costs one log1p, one expm1 and
-one power (u) or exp (u'), plus for u' a power where the two terms of the
-bracket differ by a factor of two or more.
+band, from t_c up to each target's own left panel, holds about 4% of the
+lower triangle at grading 5 and n = 2048 (6% at n = 512) and 16% at grading
+1.  From one column of a sub-block's band on, the split, the two terms of
+the bracket differ by a factor of two or more in every row, so their
+difference has condition number at most 3 (Higham, Accuracy and Stability
+of Numerical Algorithms, 2002, sec. 1.7) and they are summed apart:
+t^e sum (1-s)^(alpha-1) w g from a running sum, minus sum (t-s)^e w g with
+(t-s)^e a power of the exact t - s.  An element past the split costs one
+subtraction, one power and its share of a mat-vec.  The columns before the
+split go through the bracket kernel in fixed tiles, and so do all of them
+where the split would leave the two sums less than half of the band, and
+for u' at alpha = 2, where the bracket is -s.  Each tile is one call of the
+bracket kernel with t^e taken once per row and log1p(-s), (1-s)^(alpha-1)
+once per call, so an element costs one log1p, one expm1 and one power (u)
+or exp (u'), plus for u' a power where the two terms of the bracket differ
+by a factor of two or more.  For t^-1.2 at alpha = 1.6 and n = 2048 the
+kernel gets 15% of the band's elements.
 """
 
 from __future__ import annotations
@@ -275,16 +285,19 @@ def apply_dalpha_minus_1(t, g_singular_exponent, g_regular, alpha, mesh):
 # top once 128 KiB lie free there; with square tiles of side 128, and in
 # some heap layouts from 104 up, every tile faulted in fresh pages: about
 # 70k-80k minor faults per n = 2048 solve, against about 1.3k at 96 (72 KiB
-# per temporary).  The rows of a sub-block share the cut of the smallest and
-# each row's band ends at its own panel, so the rows should lie close
-# together: the band tiles mask away 16% of what they evaluate at n = 2048.
+# per temporary).  The two sums past the split take the same tiles.  The
+# rows of a sub-block share the cut of the smallest and each row's band ends
+# at its own panel, so the rows should lie close together: at n = 2048
+# (t^-1.2, alpha = 1.6) the kernel tiles mask away 12.5% of what they
+# evaluate and the two-sum tiles 16.6%.
 _TILE = 96
 
 # Far-field cut.  A sub-block of targets sums the shared panels below the
 # last mesh node t_c <= EPS*t_min from power moments (_LeftBracket); the
 # shared panels from t_c up to each target's own left panel, the band, go
-# through the exact bracket kernel.  A higher cut shrinks the band (O(n^2))
-# and lengthens the series (O(n M)); at 0.85, M is at most 268.
+# through the exact bracket kernel or the two sums.  A higher cut shrinks
+# the band (O(n^2)) and lengthens the series (O(n M)); at 0.85, M is at
+# most 268.
 EPS = 0.85
 # The series in s/t keeps the terms before the first index M whose tail
 # bound |b_M| EPS^M / (1 - EPS) is below this.
@@ -292,6 +305,10 @@ _SERIES_TAIL = 2.0**-60
 # Shared points per chunk of the moment stream: 256 points by at most 34 + 8
 # power factors each stay below the 128 KiB mmap threshold.
 _STREAM_POINTS = 256
+# Floor of t - s on the band columns a row does not own, where s may reach
+# t: the smallest normal double.  An owned t - s is at least the spacing of
+# doubles at s >= t_1, far above it, and _TINY^e stays finite for e > -1.
+_TINY = np.finfo(float).tiny
 
 
 def _checked_alpha(alpha: float) -> float:
@@ -454,7 +471,9 @@ class _LeftBracket:
     nothing overflows, and what underflows lies below the double range
     anyway.  Only the current Phi is kept, so targets must come in
     ascending order across calls.  The band, panels c..lo-2, goes through
-    the bracket kernel.
+    the bracket kernel up to a column ``split``; from there on the two terms
+    of B_e differ by a factor of two or more in every row, so they are
+    summed apart and subtracted once per row (_band).
     """
 
     def __init__(self, kind, alpha, nodes, panels: _SharedPanels):
@@ -474,6 +493,21 @@ class _LeftBracket:
         self.s, self.wg, self.log_s, self.pow_s = (
             x.ravel() for x in (panels.s, panels.wg, panels.log_s, panels.pow_s)
         )
+        self.pow_wg = self.pow_s * self.wg
+        # From s = split_at(t) on, the two terms of B_e differ by a factor of
+        # two or more: t^e (1-s)^(alpha-1) >= 2 (t-s)^e for u once s >= K t /
+        # (1 + K - t), K = 2^(1/e) - 1, and (t-s)^e >= 2 t^e >= 2 t^e
+        # (1-s)^(alpha-1) for u' once s >= t (1 - 2^(1/e)).  Both bounds
+        # increase with t.  For e = 0 (u' at alpha = 2, B = -s) the terms
+        # are 1 - s and 1 and never split.
+        if self.e > 0.0:
+            k = 2.0 ** (1.0 / self.e) - 1.0
+            self.split_at = lambda t: k * t / (1.0 + k - t)
+        elif self.e < 0.0:
+            f = 1.0 - 2.0 ** (1.0 / self.e)
+            self.split_at = lambda t: f * t
+        else:
+            self.split_at = lambda t: math.inf
 
     def sums(self, t, te, lo):
         """The sums at ascending targets ``t``, with te = t^e and lo as above."""
@@ -515,14 +549,36 @@ class _LeftBracket:
         self.cut = cut
 
     def _band(self, t, te, start, stop):
-        # The bracket over the columns start..stop-1 of each row, in tiles of
-        # len(t) rows by 6 * _TILE columns; a tile that every row owns skips
-        # the mask.
+        # The bracket over the columns start..stop-1 of each row.  Columns
+        # from ``split`` on, where the two terms differ by a factor of two
+        # or more in every row (condition number at most 3), are summed term
+        # by term; those before it go through the bracket kernel.
+        hi = int(stop.max())
+        bound = self.split_at(t[-1])
+        # The two sums cost a second pass, which pays only when it takes at
+        # least half of the band's columns.  At small n the rows of a
+        # sub-block spread widely (t_max/t_min >= 1.8 at n = 128, grading
+        # 5), so the split at t_max leaves the two sums a few columns, most
+        # of them past the rows' stops; taking them anyway cost 8% of an
+        # n = 128 solve.
+        mid = (start + hi) // 2
+        if mid < hi and self.s[mid] >= bound:
+            split = start + int(self.s[start:mid].searchsorted(bound))
+        else:
+            split = hi
+        total = self._kernel_tiles(t, te, start, split, stop)
+        if split < hi:
+            total += self._two_sums(t, te, split, hi, stop)
+        return total
+
+    def _kernel_tiles(self, t, te, start, end, stop):
+        # The bracket kernel over the columns start..min(stop, end)-1 of each
+        # row, in tiles of len(t) rows by 6 * _TILE columns; a tile that
+        # every row owns skips the mask.
         total = np.zeros(len(t))
         tc, tec = t[:, None], te[:, None]
-        width = 6 * _TILE
-        for c0 in range(start, stop.max(), width):
-            cols = slice(c0, min(c0 + width, stop.max()))
+        for c0 in range(start, end, 6 * _TILE):
+            cols = slice(c0, min(c0 + 6 * _TILE, end))
             args = (tc, self.s[None, cols], self.alpha, self.e, tec,
                     (self.log_s[cols], self.pow_s[cols]))
             if cols.stop <= stop.min():
@@ -533,6 +589,30 @@ class _LeftBracket:
                 kern = bracket_values(*args)
             mine = np.arange(cols.start, cols.stop) < stop[:, None]
             total += np.where(mine, kern, 0.0) @ self.wg[cols]
+        return total
+
+    def _two_sums(self, t, te, split, hi, stop):
+        # t^e sum (1-s)^(alpha-1) w g - sum (t-s)^e w g over the columns
+        # split..stop-1 of each row: the first sum from one running sum over
+        # the columns, the second in tiles as in _kernel_tiles, with
+        # (t-s)^e from the exact difference.  In a tile that not every row
+        # owns, the columns a row does not own (where s may reach t) take
+        # the floor _TINY and are zeroed after the power.
+        running = np.zeros(hi - split + 1)
+        np.cumsum(self.pow_wg[split:hi], out=running[1:])
+        total = te * running[np.maximum(stop - split, 0)]
+        tc = t[:, None]
+        for c0 in range(split, hi, 6 * _TILE):
+            cols = slice(c0, min(c0 + 6 * _TILE, hi))
+            x = tc - self.s[cols]
+            if cols.stop <= stop.min():
+                np.power(x, self.e, out=x)
+            else:
+                mine = np.arange(cols.start, cols.stop) < stop[:, None]
+                np.maximum(x, _TINY, out=x)
+                np.power(x, self.e, out=x)
+                x *= mine
+            total -= x @ self.wg[cols]
         return total
 
 

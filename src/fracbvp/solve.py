@@ -296,12 +296,15 @@ def solve_linear(g, alpha: float, n: int = 512) -> GridFunction:
     """Solve D^alpha u + g = 0, u(0) = u(1) = 0 by Green quadrature.
 
     ``g`` is a WeightSpec or a (possibly signed) PowerSum; condition (H)
-    must hold or :class:`ConditionHError` is raised.
+    must hold or :class:`ConditionHError` is raised.  FloatingPointError is
+    raised if the quadrature produces a non-finite value.
     """
     w = as_weight_spec(g)
     mesh = build_mesh(n, w, alpha)
     beta_g, regular = w.singular_decomposition()
     values = apply_green(mesh.nodes, beta_g, regular, alpha, mesh)
+    if not np.all(np.isfinite(values)):
+        raise FloatingPointError("the quadrature produced non-finite values")
     return GridFunction(mesh, values, alpha)
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import re
+import types
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from fracbvp import (
     classify,
     frac_derivative,
     solve_linear,
+    solve_nonlinear,
 )
 from fracbvp.cli import (
     EXIT_CONDITION_H,
@@ -243,6 +245,55 @@ def test_solve_nonconvergence_exit_code_with_csv(tmp_path):
     ])
     assert code == EXIT_NO_CONVERGENCE
     assert out.exists()
+
+
+def _nan_solution(solution):
+    # a solution whose quadrature broke down; GridFunction itself refuses
+    # non-finite values
+    nan = np.full(solution.values.shape, np.nan)
+    return types.SimpleNamespace(mesh=solution.mesh, alpha=solution.alpha, values=nan)
+
+
+def _nan_solve_linear(*args):
+    return _nan_solution(solve_linear(*args))
+
+
+def _nan_solve_nonlinear(*args, **kwargs):
+    report = solve_nonlinear(*args, **kwargs)
+    return dataclasses.replace(report, solution=_nan_solution(report.solution))
+
+
+def _nan_operator(t, *args):
+    return np.full(np.shape(t), np.nan)
+
+
+@pytest.mark.parametrize(
+    "flag,target,replacement",
+    [
+        # the linear and the Picard path return a non-finite solution
+        ("--forcing", "fracbvp.cli.solve_linear", _nan_solve_linear),
+        ("--weight", "fracbvp.cli.solve_nonlinear", _nan_solve_nonlinear),
+        # solve_linear meets non-finite operator values
+        ("--forcing", "fracbvp.solve.apply_green", _nan_operator),
+        # a finite solution, non-finite du or q
+        ("--weight", "fracbvp.cli.apply_green_derivative", _nan_operator),
+        ("--forcing", "fracbvp.cli.apply_dalpha_minus_1", _nan_operator),
+    ],
+)
+def test_solve_non_finite_quadrature_exits_4(
+    tmp_path, capsys, monkeypatch, flag, target, replacement
+):
+    # A quadrature breakdown is exit 4 with its own message on both paths,
+    # not a validation error (3) and not a status line holding a NaN.
+    monkeypatch.setattr(target, replacement)
+    code = main([
+        "solve", "--alpha", "1.6", flag, "power:1.2",
+        "--n", "64", "--out", str(tmp_path / "x.csv"),
+    ])
+    assert code == EXIT_NO_CONVERGENCE
+    captured = capsys.readouterr()
+    assert "error: the quadrature produced non-finite values" in captured.err
+    assert captured.out == ""
 
 
 def test_solve_rejects_signed_weight_on_nonlinear_path(tmp_path):

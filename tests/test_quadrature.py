@@ -330,8 +330,9 @@ def test_tiling_does_not_change_values(monkeypatch, w, alpha):
 
 def _far_field_targets(mesh, rng):
     # nodes, off-mesh points, points below t_1, targets whose far-field cut
-    # falls on one of the first nodes, and targets next to t = 1, where the
-    # far series of u has the factors t^m - 1
+    # falls on one of the first nodes, targets next to t = 1, where the far
+    # series of u has the factors t^m - 1, and close clusters in (0.5,
+    # 0.99), whose sub-blocks' bands straddle the split of the two sums
     nodes = mesh.nodes
     first_cuts = nodes[1:5] / quadrature.EPS
     t = np.concatenate((
@@ -340,6 +341,7 @@ def _far_field_targets(mesh, rng):
         nodes[1] * np.array([1e-12, 0.01, 0.5, 0.99]),
         first_cuts * (1.0 - 1e-12), first_cuts, first_cuts * (1.0 + 1e-12),
         [1.0 - 1e-6, 1.0 - 1e-9],
+        *(c + np.linspace(0.0, 1e-3, 24) for c in (0.52, 0.7, 0.85, 0.98)),
     ))
     return np.sort(t[(t > 0.0) & (t < 1.0)])
 
@@ -354,16 +356,25 @@ def _full_bracket_block(t, lo, panels, alpha, e):
     return np.where(mine, kern, 0.0) @ panels.wg.ravel()
 
 
-def _left_bracket_case(grading, alpha, kind):
-    mesh = GradedMesh.from_grading(48, grading)
+# regular factors of g: positive (0.3 <= reg <= 1), and one that changes
+# sign at s = 0.16
+_POSITIVE = PowerSum([(1.0, 0.0), (-0.7, 0.5)])
+_SIGNED = PowerSum([(1.0, 0.0), (-2.5, 0.5)])
+
+
+def _left_bracket_case(mesh, t, alpha, kind, reg=_POSITIVE):
     beta_g = max(alpha - 0.2, 0.0)
-    reg = PowerSum([(1.0, 0.0), (-0.7, 0.5)])  # 0.3 <= reg <= 1
-    t = _far_field_targets(mesh, np.random.default_rng(int(10 * grading)))
     e = alpha - 1.0 if kind == "u" else alpha - 2.0
     lo = np.searchsorted(mesh.nodes, t)
     panels = quadrature._SharedPanels.build(mesh.nodes, beta_g, reg, alpha)
     ref = _full_bracket_block(t, lo, panels, alpha, e)
-    return mesh, t, e, lo, panels, ref
+    return e, lo, panels, ref
+
+
+def _far_field_case(grading, alpha, kind, reg=_POSITIVE):
+    mesh = GradedMesh.from_grading(48, grading)
+    t = _far_field_targets(mesh, np.random.default_rng(int(10 * grading)))
+    return (mesh, t, *_left_bracket_case(mesh, t, alpha, kind, reg))
 
 
 def _left_bracket_sums(kind, alpha, mesh, panels, t, e, lo, rows):
@@ -374,21 +385,37 @@ def _left_bracket_sums(kind, alpha, mesh, panels, t, e, lo, rows):
     ])
 
 
+def _assert_within_bound(got, ref):
+    bound = 1e-12 * np.abs(ref) + 1e-15 * np.max(np.abs(ref))
+    assert np.all(np.abs(got - ref) <= bound)
+
+
 @pytest.mark.parametrize("kind", ["u", "du"])
 @pytest.mark.parametrize("alpha", [1.05, 1.3, 1.6, 2.0])
 @pytest.mark.parametrize("grading", [1.0, 2.0, 5.0, 8.0])
 def test_far_field_matches_full_bracket_block(grading, alpha, kind):
     # The left bracket over the shared panels left of each target (j = 1..
-    # lo-2), far panels from moments and the band from the kernel, against
-    # the bracket kernel over every (target, shared Gauss point) pair.
-    mesh, t, e, lo, panels, ref = _left_bracket_case(grading, alpha, kind)
+    # lo-2), far panels from moments and the band from the kernel and the
+    # two sums, against the bracket kernel over every (target, shared Gauss
+    # point) pair.
+    mesh, t, e, lo, panels, ref = _far_field_case(grading, alpha, kind)
     got = _left_bracket_sums(kind, alpha, mesh, panels, t, e, lo, 24)
-    bound = 1e-12 * np.abs(ref) + 1e-15 * np.max(np.abs(ref))
-    assert np.all(np.abs(got - ref) <= bound)
+    _assert_within_bound(got, ref)
     # g > 0, so no sum cancels: the values stay relatively accurate next to
     # t = 1 too, where those of u are O(1 - t)
     near_one = t >= 1.0 - 1e-6
     assert np.all(np.abs(got - ref)[near_one] <= 1e-12 * np.abs(ref[near_one]))
+
+
+@pytest.mark.parametrize("kind", ["u", "du"])
+@pytest.mark.parametrize("alpha", [1.05, 1.3, 1.6, 2.0])
+@pytest.mark.parametrize("grading", [1.0, 2.0, 5.0, 8.0])
+def test_far_field_matches_full_bracket_block_for_signed_g(grading, alpha, kind):
+    # As above with a g that changes sign inside the bands of the targets
+    # above s = 0.16, so the sums over a band may cancel.
+    mesh, t, e, lo, panels, ref = _far_field_case(grading, alpha, kind, _SIGNED)
+    got = _left_bracket_sums(kind, alpha, mesh, panels, t, e, lo, 24)
+    _assert_within_bound(got, ref)
 
 
 @pytest.mark.parametrize("kind", ["u", "du"])
@@ -402,7 +429,7 @@ def test_sub_block_partition_does_not_matter(rows, grading, alpha, kind):
     # below t_1, so there are no far panels and the band is the whole left
     # part).  With one row per call some call keeps the cut of the call
     # before it, so the moment stream does not advance.
-    mesh, t, e, lo, panels, ref = _left_bracket_case(grading, alpha, kind)
+    mesh, t, e, lo, panels, ref = _far_field_case(grading, alpha, kind)
     rows = rows or len(t)
     first = t[::rows]
     cuts = np.searchsorted(mesh.nodes, quadrature.EPS * first, side="right") - 1
@@ -410,8 +437,39 @@ def test_sub_block_partition_does_not_matter(rows, grading, alpha, kind):
     if rows == 1:
         assert np.any((cuts[1:] == cuts[:-1]) & (cuts[1:] > 1))
     got = _left_bracket_sums(kind, alpha, mesh, panels, t, e, lo, rows)
-    bound = 1e-12 * np.abs(ref) + 1e-15 * np.max(np.abs(ref))
-    assert np.all(np.abs(got - ref) <= bound)
+    _assert_within_bound(got, ref)
+
+
+@pytest.mark.parametrize("reg", [_POSITIVE, _SIGNED], ids=["positive", "signed"])
+@pytest.mark.parametrize("kind", ["u", "du"])
+@pytest.mark.parametrize("alpha", [1.3, 1.6, 2.0])
+def test_two_sums_match_full_bracket_block(monkeypatch, alpha, kind, reg):
+    # Sub-blocks of 16 close targets just above a node of a fine uniform
+    # mesh: there most of each band lies past the split, where the two terms
+    # of the bracket differ by a factor of two or more in every row, and is
+    # summed term by term; the bands of the targets near t = 0.176 hold the
+    # sign change of the signed g.  For u' at alpha = 2 the terms are 1 - s
+    # and 1, which never split, so the whole band stays on the kernel.
+    mesh = GradedMesh.from_grading(512, 1.0)
+    t = np.concatenate([
+        mesh.nodes[k] * (1.0 + np.linspace(1e-6, 1e-3, 16)) for k in (30, 90, 300)
+    ])
+    e, lo, panels, ref = _left_bracket_case(mesh, t, alpha, kind, reg)
+    # (row, column) pairs summed term by term
+    count = [0]
+    two_sums = quadrature._LeftBracket._two_sums
+
+    def counted(self, t, te, split, hi, stop):
+        count[0] += int(np.sum(np.maximum(stop - split, 0)))
+        return two_sums(self, t, te, split, hi, stop)
+
+    monkeypatch.setattr(quadrature._LeftBracket, "_two_sums", counted)
+    got = _left_bracket_sums(kind, alpha, mesh, panels, t, e, lo, 16)
+    if kind == "du" and alpha == 2.0:
+        assert count[0] == 0
+    else:
+        assert count[0] > 0
+    _assert_within_bound(got, ref)
 
 
 @pytest.mark.parametrize("e", [0.4, -0.4, 0.05, 0.95, -0.95])
@@ -443,9 +501,9 @@ def test_traced_memory_of_a_large_solve_stays_small():
 
 def test_band_evaluates_few_kernel_elements(monkeypatch):
     # Kernel elements, as broadcast sizes of (t, s), that one solve passes to
-    # the bracket kernel: the band tiles plus the origin panels.  143,640 at
-    # the 0.85 cut with 16-row sub-blocks; per-target cuts with 24-row
-    # sub-blocks masked away about a third of what they evaluated (226,428).
+    # the bracket kernel: the band columns before the split of the two sums
+    # plus the origin panels.  77,080 with the two sums, against 143,640
+    # when the whole band went through the kernel.
     count = [0]
 
     def counted(t, s, *args, **kwargs):
@@ -454,7 +512,7 @@ def test_band_evaluates_few_kernel_elements(monkeypatch):
 
     monkeypatch.setattr(quadrature, "bracket_values", counted)
     solve_linear(WeightSpec(1.2), 1.6, 512)
-    assert 0 < count[0] <= 1.05 * 143_640
+    assert 0 < count[0] <= 1.05 * 77_080
 
 
 # --- convergence and sign --------------------------------------------------------
