@@ -493,21 +493,6 @@ class _LeftBracket:
         self.s, self.wg, self.log_s, self.pow_s = (
             x.ravel() for x in (panels.s, panels.wg, panels.log_s, panels.pow_s)
         )
-        self.pow_wg = self.pow_s * self.wg
-        # From s = split_at(t) on, the two terms of B_e differ by a factor of
-        # two or more: t^e (1-s)^(alpha-1) >= 2 (t-s)^e for u once s >= K t /
-        # (1 + K - t), K = 2^(1/e) - 1, and (t-s)^e >= 2 t^e >= 2 t^e
-        # (1-s)^(alpha-1) for u' once s >= t (1 - 2^(1/e)).  Both bounds
-        # increase with t.  For e = 0 (u' at alpha = 2, B = -s) the terms
-        # are 1 - s and 1 and never split.
-        if self.e > 0.0:
-            k = 2.0 ** (1.0 / self.e) - 1.0
-            self.split_at = lambda t: k * t / (1.0 + k - t)
-        elif self.e < 0.0:
-            f = 1.0 - 2.0 ** (1.0 / self.e)
-            self.split_at = lambda t: f * t
-        else:
-            self.split_at = lambda t: math.inf
 
     def sums(self, t, te, lo):
         """The sums at ascending targets ``t``, with te = t^e and lo as above."""
@@ -548,13 +533,29 @@ class _LeftBracket:
             self.phi += (coarse.T @ np.exp(log_r * self.m_fine)).ravel()[:len(self.b)]
         self.cut = cut
 
+    def _split_bound(self, t):
+        # From s = this bound on, the two terms of B_e at t differ by a
+        # factor of two or more: t^e (1-s)^(alpha-1) >= 2 (t-s)^e for u once
+        # s >= K t / (1 + K - t), K = 2^(1/e) - 1, and (t-s)^e >= 2 t^e >=
+        # 2 t^e (1-s)^(alpha-1) for u' once s >= t (1 - 2^(1/e)).  Both
+        # increase with t.  For e = 0 (u' at alpha = 2, B = -s) the terms are
+        # 1 - s and 1 and never split; for 0 < e <= 2^-10 (u at alpha up to
+        # 1 + 2^-10) K overflows, and the bound would lie within t (1-t)/K
+        # of t, closer than any double below t, so no column splits either.
+        if self.e < 0.0:
+            return (1.0 - 2.0 ** (1.0 / self.e)) * t
+        if self.e > 2.0**-10:
+            k = 2.0 ** (1.0 / self.e) - 1.0
+            return k * t / (1.0 + k - t)
+        return math.inf
+
     def _band(self, t, te, start, stop):
         # The bracket over the columns start..stop-1 of each row.  Columns
         # from ``split`` on, where the two terms differ by a factor of two
         # or more in every row (condition number at most 3), are summed term
         # by term; those before it go through the bracket kernel.
         hi = int(stop.max())
-        bound = self.split_at(t[-1])
+        bound = self._split_bound(t[-1])
         # The two sums cost a second pass, which pays only when it takes at
         # least half of the band's columns.  At small n the rows of a
         # sub-block spread widely (t_max/t_min >= 1.8 at n = 128, grading
@@ -571,46 +572,54 @@ class _LeftBracket:
             total += self._two_sums(t, te, split, hi, stop)
         return total
 
-    def _kernel_tiles(self, t, te, start, end, stop):
-        # The bracket kernel over the columns start..min(stop, end)-1 of each
-        # row, in tiles of len(t) rows by 6 * _TILE columns; a tile that
-        # every row owns skips the mask.
-        total = np.zeros(len(t))
-        tc, tec = t[:, None], te[:, None]
+    @staticmethod
+    def _tiles(start, end, stop):
+        # The columns start..end-1 in tiles of 6 * _TILE, each with the mask
+        # of the columns that each row owns (those before its stop), or
+        # None where every row owns the whole tile.
+        owned = stop.min()
         for c0 in range(start, end, 6 * _TILE):
             cols = slice(c0, min(c0 + 6 * _TILE, end))
+            if cols.stop <= owned:
+                yield cols, None
+            else:
+                yield cols, np.arange(cols.start, cols.stop) < stop[:, None]
+
+    def _kernel_tiles(self, t, te, start, end, stop):
+        # The bracket kernel over the columns start..min(stop, end)-1 of each
+        # row, in tiles of len(t) rows.
+        total = np.zeros(len(t))
+        tc, tec = t[:, None], te[:, None]
+        for cols, mine in self._tiles(start, end, stop):
             args = (tc, self.s[None, cols], self.alpha, self.e, tec,
                     (self.log_s[cols], self.pow_s[cols]))
-            if cols.stop <= stop.min():
+            if mine is None:
                 total += bracket_values(*args) @ self.wg[cols]
                 continue
             # columns at or past a row's stop may have s >= t
             with np.errstate(invalid="ignore", divide="ignore"):
                 kern = bracket_values(*args)
-            mine = np.arange(cols.start, cols.stop) < stop[:, None]
             total += np.where(mine, kern, 0.0) @ self.wg[cols]
         return total
 
     def _two_sums(self, t, te, split, hi, stop):
         # t^e sum (1-s)^(alpha-1) w g - sum (t-s)^e w g over the columns
         # split..stop-1 of each row: the first sum from one running sum over
-        # the columns, the second in tiles as in _kernel_tiles, with
-        # (t-s)^e from the exact difference.  In a tile that not every row
-        # owns, the columns a row does not own (where s may reach t) take
-        # the floor _TINY and are zeroed after the power.
+        # the columns, the second in the tiles of _kernel_tiles, with
+        # (t-s)^e from the exact difference.  The columns a row does not own
+        # (where s may reach t) take the floor _TINY and are zeroed after the
+        # power.
         running = np.zeros(hi - split + 1)
-        np.cumsum(self.pow_wg[split:hi], out=running[1:])
+        np.multiply(self.pow_s[split:hi], self.wg[split:hi], out=running[1:])
+        np.cumsum(running[1:], out=running[1:])
         total = te * running[np.maximum(stop - split, 0)]
         tc = t[:, None]
-        for c0 in range(split, hi, 6 * _TILE):
-            cols = slice(c0, min(c0 + 6 * _TILE, hi))
+        for cols, mine in self._tiles(split, hi, stop):
             x = tc - self.s[cols]
-            if cols.stop <= stop.min():
-                np.power(x, self.e, out=x)
-            else:
-                mine = np.arange(cols.start, cols.stop) < stop[:, None]
+            if mine is not None:
                 np.maximum(x, _TINY, out=x)
-                np.power(x, self.e, out=x)
+            np.power(x, self.e, out=x)
+            if mine is not None:
                 x *= mine
             total -= x @ self.wg[cols]
         return total

@@ -292,6 +292,16 @@ class SolveReport:
     seeded: bool = False
 
 
+def require_finite(*values) -> None:
+    """Raise FloatingPointError unless all of ``values`` (arrays or floats) are finite.
+
+    Used on operator values: a non-finite one is a breakdown of the
+    quadrature, not an input error and not a Picard outcome.
+    """
+    if not all(np.all(np.isfinite(v)) for v in values):
+        raise FloatingPointError("the quadrature produced non-finite values")
+
+
 def solve_linear(g, alpha: float, n: int = 512) -> GridFunction:
     """Solve D^alpha u + g = 0, u(0) = u(1) = 0 by Green quadrature.
 
@@ -303,8 +313,7 @@ def solve_linear(g, alpha: float, n: int = 512) -> GridFunction:
     mesh = build_mesh(n, w, alpha)
     beta_g, regular = w.singular_decomposition()
     values = apply_green(mesh.nodes, beta_g, regular, alpha, mesh)
-    if not np.all(np.isfinite(values)):
-        raise FloatingPointError("the quadrature produced non-finite values")
+    require_finite(values)
     return GridFunction(mesh, values, alpha)
 
 
@@ -323,7 +332,8 @@ def solve_nonlinear(
     """Damped Picard iteration for D^alpha u + h f(u) = 0 from u = 0.
 
     Stops when the sup-norm update drops to ``tol`` or after ``max_iter``
-    sweeps; nonconvergence is reported, not raised.
+    sweeps; nonconvergence is reported, not raised.  FloatingPointError is
+    raised if the quadrature maps a finite iterate to non-finite values.
     """
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
@@ -346,6 +356,10 @@ def solve_nonlinear(
             return regular(s) * f(np.maximum(interp(s), 0.0))
 
         tu = apply_green(mesh.nodes, beta_g, g_reg, alpha, mesh)
+        if np.all(np.isfinite(f(np.maximum(u, 0.0)))):
+            # a non-finite image of a finite f(u) is a quadrature breakdown;
+            # an f(u) that overflows is Picard divergence, stopped below
+            require_finite(tu)
         new = (1.0 - damping) * u + damping * tu
         update = float(np.max(np.abs(new - u)))
         if (
@@ -359,6 +373,7 @@ def solve_nonlinear(
             # u = 0 is a fixed point of T but f is nontrivial: restart from
             # the weight profile (the f = 1 solve).
             u = apply_green(mesh.nodes, beta_g, regular, alpha, mesh)
+            require_finite(u)
             updates.append(float(np.max(np.abs(u))))
             seeded = True
             continue

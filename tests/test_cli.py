@@ -1,6 +1,5 @@
 import dataclasses
 import re
-import types
 
 import numpy as np
 import pytest
@@ -247,45 +246,25 @@ def test_solve_nonconvergence_exit_code_with_csv(tmp_path):
     assert out.exists()
 
 
-def _nan_solution(solution):
-    # a solution whose quadrature broke down; GridFunction itself refuses
-    # non-finite values
-    nan = np.full(solution.values.shape, np.nan)
-    return types.SimpleNamespace(mesh=solution.mesh, alpha=solution.alpha, values=nan)
-
-
-def _nan_solve_linear(*args):
-    return _nan_solution(solve_linear(*args))
-
-
-def _nan_solve_nonlinear(*args, **kwargs):
-    report = solve_nonlinear(*args, **kwargs)
-    return dataclasses.replace(report, solution=_nan_solution(report.solution))
-
-
 def _nan_operator(t, *args):
     return np.full(np.shape(t), np.nan)
 
 
 @pytest.mark.parametrize(
-    "flag,target,replacement",
+    "flag,target",
     [
-        # the linear and the Picard path return a non-finite solution
-        ("--forcing", "fracbvp.cli.solve_linear", _nan_solve_linear),
-        ("--weight", "fracbvp.cli.solve_nonlinear", _nan_solve_nonlinear),
-        # solve_linear meets non-finite operator values
-        ("--forcing", "fracbvp.solve.apply_green", _nan_operator),
+        # the linear and the Picard path meet non-finite values of u
+        ("--forcing", "fracbvp.solve.apply_green"),
+        ("--weight", "fracbvp.solve.apply_green"),
         # a finite solution, non-finite du or q
-        ("--weight", "fracbvp.cli.apply_green_derivative", _nan_operator),
-        ("--forcing", "fracbvp.cli.apply_dalpha_minus_1", _nan_operator),
+        ("--weight", "fracbvp.cli.apply_green_derivative"),
+        ("--forcing", "fracbvp.cli.apply_dalpha_minus_1"),
     ],
 )
-def test_solve_non_finite_quadrature_exits_4(
-    tmp_path, capsys, monkeypatch, flag, target, replacement
-):
+def test_solve_non_finite_quadrature_exits_4(tmp_path, capsys, monkeypatch, flag, target):
     # A quadrature breakdown is exit 4 with its own message on both paths,
     # not a validation error (3) and not a status line holding a NaN.
-    monkeypatch.setattr(target, replacement)
+    monkeypatch.setattr(target, _nan_operator)
     code = main([
         "solve", "--alpha", "1.6", flag, "power:1.2",
         "--n", "64", "--out", str(tmp_path / "x.csv"),
@@ -294,6 +273,23 @@ def test_solve_non_finite_quadrature_exits_4(
     captured = capsys.readouterr()
     assert "error: the quadrature produced non-finite values" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("flag", ["--forcing", "--weight"])
+def test_solve_order_just_above_one(tmp_path, flag):
+    # At alpha = 1.0005 the exponent alpha - 1 of u lies below 2^-10, where
+    # the band's split bound 2^(1/(alpha-1)) overflows a double.
+    out = tmp_path / "x.csv"
+    code = main([
+        "solve", "--alpha", "1.0005", flag, "power:0.5",
+        "--n", "64", "--out", str(out),
+    ])
+    assert code == EXIT_OK
+    _, rows = _read_csv(out)
+    u = np.array([float(r[1]) for r in rows])
+    du = np.array([float(r[2]) for r in rows[1:-1]])
+    assert np.all(np.isfinite(u)) and np.all(np.isfinite(du))
+    assert np.max(u) > 0.0
 
 
 def test_solve_rejects_signed_weight_on_nonlinear_path(tmp_path):

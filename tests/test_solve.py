@@ -146,6 +146,47 @@ def test_divergent_iteration_reports_nonconvergence():
     assert np.all(np.isfinite(rep.solution.values))
 
 
+def test_overflowing_nonlinearity_is_divergence_not_breakdown():
+    # Seeded at about 1e8, f(u) = u^40 overflows on the next sweep: that is
+    # Picard divergence, reported, not a quadrature breakdown (the overflow
+    # warnings are expected).
+    w = WeightSpec(0.0, PowerSum.monomial(1e9, 0.0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        rep = solve_nonlinear(w, NonlinearitySpec.power(40.0), 1.5, 64)
+    assert rep.seeded and not rep.converged
+    assert np.all(np.isfinite(rep.solution.values))
+
+
+def _apply_green_nan_from(call, monkeypatch):
+    # the solvers' apply_green, returning NaN from its call number ``call`` on
+    real, count = solve.apply_green, [0]
+
+    def patched(*args):
+        count[0] += 1
+        values = real(*args)
+        return values if count[0] < call else np.full_like(values, np.nan)
+
+    monkeypatch.setattr(solve, "apply_green", patched)
+
+
+@pytest.mark.parametrize(
+    "f,call",
+    [
+        (None, 1),  # solve_linear
+        (NonlinearitySpec.constant(1.0), 1),  # the first sweep
+        (NonlinearitySpec.linear(1.0), 2),  # the seed after u = 0 stalls
+        (NonlinearitySpec.power(0.5), 3),  # a later sweep
+    ],
+)
+def test_non_finite_operator_values_raise(monkeypatch, f, call):
+    _apply_green_nan_from(call, monkeypatch)
+    with pytest.raises(FloatingPointError, match="non-finite"):
+        if f is None:
+            solve_linear(WeightSpec(1.2), 1.6, 64)
+        else:
+            solve_nonlinear(WeightSpec(1.2), f, 1.6, 64)
+
+
 def test_positivity_invariant():
     for w, f, alpha in (
         (WeightSpec(0.0), NonlinearitySpec.affine(0.5, 1.0), 1.5),
