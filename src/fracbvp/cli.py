@@ -25,9 +25,8 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -50,7 +49,6 @@ from .solve import NonlinearitySpec, require_finite, solve_linear, solve_nonline
 
 __all__ = [
     "WeightParseError",
-    "ProblemSpec",
     "parse_weight",
     "parse_forcing",
     "parse_nonlinearity",
@@ -116,27 +114,21 @@ def format_weight(w: WeightSpec) -> str:
     return f"power:{w.beta!r}*sum:{body}"
 
 
-_NONLINEARITY_ARITY = {"const": 1, "linear": 1, "power": 1, "affine": 2}
-
-
 def parse_nonlinearity(text: str) -> NonlinearitySpec:
     """Parse ``const:<c>``, ``linear:<a>``, ``power:<p>`` or ``affine:<a>,<b>``."""
-    head, sep, body = text.partition(":")
-    if not sep or head not in _NONLINEARITY_ARITY:
-        raise WeightParseError(
-            "expected one of const:, linear:, power:, affine:", 0
-        )
+    head, sep, _ = text.partition(":")
+    if not sep:
+        raise WeightParseError("expected ':' after the nonlinearity kind", len(head))
     params = []
     pos = len(head) + 1
-    for k in range(_NONLINEARITY_ARITY[head]):
-        if k:
-            if pos >= len(text) or text[pos] != ",":
-                raise WeightParseError("expected ',' between parameters", pos)
-            pos += 1
+    while True:
         value, pos = float_at(text, pos, "a parameter")
         params.append(value)
-    if pos != len(text):
-        raise WeightParseError("unexpected trailing text", pos)
+        if pos == len(text):
+            break
+        if text[pos] != ",":
+            raise WeightParseError("expected ',' between parameters", pos)
+        pos += 1
     kind = {"const": "constant"}.get(head, head)
     try:
         return NonlinearitySpec(kind, tuple(params))
@@ -144,43 +136,13 @@ def parse_nonlinearity(text: str) -> NonlinearitySpec:
         raise WeightParseError(str(exc), len(head) + 1) from exc
 
 
-@dataclass(frozen=True)
-class ProblemSpec:
-    """Fully parsed CLI problem: weight or forcing, order and solve knobs."""
-
-    alpha: float
-    weight: Optional[WeightSpec]
-    forcing: Optional[WeightSpec]
-    f: NonlinearitySpec
-    n: int
-    tol: float
-    max_iter: int
-    damping: float
-    out: Path
-
-
-def _problem_spec(args) -> ProblemSpec:
-    alpha = float(args.alpha)
-    if not 1.0 < alpha <= 2.0:
-        raise WeightParseError(f"alpha must lie in (1, 2], got {alpha!r}", 0)
+def _weight_or_forcing(args) -> WeightSpec:
+    """The weight or the forcing, whichever of the two flags was given."""
     if (args.weight is None) == (args.forcing is None):
         raise WeightParseError("exactly one of --weight/--forcing is required", 0)
-    weight = parse_weight(args.weight) if args.weight is not None else None
-    forcing = parse_forcing(args.forcing) if args.forcing is not None else None
-    f = parse_nonlinearity(args.f)
-    if args.n < 16:
-        raise WeightParseError(f"--n must be at least 16, got {args.n}", 0)
-    return ProblemSpec(
-        alpha=alpha,
-        weight=weight,
-        forcing=forcing,
-        f=f,
-        n=args.n,
-        tol=args.tol,
-        max_iter=args.max_iter,
-        damping=args.damping,
-        out=Path(args.out),
-    )
+    if args.weight is not None:
+        return parse_weight(args.weight)
+    return parse_forcing(args.forcing)
 
 
 # --- output helpers ----------------------------------------------------------
@@ -267,15 +229,16 @@ def render_line_plot(path: Path, curves, title: str = "") -> None:
 
 
 def cmd_solve(args) -> int:
-    spec = _problem_spec(args)
-    alpha, n = spec.alpha, spec.n
+    w = _weight_or_forcing(args)
+    f = parse_nonlinearity(args.f)
+    alpha, out = args.alpha, Path(args.out)
+    beta_g, regular = w.singular_decomposition()
 
-    if spec.forcing is not None:
-        w = spec.forcing
-        solution = solve_linear(w, alpha, n)
+    if args.forcing is not None:
+        solution = solve_linear(w, alpha, args.n)
         converged, status = True, "direct"
+        g_reg = regular
     else:
-        w = spec.weight
         if any(c < 0.0 for c in w.regular.coefficients):
             raise WeightParseError(
                 "the nonlinear path needs a nonnegative weight; use --forcing"
@@ -283,8 +246,8 @@ def cmd_solve(args) -> int:
                 0,
             )
         report = solve_nonlinear(
-            w, spec.f, alpha, n,
-            tol=spec.tol, max_iter=spec.max_iter, damping=spec.damping,
+            w, f, alpha, args.n,
+            tol=args.tol, max_iter=args.max_iter, damping=args.damping,
         )
         solution = report.solution
         converged = report.converged
@@ -294,17 +257,12 @@ def cmd_solve(args) -> int:
             f" residual_median_rel={report.residual_median_rel:.3e}"
             + (" seeded" if report.seeded else "")
         )
-
-    mesh = solution.mesh
-    beta_g, regular = w.singular_decomposition()
-    if spec.forcing is not None:
-        g_reg = regular
-    else:
         interp = solution.interpolator()
 
         def g_reg(s):
-            return regular(s) * spec.f(np.maximum(interp(s), 0.0))
+            return regular(s) * f(interp(s))
 
+    mesh = solution.mesh
     nodes = mesh.nodes
     du = apply_green_derivative(nodes[1:-1], beta_g, g_reg, alpha, mesh)
     q = np.zeros(len(nodes))
@@ -318,21 +276,20 @@ def cmd_solve(args) -> int:
         [_fmt(t), _fmt(v), d, _fmt(qv)]
         for t, v, d, qv in zip(nodes, solution.values, du_cells, q)
     )
-    write_csv(spec.out, ["t", "u", "du", "q"], rows)
+    write_csv(out, ["t", "u", "du", "q"], rows)
 
     sup = solution.sup_norm
     e_alpha = sup + float(np.max(np.abs(q)))
     print(
         f"sup_norm={sup:.12g} e_alpha_norm_grid={e_alpha:.12g}"
-        f" converged={converged} [{status}] -> {spec.out}"
+        f" converged={converged} [{status}] -> {out}"
     )
     return EXIT_OK if converged else EXIT_NO_CONVERGENCE
 
 
 def cmd_classify(args) -> int:
-    spec = _problem_spec(args)
-    w = spec.weight if spec.weight is not None else spec.forcing
-    problem = GreenProblem.build(w, spec.alpha, spec.n)
+    out = Path(args.out)
+    problem = GreenProblem.build(_weight_or_forcing(args), args.alpha, args.n)
     report = classify(problem)
 
     def show(limit):
@@ -342,12 +299,12 @@ def cmd_classify(args) -> int:
     print(f"in_C1_2ma={report.in_C1_2ma} p_limit={show(report.p_limit_estimate)}")
     print(
         f"e_alpha_norm={report.e_alpha_norm} c1_norm={report.c1_norm}"
-        f" -> {spec.out}"
+        f" -> {out}"
     )
     rows = (
         [_fmt(t), _fmt(qv), _fmt(pv)] for t, qv, pv in report.samples
     )
-    write_csv(spec.out, ["t", "q", "p"], rows)
+    write_csv(out, ["t", "q", "p"], rows)
     values = [report.q_limit_estimate, report.p_limit_estimate,
               report.e_alpha_norm, report.c1_norm]
     require_finite([v for v in values if v is not None], report.samples)
@@ -392,6 +349,12 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    # Subcommand parsers are built from this class too.  No flag may be
+    # abbreviated: a flag the command lacks, such as --f on classify, is a
+    # usage error, not a prefix of --forcing.
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     def error(self, message):
         raise _UsageError(message)
 
@@ -402,14 +365,7 @@ def _add_problem_flags(sub, out_default: str) -> None:
     sub.add_argument("--weight", help="weight grammar power:<beta>[*sum:...]")
     sub.add_argument("--forcing",
                      help="signed forcing (weight grammar or c1*t^l1 + ...)")
-    sub.add_argument("--f", default="const:1",
-                     help="nonlinearity (const:/linear:/power:/affine:)")
     sub.add_argument("--n", type=int, default=512, help="panel count")
-    sub.add_argument("--tol", type=float, default=1e-8,
-                     help="Picard sup-norm stopping tolerance")
-    sub.add_argument("--max-iter", type=int, default=200, dest="max_iter")
-    sub.add_argument("--damping", type=float, default=1.0,
-                     help="Picard damping factor in (0, 1]")
     sub.add_argument("--out", default=out_default, help="output CSV path")
 
 
@@ -419,6 +375,13 @@ def _build_parser() -> _Parser:
 
     solve = subs.add_parser("solve", help="solve and write t,u,du,q CSV")
     _add_problem_flags(solve, "solve.csv")
+    solve.add_argument("--f", default="const:1",
+                       help="nonlinearity (const:/linear:/power:/affine:)")
+    solve.add_argument("--tol", type=float, default=1e-8,
+                       help="Picard sup-norm stopping tolerance")
+    solve.add_argument("--max-iter", type=int, default=200, dest="max_iter")
+    solve.add_argument("--damping", type=float, default=1.0,
+                       help="Picard damping factor in (0, 1]")
     solve.set_defaults(func=cmd_solve)
 
     cla = subs.add_parser("classify", help="regularity verdicts and profiles")

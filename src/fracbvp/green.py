@@ -49,6 +49,14 @@ from .gammafn import gamma
 __all__ = ["green_eval", "green_values"]
 
 
+def checked_alpha(alpha: float) -> float:
+    """The order as a float; ValueError unless it lies in (1, 2]."""
+    alpha = float(alpha)
+    if not 1.0 < alpha <= 2.0:
+        raise ValueError(f"order must lie in (1, 2], got {alpha!r}")
+    return alpha
+
+
 def column_terms(s, alpha: float):
     """((alpha-1)*log1p(-s), (1-s)^(alpha-1)): the t-free factors of B_e."""
     return (alpha - 1.0) * np.log1p(-s), np.power(1.0 - s, alpha - 1.0)
@@ -110,9 +118,7 @@ def green_eval(t: float, s: float, alpha: float) -> float:
     """G(t, s) for t, s in [0, 1] and order alpha in (1, 2]."""
     t = float(t)
     s = float(s)
-    alpha = float(alpha)
-    if not 1.0 < alpha <= 2.0:
-        raise ValueError(f"order must lie in (1, 2], got {alpha!r}")
+    alpha = checked_alpha(alpha)
     if not (0.0 <= t <= 1.0 and 0.0 <= s <= 1.0):
         raise ValueError(f"(t, s) must lie in the unit square, got {(t, s)!r}")
     return float(green_values(t, np.array([s]), alpha)[0])

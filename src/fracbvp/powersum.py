@@ -27,6 +27,7 @@ from typing import Iterable, Iterator, Sequence, Union
 import numpy as np
 
 from .gammafn import gamma, reciprocal_gamma
+from .green import checked_alpha
 
 __all__ = [
     "ExponentRangeError",
@@ -264,9 +265,7 @@ def exact_dirichlet_solution(g: PowerSum, alpha: float) -> PowerSum:
     termwise integrability condition at 0 - and no lam is a negative
     integer (resonance with the kernel).
     """
-    alpha = float(alpha)
-    if not 1.0 < alpha <= 2.0:
-        raise ValueError(f"order must lie in (1, 2], got {alpha!r}")
+    alpha = checked_alpha(alpha)
     particular = []
     for a, lam in g:
         if lam + alpha <= 0.0:

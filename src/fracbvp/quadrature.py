@@ -76,7 +76,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gammafn import gamma
-from .green import bracket_values, column_terms
+from .green import bracket_values, checked_alpha, column_terms
 from .powersum import ONE, PowerSum
 
 __all__ = [
@@ -180,7 +180,7 @@ def check_condition_h(w, alpha: float) -> ConditionReport:
     alpha - beta + lam_min > 0; the margin is that quantity.
     """
     w = as_weight_spec(w)
-    alpha = _checked_alpha(alpha)
+    alpha = checked_alpha(alpha)
     margin = alpha - w.beta + w.min_regular_exponent
     return ConditionReport(satisfied=margin > 0.0, exponent_margin=margin)
 
@@ -239,7 +239,7 @@ def apply_green(t, g_singular_exponent, g_regular, alpha, mesh):
     accept numpy arrays of s in [0, 1].  The value is exactly 0.0 at t = 0
     and t = 1 where the kernel vanishes.
     """
-    alpha = _checked_alpha(alpha)
+    alpha = checked_alpha(alpha)
     t = _checked_t(t, "[0, 1]")
     out = np.zeros(t.shape)
     inner = (t > 0.0) & (t < 1.0)
@@ -251,7 +251,7 @@ def apply_green(t, g_singular_exponent, g_regular, alpha, mesh):
 
 def apply_green_derivative(t, g_singular_exponent, g_regular, alpha, mesh):
     """u'(t) of the Green representation for t (scalar or array) in (0, 1)."""
-    alpha = _checked_alpha(alpha)
+    alpha = checked_alpha(alpha)
     t = _checked_t(t, "(0, 1)")
     total = _green_integrals(
         "du", t.ravel(), g_singular_exponent, g_regular, alpha, mesh
@@ -266,7 +266,7 @@ def apply_dalpha_minus_1(t, g_singular_exponent, g_regular, alpha, mesh):
     no substitution is needed on the abutting panel; t = 1 is admitted with
     an empty right part.
     """
-    alpha = _checked_alpha(alpha)
+    alpha = checked_alpha(alpha)
     t = _checked_t(t, "(0, 1]")
     total = _green_integrals(
         "dalpha", t.ravel(), g_singular_exponent, g_regular, alpha, mesh
@@ -309,13 +309,6 @@ _STREAM_POINTS = 256
 # t: the smallest normal double.  An owned t - s is at least the spacing of
 # doubles at s >= t_1, far above it, and _TINY^e stays finite for e > -1.
 _TINY = np.finfo(float).tiny
-
-
-def _checked_alpha(alpha: float) -> float:
-    alpha = float(alpha)
-    if not 1.0 < alpha <= 2.0:
-        raise ValueError(f"order must lie in (1, 2], got {alpha!r}")
-    return alpha
 
 
 def _checked_t(t, interval: str) -> np.ndarray:

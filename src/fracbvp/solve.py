@@ -215,7 +215,8 @@ class NonlinearitySpec:
     """Nonlinearity f mapping [0, inf) into [0, inf).
 
     Kinds: ``constant`` c, ``linear`` a*u, ``power`` u**p (p > 0) and
-    ``affine`` a*u + b, with a, b, c >= 0.
+    ``affine`` a*u + b, with a, b, c >= 0.  Arguments below 0 are read as
+    0 (interpolation jitter may dip infinitesimally below zero).
     """
 
     kind: str
@@ -254,14 +255,13 @@ class NonlinearitySpec:
 
     def __call__(self, u):
         scalar = np.isscalar(u)
-        v = np.asarray(u, dtype=float)
+        v = np.maximum(np.asarray(u, dtype=float), 0.0)
         if self.kind == "constant":
             out = np.full_like(v, self.params[0])
         elif self.kind == "linear":
             out = self.params[0] * v
         elif self.kind == "power":
-            # interpolation jitter may dip infinitesimally below zero
-            out = np.power(np.maximum(v, 0.0), self.params[0])
+            out = np.power(v, self.params[0])
         else:
             out = self.params[0] * v + self.params[1]
         return float(out) if scalar else out
@@ -353,10 +353,10 @@ def solve_nonlinear(
         interp = PchipInterpolator(mesh.nodes, u)
 
         def g_reg(s):
-            return regular(s) * f(np.maximum(interp(s), 0.0))
+            return regular(s) * f(interp(s))
 
         tu = apply_green(mesh.nodes, beta_g, g_reg, alpha, mesh)
-        if np.all(np.isfinite(f(np.maximum(u, 0.0)))):
+        if np.all(np.isfinite(f(u))):
             # a non-finite image of a finite f(u) is a quadrature breakdown;
             # an f(u) that overflows is Picard divergence, stopped below
             require_finite(tu)
@@ -388,7 +388,7 @@ def solve_nonlinear(
     solution = GridFunction(mesh, u, alpha)
     # h(0) is infinite for singular weights; the residual ignores the origin
     with np.errstate(invalid="ignore"):
-        g_nodes = w(mesh.nodes) * f(np.maximum(solution.values, 0.0))
+        g_nodes = w(mesh.nodes) * f(solution.values)
     stats = gl_residual(solution, g_nodes, alpha, residual_m)
     return SolveReport(
         solution=solution,

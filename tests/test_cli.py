@@ -70,6 +70,7 @@ def test_parse_weight_with_sum():
         ("power:0*sum:1", 13),
         ("power:0*sum:1,-0.5", 14),
         ("power:0*sum:1,0.5;;", 18),
+        ("power:0*sum:1,0x", 15),
     ],
 )
 def test_parse_weight_errors_carry_positions(text, pos):
@@ -101,6 +102,76 @@ def test_parse_nonlinearity():
     for bad in ("cubic:1", "affine:1", "power:0", "const:1x"):
         with pytest.raises(WeightParseError):
             parse_nonlinearity(bad)
+
+
+@pytest.mark.parametrize(
+    "text,pos",
+    [
+        ("const", 5),
+        ("const:", 6),
+        ("const:1x", 7),
+        ("affine:1,", 9),
+        # NonlinearitySpec judges the parameters of each kind
+        ("affine:1", 7),
+        ("power:0", 6),
+    ],
+)
+def test_parse_nonlinearity_errors_carry_positions(text, pos):
+    with pytest.raises(WeightParseError) as err:
+        parse_nonlinearity(text)
+    assert err.value.position == pos
+
+
+# --- usage and validation errors ------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv,fragment",
+    [
+        (["solve", "--weight", "power:0"], "required: --alpha"),
+        (["frobnicate"], "invalid choice: 'frobnicate'"),
+        (["solve", "--alpha", "1.5", "--weight", "power:0", "--n", "abc"],
+         "invalid int value: 'abc'"),
+        # classify takes none of solve's Picard flags
+        (["classify", "--alpha", "1.6", "--weight", "power:1.2", "--tol", "1e-6"],
+         "unrecognized arguments: --tol 1e-6"),
+        # and --f is not read as an abbreviation of --forcing
+        (["classify", "--alpha", "1.6", "--f", "power:1.2"],
+         "unrecognized arguments: --f power:1.2"),
+    ],
+)
+def test_usage_errors_exit_3_and_write_nothing(tmp_path, capsys, monkeypatch, argv, fragment):
+    monkeypatch.chdir(tmp_path)
+    code = main(argv)
+    assert code == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.err.startswith("usage error: ")
+    assert fragment in captured.err
+    assert captured.out == ""
+    assert not any(tmp_path.iterdir())
+
+
+def test_classify_help_lists_only_its_flags(capsys):
+    with pytest.raises(SystemExit):
+        main(["classify", "--help"])
+    flags = set(re.findall(r"--[a-z-]+", capsys.readouterr().out))
+    assert flags == {"--help", "--alpha", "--weight", "--forcing", "--n", "--out"}
+
+
+@pytest.mark.parametrize("command", ["solve", "classify"])
+@pytest.mark.parametrize(
+    "flags,message",
+    [
+        (["--alpha", "2.5"], "error: order must lie in (1, 2], got 2.5"),
+        (["--alpha", "1.5", "--n", "8"], "error: need at least 16 panels, got 8"),
+    ],
+)
+def test_order_and_panel_count_are_checked_by_the_solver(tmp_path, capsys, command, flags, message):
+    out = tmp_path / "x.csv"
+    code = main([command, *flags, "--weight", "power:0", "--out", str(out)])
+    assert code == EXIT_PARSE
+    assert capsys.readouterr().err.strip() == message
+    assert not out.exists()
 
 
 # --- solve command ----------------------------------------------------------------

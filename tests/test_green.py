@@ -86,7 +86,8 @@ def test_matches_brute_force_quadrature_of_derivative_definition():
     t = 0.62
     for s in (1e-3, 0.1, 0.3, 0.55):
         x = np.linspace(t - s, t * (1.0 - s), 400001)
-        ref = np.trapezoid((alpha - 1.0) * x ** (alpha - 2.0), x) / gamma(alpha)
+        y = (alpha - 1.0) * x ** (alpha - 2.0)
+        ref = (np.diff(x) * (y[1:] + y[:-1]) / 2.0).sum() / gamma(alpha)
         assert green_eval(t, s, alpha) == pytest.approx(ref, rel=1e-8)
 
 

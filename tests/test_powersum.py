@@ -74,6 +74,14 @@ def test_eval_at_origin():
         ONE(-0.1)
 
 
+def test_eval_on_arrays_checks_the_domain():
+    with pytest.raises(ValueError, match="needs t >= 0"):
+        ONE(np.array([0.5, -0.1]))
+    with pytest.raises(SingularEvaluationError):
+        PowerSum([(1.0, -0.5)])(np.array([0.0, 0.5]))
+    assert np.array_equal(ONE(np.array([0.0, 0.5])), [1.0, 1.0])
+
+
 def test_eval_vectorized_matches_scalar():
     t = np.array([0.1, 0.4, 0.9])
     u = PowerSum([(1.3, -0.7), (-0.4, 0.3)])
@@ -246,6 +254,12 @@ def test_exact_solution_rejects_resonant_and_too_singular_forcings():
         exact_dirichlet_solution(PowerSum([(1.0, -1.0)]), 1.5)
     with pytest.raises(ExponentRangeError):
         exact_dirichlet_solution(PowerSum([(1.0, -1.6)]), 1.5)
+
+
+@pytest.mark.parametrize("alpha", [1.0, 2.5, float("nan")])
+def test_exact_solution_rejects_orders_outside_one_two(alpha):
+    with pytest.raises(ValueError, match=r"order must lie in \(1, 2\], got "):
+        exact_dirichlet_solution(ONE, alpha)
 
 
 # --- text form ------------------------------------------------------------------

@@ -80,6 +80,23 @@ def test_condition_h_examples(beta, alpha, satisfied, margin):
     assert report.exponent_margin == pytest.approx(margin, abs=1e-12)
 
 
+def test_as_weight_spec_zero_sum_and_other_types():
+    w = as_weight_spec(PowerSum([]))
+    assert w.beta == 0.0 and w.regular.is_zero
+    with pytest.raises(TypeError, match="expected WeightSpec or PowerSum, got float"):
+        as_weight_spec(1.5)
+
+
+@pytest.mark.parametrize("alpha", [1.0, 2.5, float("nan")])
+def test_orders_outside_one_two_are_rejected(alpha):
+    mesh = build_mesh(16, WeightSpec(0.0), 1.5)
+    message = r"order must lie in \(1, 2\], got "
+    with pytest.raises(ValueError, match=message):
+        apply_green(0.5, 0.0, ONE, alpha, mesh)
+    with pytest.raises(ValueError, match=message):
+        check_condition_h(WeightSpec(0.0), alpha)
+
+
 def test_condition_h_uses_minimum_regular_exponent():
     w = WeightSpec(1.9, PowerSum([(1.0, 0.6), (2.0, 2.0)]))
     report = check_condition_h(w, 1.5)
@@ -115,6 +132,18 @@ def test_mesh_validation():
         build_mesh(64, WeightSpec(1.6), 1.5)
     with pytest.raises(ValueError):
         GradedMesh.from_grading(8, 1.0)
+
+
+def test_mesh_rejects_malformed_nodes():
+    nodes = np.linspace(0.0, 1.0, 17)
+    with pytest.raises(ValueError, match=r"node count must be n \+ 1"):
+        GradedMesh(16, 1.0, nodes[:-1])
+    with pytest.raises(ValueError, match="mesh must span"):
+        GradedMesh(16, 1.0, 0.5 * nodes)
+    swapped = nodes.copy()
+    swapped[[3, 4]] = swapped[[4, 3]]
+    with pytest.raises(ValueError, match="strictly ascending"):
+        GradedMesh(16, 1.0, swapped)
 
 
 # --- Green operator -------------------------------------------------------------

@@ -69,6 +69,19 @@ def test_nonlinearity_kinds():
     assert NonlinearitySpec.power(0.5)(-1e-15) == 0.0
 
 
+def test_nonlinearity_reads_negative_arguments_as_zero():
+    u = np.array([-2.0, -1e-15, 0.0, 3.0])
+    clamped = np.array([0.0, 0.0, 0.0, 3.0])
+    for f in (
+        NonlinearitySpec.constant(2.0),
+        NonlinearitySpec.linear(1.5),
+        NonlinearitySpec.power(0.5),
+        NonlinearitySpec.affine(2.0, 1.0),
+    ):
+        assert np.array_equal(f(u), f(clamped))
+        assert f(-2.0) == f(0.0)
+
+
 def test_nonlinearity_validation():
     with pytest.raises(ValueError):
         NonlinearitySpec.power(0.0)
