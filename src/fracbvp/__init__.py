@@ -33,6 +33,7 @@ from .quadrature import (
     apply_dalpha_minus_1,
     apply_green,
     apply_green_derivative,
+    apply_operators,
     as_weight_spec,
     build_mesh,
     check_condition_h,
@@ -85,6 +86,7 @@ __all__ = [
     "apply_dalpha_minus_1",
     "apply_green",
     "apply_green_derivative",
+    "apply_operators",
     "as_weight_spec",
     "build_mesh",
     "check_condition_h",

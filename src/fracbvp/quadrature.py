@@ -34,21 +34,29 @@ once the integrands are regularized, panel count - not order - controls the
 error.
 
 The three operators share one assembly and accept any array of targets in
-one pass.  g_reg is evaluated once at each quadrature point: in one call on
-the plain panels between mesh nodes, which all targets share, and in one
-call per block of targets on the 3 x 12 points of the panels each target
-owns (origin panel, left panel ending at t, right panel starting at t).
-Over the shared panels the parts that do not depend on t reduce to prefix
-and suffix sums: (1-s)^(alpha-1) in the right parts of u and u', and both
-kernels of D^(alpha-1)u.  The left brackets of u and u' depend on t.  The
-sorted targets are taken in sub-blocks of 16 that split their shared left
-panels at one cut, the last mesh node t_c <= EPS*t_min (EPS = 0.85).  Below
-t_c, on the far panels, x = s/t <= 0.85 for every target of the sub-block,
-and the bracket is t^e times an exact power series in x with the binomial
+one pass, and several operators at one set of targets (apply_operators)
+share that pass: the shared panels, the row blocks, the values of g_reg,
+the right panel of each target and the one moment stream of the far field.
+g_reg is evaluated once at each quadrature point: in one call on the plain
+panels between mesh nodes, which all targets share, and in one call per
+block of targets on the 12 points of each panel the targets own (origin
+panel, left panel ending at t, right panel starting at t; u and u' use the
+same points, D^(alpha-1)u its own origin and left panels).  Over the shared
+panels the parts that do not depend on t reduce to prefix and suffix sums:
+(1-s)^(alpha-1) in the right parts of all three operators, and both kernels
+of D^(alpha-1)u.  The left brackets of u and u' depend on t.  The sorted
+targets are taken in sub-blocks of 16 that split their shared left panels
+at one cut, the last mesh node t_c <= EPS*t_min (EPS = 0.85).  Below t_c,
+on the far panels, x = s/t <= 0.85 for every target of the sub-block, and
+the bracket is t^e times an exact power series in x with the binomial
 coefficients of (1-x)^e, cut at a 2^-60 tail; no sum in it subtracts two
 terms of one sign.  The far panels thus reduce to power moments about t_c,
 streamed up the mesh once per sub-block; the M powers of a point (M of
 about 190 to 270) are products of two short tables, M/8 + 8 exps.  The
+moments and the factors (t_c/t)^m do not depend on e, so u and u' read one
+stream, as long as the longer of their series (one set of moments for
+several target kernels, the economy of the multipole method: Greengard and
+Rokhlin, J. Comput. Phys. 73, 1987).  The
 band, from t_c up to each target's own left panel, holds about 4% of the
 lower triangle at grading 5 and n = 2048 (6% at n = 512) and 16% at grading
 1.  From one column of a sub-block's band on, the split, the two terms of
@@ -92,6 +100,7 @@ __all__ = [
     "apply_green",
     "apply_green_derivative",
     "apply_dalpha_minus_1",
+    "apply_operators",
 ]
 
 GAUSS_ORDER = 12
@@ -230,6 +239,44 @@ def build_mesh(n: int, w, alpha: float) -> GradedMesh:
 
 # --- operator evaluation -----------------------------------------------------
 
+# The interval each operator's targets must lie in.
+_DOMAINS = {"u": "[0, 1]", "du": "(0, 1)", "dalpha": "(0, 1]"}
+
+
+def apply_operators(kinds, t, g_singular_exponent, g_regular, alpha, mesh):
+    """Several operators of the Green representation at one set of targets.
+
+    ``kinds`` is a sequence of "u" (apply_green), "du"
+    (apply_green_derivative) and "dalpha" (apply_dalpha_minus_1).  A tuple
+    with one value per kind is returned, in the order of ``kinds``, each as
+    the named function returns it; ``t`` must lie in the interval of every
+    kind requested.  The kinds share one assembly pass: the shared panels,
+    one evaluation of g_regular per quadrature point, the right panel each
+    target owns and, for u and u', the far-field moments.
+    """
+    alpha = checked_alpha(alpha)
+    t = np.asarray(t, dtype=float)
+    for kind in kinds:
+        if kind not in _DOMAINS:
+            raise ValueError(f"unknown operator {kind!r}")
+        _checked_t(t, _DOMAINS[kind])
+    # u vanishes at t = 0 and t = 1; D^(alpha-1)u is computed at t = 1.
+    keep = (t > 0.0) & ((t < 1.0) | ("dalpha" in kinds))
+    values = _green_integrals(
+        tuple(kinds), t[keep], g_singular_exponent, g_regular, alpha, mesh
+    )
+    results = []
+    for kind, value in zip(kinds, values):
+        out = np.zeros(t.shape)
+        out[keep] = value
+        if kind == "u":
+            out[t == 1.0] = 0.0
+            out = out / gamma(alpha)
+        elif kind == "du":
+            out = out * (alpha - 1.0) / gamma(alpha)
+        results.append(_as_result(out))
+    return tuple(results)
+
 
 def apply_green(t, g_singular_exponent, g_regular, alpha, mesh):
     """int_0^1 G(t,s) g(s) ds for g(s) = s^(-beta_g) g_regular(s).
@@ -239,24 +286,12 @@ def apply_green(t, g_singular_exponent, g_regular, alpha, mesh):
     accept numpy arrays of s in [0, 1].  The value is exactly 0.0 at t = 0
     and t = 1 where the kernel vanishes.
     """
-    alpha = checked_alpha(alpha)
-    t = _checked_t(t, "[0, 1]")
-    out = np.zeros(t.shape)
-    inner = (t > 0.0) & (t < 1.0)
-    out[inner] = _green_integrals(
-        "u", t[inner], g_singular_exponent, g_regular, alpha, mesh
-    )
-    return _as_result(out / gamma(alpha))
+    return apply_operators(("u",), t, g_singular_exponent, g_regular, alpha, mesh)[0]
 
 
 def apply_green_derivative(t, g_singular_exponent, g_regular, alpha, mesh):
     """u'(t) of the Green representation for t (scalar or array) in (0, 1)."""
-    alpha = checked_alpha(alpha)
-    t = _checked_t(t, "(0, 1)")
-    total = _green_integrals(
-        "du", t.ravel(), g_singular_exponent, g_regular, alpha, mesh
-    )
-    return _as_result(total.reshape(t.shape) * (alpha - 1.0) / gamma(alpha))
+    return apply_operators(("du",), t, g_singular_exponent, g_regular, alpha, mesh)[0]
 
 
 def apply_dalpha_minus_1(t, g_singular_exponent, g_regular, alpha, mesh):
@@ -266,12 +301,9 @@ def apply_dalpha_minus_1(t, g_singular_exponent, g_regular, alpha, mesh):
     no substitution is needed on the abutting panel; t = 1 is admitted with
     an empty right part.
     """
-    alpha = checked_alpha(alpha)
-    t = _checked_t(t, "(0, 1]")
-    total = _green_integrals(
-        "dalpha", t.ravel(), g_singular_exponent, g_regular, alpha, mesh
-    )
-    return _as_result(total.reshape(t.shape))
+    return apply_operators(
+        ("dalpha",), t, g_singular_exponent, g_regular, alpha, mesh
+    )[0]
 
 
 # --- internals ---------------------------------------------------------------
@@ -302,6 +334,8 @@ EPS = 0.85
 # The series in s/t keeps the terms before the first index M whose tail
 # bound |b_M| EPS^M / (1 - EPS) is below this.
 _SERIES_TAIL = 2.0**-60
+# |b_m| <= 1, so the tail test holds by index 268 at EPS = 0.85 for every e.
+_SERIES_CAP = math.ceil(math.log(_SERIES_TAIL * (1.0 - EPS)) / math.log(EPS))
 # Shared points per chunk of the moment stream: 256 points by at most 34 + 8
 # power factors each stay below the 128 KiB mmap threshold.
 _STREAM_POINTS = 256
@@ -346,53 +380,70 @@ def _gauss(a, b):
     return a[:, None] + half[:, None] * (_GL_X + 1.0), half[:, None] * _GL_W
 
 
-def _green_integrals(kind, t, beta_g, g_regular, alpha, mesh) -> np.ndarray:
-    """Unscaled operator integrals at a 1-D array of targets.
+def _bracket_exponent(kind, alpha):
+    # e of the left bracket t^e (1-s)^(alpha-1) - (t-s)^e of u and u'
+    return alpha - 1.0 if kind == "u" else alpha - 2.0
 
-    ``kind`` is "u" (Green integral), "du" (u' without its factor
-    (alpha-1)/Gamma(alpha)) or "dalpha" (D^(alpha-1)u).  Targets lie in
-    (0, 1), or (0, 1] for "dalpha".  The plain panels between mesh nodes
-    are shared by all targets (_SharedPanels); each target also owns three
-    panels (see _own_panels).  Targets are taken in ascending row blocks of
-    _TILE.
+
+def _green_integrals(kinds, t, beta_g, g_regular, alpha, mesh):
+    """Unscaled operator integrals at a 1-D array of targets, one array per kind.
+
+    ``kinds`` is a tuple of "u" (Green integral), "du" (u' without its
+    factor (alpha-1)/Gamma(alpha)) and "dalpha" (D^(alpha-1)u).  Targets
+    lie in (0, 1]; t = 1 is not admitted for "du".  The plain panels
+    between mesh nodes are shared by all targets (_SharedPanels); each
+    target also owns three panels (see _own_panels).  Targets are taken in
+    ascending row blocks of _TILE, once for all kinds.
     """
     if t.size == 0:
-        return t
+        return tuple(np.empty(0) for _ in kinds)
     beta_g = float(beta_g)
     m = _origin_substitution_order(alpha, beta_g)
-    # exponent of the left bracket t^e (1-s)^(alpha-1) - (t-s)^e of u and u'
-    e = alpha - 1.0 if kind == "u" else alpha - 2.0
     nodes = mesh.nodes
     panels = _SharedPanels.build(nodes, beta_g, g_regular, alpha)
-    if kind != "dalpha":
-        left = _LeftBracket(kind, alpha, nodes, panels)
+    # the kinds with a left bracket, u last (see _LeftBracket)
+    brackets = tuple(kind for kind in ("du", "u") if kind in kinds)
+    if brackets:
+        left = _LeftBracket(brackets, alpha, nodes, panels)
 
     order = np.argsort(t, kind="stable")
-    out = np.empty(len(t))
+    # Allocated after the shared panels: allocated before them, these small
+    # arrays changed glibc's heap layout so that an n = 2048 solve faulted
+    # in 367 fresh pages instead of 318 and ran about 5% slower.
+    out = tuple(np.empty(len(t)) for _ in kinds)
     step = _TILE // 6  # rows per sub-block of the left bracket
     for r0 in range(0, len(t), _TILE):
         rows = order[r0:r0 + _TILE]
         tb = t[rows]
-        te = None if kind == "dalpha" else tb**e
+        te = [tb ** _bracket_exponent(kind, alpha) for kind in brackets]
         # nodes[:lo] < t <= nodes[lo]; nodes[hi] is the first node above t.
         lo = np.searchsorted(nodes, tb, side="left")
         hi = np.minimum(np.searchsorted(nodes, tb, side="right"), mesh.n)
-        s, w, k = _own_panels(kind, tb, e, te, lo, hi, nodes, m, beta_g, alpha)
-        g = np.split(g_regular(np.concatenate([x.ravel() for x in s])), 3)
-        origin, tail, right = (
-            np.sum(kj * wj * gj.reshape(kj.shape), axis=1)
-            for wj, kj, gj in zip(w, k, g)
+        s, parts, right = _own_panels(
+            kinds, tb, dict(zip(brackets, te)), lo, hi, nodes, m, beta_g, alpha
         )
-        right += panels.right_sums[hi - 1]
-        total = origin + tail
-        if kind == "dalpha":
-            # shared left panels j = 1..lo-2
-            out[rows] = total + panels.left_sums[np.maximum(lo - 2, 0)] + right
-            continue
-        for q0 in range(0, len(rows), step):
-            q = slice(q0, q0 + step)
-            total[q] += left.sums(tb[q], te[q], lo[q])
-        out[rows] = total + te * right
+        g = np.split(g_regular(np.concatenate([x.ravel() for x in s])), len(s))
+        g = [gj.reshape(-1, GAUSS_ORDER) for gj in g]
+        right = np.sum(right * g[-1], axis=1) + panels.right_sums[hi - 1]
+        # origin panel plus left panel ending at t, then the shared left panels
+        total = {
+            kind: np.sum(kw0 * g[j0], axis=1) + np.sum(kw1 * g[j1], axis=1)
+            for kind, ((j0, kw0), (j1, kw1)) in parts.items()
+        }
+        if brackets:
+            totals = [total[kind] for kind in brackets]
+            for q0 in range(0, len(rows), step):
+                q = slice(q0, q0 + step)
+                sums = left.sums(tb[q], [x[q] for x in te], lo[q])
+                for acc, sk in zip(totals, sums):
+                    acc[q] += sk
+        for kind, values in zip(kinds, out):
+            if kind == "dalpha":
+                # shared left panels j = 1..lo-2
+                left_part = panels.left_sums[np.maximum(lo - 2, 0)]
+                values[rows] = total[kind] + left_part + right
+            else:
+                values[rows] = total[kind] + te[brackets.index(kind)] * right
     return out
 
 
@@ -431,20 +482,18 @@ def _series_coefficients(e: float) -> np.ndarray:
     (1-x)^e - 1 = sum b_m x^m.  |b_m| does not increase, so for x <= EPS
     the terms dropped from M on sum to at most |b_M| EPS^M / (1 - EPS),
     below _SERIES_TAIL.  For 0 < e < 1 every b_m < 0, for e < 0 every
-    b_m > 0; e = 1 keeps the one term -x and e = 0 none.
+    b_m > 0; e = 1 keeps the one term -x and e = 0 none.  The recurrence
+    b_m = b_(m-1) (m-1-e)/m is the running product of gl_weights, taken to
+    _SERIES_CAP terms, past which the tail test holds for any e.
     """
-    coeffs = []
-    b = 1.0
-    while True:
-        m = len(coeffs) + 1
-        b *= (m - 1.0 - e) / m
-        if abs(b) * EPS**m / (1.0 - EPS) < _SERIES_TAIL:
-            return np.array(coeffs)
-        coeffs.append(b)
+    m = np.arange(1.0, _SERIES_CAP + 1.0)
+    b = np.cumprod((m - 1.0 - e) / m)
+    below = np.abs(b) * EPS**m / (1.0 - EPS) < _SERIES_TAIL
+    return b[:int(np.argmax(below))]
 
 
 class _LeftBracket:
-    """Sums of the left bracket of u or u' over the shared panels left of t.
+    """Sums of the left brackets of u and u' over the shared panels left of t.
 
     A target t with nodes[lo-1] < t <= nodes[lo] sums B_e(t, s) w(s) g(s)
     over the shared panels j = 1..lo-2.  The targets of one call share one
@@ -467,20 +516,31 @@ class _LeftBracket:
     the bracket kernel up to a column ``split``; from there on the two terms
     of B_e differ by a factor of two or more in every row, so they are
     summed apart and subtracted once per row (_band).
+
+    Phi and the factors (t_c/t)^m do not depend on e, so the kinds of one
+    instance ("u", "du" or both) share one moment stream, as long as the
+    longer of their series, and one table of (t_c/t)^m per call; each kind
+    has its own band.  Sums come back in the order of ``kinds``, which must
+    end with "u" if it holds "u".
     """
 
-    def __init__(self, kind, alpha, nodes, panels: _SharedPanels):
-        self.u = kind == "u"
+    def __init__(self, kinds, alpha, nodes, panels: _SharedPanels):
+        # u multiplies its factors t^m - 1 into the shared table of
+        # (t_c/t)^m Phi_m in place, so it must be the last kind
+        if "u" in kinds[:-1]:
+            raise ValueError(f"u must be the last kind, got {kinds!r}")
+        self.kinds = kinds
         self.alpha = alpha
-        self.e = alpha - 1.0 if self.u else alpha - 2.0
+        self.es = tuple(_bracket_exponent(kind, alpha) for kind in kinds)
         self.nodes, self.panels = nodes, panels
-        self.b = _series_coefficients(self.e)
-        self.m = np.arange(1.0, len(self.b) + 1.0)
+        self.b = tuple(_series_coefficients(e) for e in self.es)
+        size = max(len(b) for b in self.b)
+        self.m = np.arange(1.0, size + 1.0)
         # (s/t_c)^m = (s/t_c)^(8q) (s/t_c)^(j+1) for m = 8q + j + 1: Q + 8
         # exps per point give all M powers.
-        self.m_coarse = 8.0 * np.arange(-(-len(self.b) // 8))
+        self.m_coarse = 8.0 * np.arange(-(-size // 8))
         self.m_fine = np.arange(1.0, 9.0)
-        self.phi = np.zeros(len(self.b))
+        self.phi = np.zeros(size)
         self.cut = 1
         # the band's columns, flattened
         self.s, self.wg, self.log_s, self.pow_s = (
@@ -488,26 +548,38 @@ class _LeftBracket:
         )
 
     def sums(self, t, te, lo):
-        """The sums at ascending targets ``t``, with te = t^e and lo as above."""
+        """The sums at ascending targets ``t``, one array per kind.
+
+        ``te[i]`` is t^e of the i-th kind, and ``lo`` is as above.
+        """
         # t_c <= EPS * t[0]; no shared point lies below t_1
         cut = max(int(np.searchsorted(self.nodes, EPS * t[0], side="right")) - 1, 1)
-        far_sum = self._series(t, cut)
-        if not self.u:
-            far_sum = self.panels.left_sums[cut - 1] - far_sum
+        start = GAUSS_ORDER * (cut - 1)
         stop = GAUSS_ORDER * np.maximum(lo - 2, 0)
-        return te * far_sum + self._band(t, te, GAUSS_ORDER * (cut - 1), stop)
+        out = []
+        for kind, e, te_k, far_sum in zip(self.kinds, self.es, te, self._series(t, cut)):
+            if kind == "du":
+                far_sum = self.panels.left_sums[cut - 1] - far_sum
+            out.append(te_k * far_sum + self._band(t, te_k, e, start, stop))
+        return out
 
     def _series(self, t, cut):
-        # sum_m b_m (t^m - 1) x^m (u) or sum_m b_m x^m (u') over s < t_c
-        if not len(self.b) or cut == 1:
-            return np.zeros(len(t))
+        # sum_m b_m (t^m - 1) x^m (u) or sum_m b_m x^m (u') over s < t_c,
+        # one array per kind
+        if not len(self.m) or cut == 1:
+            return [np.zeros(len(t)) for _ in self.kinds]
         self._advance(cut)
         log_t = np.log(t)[:, None]
         x_moments = np.exp((math.log(self.nodes[cut]) - log_t) * self.m)
         x_moments *= self.phi
-        if self.u:
-            x_moments *= np.expm1(log_t * self.m)
-        return x_moments @ self.b
+        out = []
+        for kind, b in zip(self.kinds, self.b):
+            x = x_moments[:, :len(b)]
+            if kind == "u":  # the last kind: scale the table in place
+                factor = log_t * self.m[:len(b)]
+                x *= np.expm1(factor, out=factor)
+            out.append(x @ b)
+        return out
 
     def _advance(self, cut):
         # Phi(cut) from Phi(self.cut), adding the shared points in
@@ -523,10 +595,11 @@ class _LeftBracket:
             coarse = log_r * self.m_coarse
             np.exp(coarse, out=coarse)
             coarse *= self.wg[p, None]
-            self.phi += (coarse.T @ np.exp(log_r * self.m_fine)).ravel()[:len(self.b)]
+            self.phi += (coarse.T @ np.exp(log_r * self.m_fine)).ravel()[:len(self.m)]
         self.cut = cut
 
-    def _split_bound(self, t):
+    @staticmethod
+    def _split_bound(t, e):
         # From s = this bound on, the two terms of B_e at t differ by a
         # factor of two or more: t^e (1-s)^(alpha-1) >= 2 (t-s)^e for u once
         # s >= K t / (1 + K - t), K = 2^(1/e) - 1, and (t-s)^e >= 2 t^e >=
@@ -535,20 +608,20 @@ class _LeftBracket:
         # 1 - s and 1 and never split; for 0 < e <= 2^-10 (u at alpha up to
         # 1 + 2^-10) K overflows, and the bound would lie within t (1-t)/K
         # of t, closer than any double below t, so no column splits either.
-        if self.e < 0.0:
-            return (1.0 - 2.0 ** (1.0 / self.e)) * t
-        if self.e > 2.0**-10:
-            k = 2.0 ** (1.0 / self.e) - 1.0
+        if e < 0.0:
+            return (1.0 - 2.0 ** (1.0 / e)) * t
+        if e > 2.0**-10:
+            k = 2.0 ** (1.0 / e) - 1.0
             return k * t / (1.0 + k - t)
         return math.inf
 
-    def _band(self, t, te, start, stop):
+    def _band(self, t, te, e, start, stop):
         # The bracket over the columns start..stop-1 of each row.  Columns
         # from ``split`` on, where the two terms differ by a factor of two
         # or more in every row (condition number at most 3), are summed term
         # by term; those before it go through the bracket kernel.
         hi = int(stop.max())
-        bound = self._split_bound(t[-1])
+        bound = self._split_bound(t[-1], e)
         # The two sums cost a second pass, which pays only when it takes at
         # least half of the band's columns.  At small n the rows of a
         # sub-block spread widely (t_max/t_min >= 1.8 at n = 128, grading
@@ -560,9 +633,9 @@ class _LeftBracket:
             split = start + int(self.s[start:mid].searchsorted(bound))
         else:
             split = hi
-        total = self._kernel_tiles(t, te, start, split, stop)
+        total = self._kernel_tiles(t, te, e, start, split, stop)
         if split < hi:
-            total += self._two_sums(t, te, split, hi, stop)
+            total += self._two_sums(t, te, e, split, hi, stop)
         return total
 
     @staticmethod
@@ -578,13 +651,13 @@ class _LeftBracket:
             else:
                 yield cols, np.arange(cols.start, cols.stop) < stop[:, None]
 
-    def _kernel_tiles(self, t, te, start, end, stop):
+    def _kernel_tiles(self, t, te, e, start, end, stop):
         # The bracket kernel over the columns start..min(stop, end)-1 of each
         # row, in tiles of len(t) rows.
         total = np.zeros(len(t))
         tc, tec = t[:, None], te[:, None]
         for cols, mine in self._tiles(start, end, stop):
-            args = (tc, self.s[None, cols], self.alpha, self.e, tec,
+            args = (tc, self.s[None, cols], self.alpha, e, tec,
                     (self.log_s[cols], self.pow_s[cols]))
             if mine is None:
                 total += bracket_values(*args) @ self.wg[cols]
@@ -595,7 +668,7 @@ class _LeftBracket:
             total += np.where(mine, kern, 0.0) @ self.wg[cols]
         return total
 
-    def _two_sums(self, t, te, split, hi, stop):
+    def _two_sums(self, t, te, e, split, hi, stop):
         # t^e sum (1-s)^(alpha-1) w g - sum (t-s)^e w g over the columns
         # split..stop-1 of each row: the first sum from one running sum over
         # the columns, the second in the tiles of _kernel_tiles, with
@@ -611,63 +684,77 @@ class _LeftBracket:
             x = tc - self.s[cols]
             if mine is not None:
                 np.maximum(x, _TINY, out=x)
-            np.power(x, self.e, out=x)
+            np.power(x, e, out=x)
             if mine is not None:
                 x *= mine
             total -= x @ self.wg[cols]
         return total
 
 
-def _own_panels(kind, t, e, te, lo, hi, nodes, m, beta_g, alpha):
-    """Points, weights and kernel values of the panels each target owns.
+def _origin_panel(end, m, beta_g):
+    # Points and weights of the origin panels [0, end_i] under s = tau^m; the
+    # Jacobian and the singular power fold into one smooth tau power.
+    tau_hi = end ** (1.0 / m)
+    tau = 0.5 * tau_hi[:, None] * (_GL_X + 1.0)
+    w = 0.5 * tau_hi[:, None] * _GL_W * m * np.power(tau, m - 1.0 - m * beta_g)
+    return tau**m, w
 
-    Three (len(t), GAUSS_ORDER) arrays each, for: the origin panel, the left
-    panel ending at t, and the right panel [t, nodes[hi]].  The weights
-    carry s^(-beta_g) and the Jacobians; the right kernel is (1-s)^(alpha-1).
-    ``e`` is the exponent of the left bracket of u or u' and ``te`` is t^e
-    (unused for "dalpha").
+
+def _own_panels(kinds, t, te, lo, hi, nodes, m, beta_g, alpha):
+    """Points of the panels each target owns, and each kind's weights on them.
+
+    Returns (points, parts, right).  ``points`` is a list of (len(t),
+    GAUSS_ORDER) arrays: for u and u' the origin panel and the left panel
+    ending at t, which the two share; for D^(alpha-1)u its own two; last the
+    right panel [t, nodes[hi]], which all kinds share.  ``parts`` maps each
+    kind to its two (index into points, kernel times weight) pairs, and
+    ``right`` is the right kernel (1-s)^(alpha-1) times the weights.  The
+    weights carry s^(-beta_g) and the Jacobians; ``te`` maps each of u and
+    u' that is asked for to t^e, e the exponent of its left bracket.
     """
     a1 = alpha - 1.0
     tc = t[:, None]
-    # t inside the first mesh panel: the origin panel ends at t, or at t/2
-    # to keep it apart from the s = t substitution of u and u'.
-    cut = t if kind == "dalpha" else 0.5 * t
     first = lo == 1
-    origin_end = np.where(first, cut, nodes[1])
-    tail_start = np.where(first, cut, nodes[lo - 1])
-
-    # Origin panel under s = tau^m; the Jacobian and the singular power fold
-    # into one smooth tau power.
-    tau_hi = origin_end ** (1.0 / m)
-    tau = 0.5 * tau_hi[:, None] * (_GL_X + 1.0)
-    s0 = tau**m
-    w0 = 0.5 * tau_hi[:, None] * _GL_W * m * np.power(tau, m - 1.0 - m * beta_g)
-    if kind == "dalpha":
-        k0 = _dalpha_bracket(s0, alpha)
-    else:
-        k0 = bracket_values(tc, s0, alpha, e, te[:, None])
-
-    # Left panel ending at t.  For u and u' it is mapped by s = t - tau^p,
-    # p = 1/(alpha-1): (t-s)^(alpha-1) becomes tau, and (t-s)^(alpha-2) ds
-    # reduces to dtau/(alpha-1).
-    if kind == "dalpha":
-        s1, w1 = _gauss(tail_start, t)
-        w1 = w1 * np.power(s1, -beta_g)
-        k1 = _dalpha_bracket(s1, alpha)
-    else:
+    points, parts = [], {}
+    if te:
+        # t inside the first mesh panel: the origin panel ends at t/2, to
+        # keep it apart from the s = t substitution.
+        cut = 0.5 * t
+        s0, w0 = _origin_panel(np.where(first, cut, nodes[1]), m, beta_g)
+        # The left panel is mapped by s = t - tau^p, p = 1/(alpha-1):
+        # (t-s)^(alpha-1) becomes tau, and (t-s)^(alpha-2) ds reduces to
+        # dtau/(alpha-1).
         p = 1.0 / a1
-        tau_hi = (t - tail_start) ** a1
+        tau_hi = (t - np.where(first, cut, nodes[lo - 1])) ** a1
         tau = 0.5 * tau_hi[:, None] * (_GL_X + 1.0)
         s1 = tc - tau**p
         w1 = 0.5 * tau_hi[:, None] * _GL_W * p * np.power(s1, -beta_g)
-        if kind == "u":
-            k1 = np.power(tc * (1.0 - s1), a1) - tau
-            w1 = w1 * np.power(tau, p - 1.0)
-        else:
-            k1 = te[:, None] * np.power(1.0 - s1, a1) * np.power(tau, p - 1.0)
-            k1 -= 1.0
+        jacobian = np.power(tau, p - 1.0)
+        for kind in te:
+            k0 = bracket_values(tc, s0, alpha, _bracket_exponent(kind, alpha),
+                                te[kind][:, None])
+            if kind == "u":
+                kw1 = (np.power(tc * (1.0 - s1), a1) - tau) * (w1 * jacobian)
+            else:
+                k1 = te[kind][:, None] * np.power(1.0 - s1, a1) * jacobian
+                k1 -= 1.0
+                kw1 = k1 * w1
+            parts[kind] = [(0, k0 * w0), (1, kw1)]
+        points += [s0, s1]
+    if "dalpha" in kinds:
+        # no substitution on the left panel; in the first mesh panel the
+        # origin panel ends at t
+        s0, w0 = _origin_panel(np.where(first, t, nodes[1]), m, beta_g)
+        s1, w1 = _gauss(np.where(first, t, nodes[lo - 1]), t)
+        w1 = w1 * np.power(s1, -beta_g)
+        j = len(points)
+        parts["dalpha"] = [
+            (j, _dalpha_bracket(s0, alpha) * w0),
+            (j + 1, _dalpha_bracket(s1, alpha) * w1),
+        ]
+        points += [s0, s1]
 
     s2, w2 = _gauss(t, nodes[hi])
     w2 = w2 * np.power(s2, -beta_g)
-    k2 = np.power(1.0 - s2, a1)
-    return (s0, s1, s2), (w0, w1, w2), (k0, k1, k2)
+    points.append(s2)
+    return points, parts, np.power(1.0 - s2, a1) * w2

@@ -210,6 +210,15 @@ class GridFunction:
         return float(np.max(np.abs(self.values)))
 
 
+# Each nonlinearity kind and the rule its parameters must satisfy.
+_PARAMETER_RULES = {
+    "constant": lambda p: len(p) == 1 and p[0] >= 0.0,
+    "linear": lambda p: len(p) == 1 and p[0] >= 0.0,
+    "power": lambda p: len(p) == 1 and p[0] > 0.0,
+    "affine": lambda p: len(p) == 2 and p[0] >= 0.0 and p[1] >= 0.0,
+}
+
+
 @dataclass(frozen=True)
 class NonlinearitySpec:
     """Nonlinearity f mapping [0, inf) into [0, inf).
@@ -222,17 +231,13 @@ class NonlinearitySpec:
     kind: str
     params: tuple[float, ...]
 
+    KINDS = tuple(_PARAMETER_RULES)
+
     def __post_init__(self):
         p = self.params
-        ok = {
-            "constant": lambda: len(p) == 1 and p[0] >= 0.0,
-            "linear": lambda: len(p) == 1 and p[0] >= 0.0,
-            "power": lambda: len(p) == 1 and p[0] > 0.0,
-            "affine": lambda: len(p) == 2 and p[0] >= 0.0 and p[1] >= 0.0,
-        }
-        if self.kind not in ok:
+        if self.kind not in _PARAMETER_RULES:
             raise ValueError(f"unknown nonlinearity kind {self.kind!r}")
-        if not all(math.isfinite(v) for v in p) or not ok[self.kind]():
+        if not all(math.isfinite(v) for v in p) or not _PARAMETER_RULES[self.kind](p):
             raise ValueError(
                 f"invalid parameters {p!r} for nonlinearity {self.kind!r}"
             )
@@ -317,6 +322,16 @@ def solve_linear(g, alpha: float, n: int = 512) -> GridFunction:
     return GridFunction(mesh, values, alpha)
 
 
+def check_picard_controls(tol: float, max_iter: int, damping: float) -> None:
+    """ValueError unless the Picard stopping tolerance, sweep limit and damping are valid."""
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter!r}")
+    if not 0.0 < damping <= 1.0:
+        raise ValueError(f"damping must lie in (0, 1], got {damping!r}")
+
+
 def solve_nonlinear(
     w,
     f: NonlinearitySpec,
@@ -335,12 +350,7 @@ def solve_nonlinear(
     sweeps; nonconvergence is reported, not raised.  FloatingPointError is
     raised if the quadrature maps a finite iterate to non-finite values.
     """
-    if not 0.0 < tol < math.inf:
-        raise ValueError(f"tol must be positive and finite, got {tol!r}")
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter!r}")
-    if not 0.0 < damping <= 1.0:
-        raise ValueError(f"damping must lie in (0, 1], got {damping!r}")
+    check_picard_controls(tol, max_iter, damping)
     w = as_weight_spec(w)
     mesh = build_mesh(n, w, alpha)
     beta_g, regular = w.singular_decomposition()

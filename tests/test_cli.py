@@ -114,6 +114,8 @@ def test_parse_nonlinearity():
         # NonlinearitySpec judges the parameters of each kind
         ("affine:1", 7),
         ("power:0", 6),
+        # an unknown kind is at fault from its first character
+        ("cubic:1", 0),
     ],
 )
 def test_parse_nonlinearity_errors_carry_positions(text, pos):
@@ -272,6 +274,21 @@ def test_solve_rejects_non_finite_tol(tmp_path, flag, value):
 
 
 @pytest.mark.parametrize(
+    "flag,value",
+    [("--tol", "nan"), ("--damping", "7"), ("--max-iter", "-3")],
+)
+def test_solve_forcing_checks_the_picard_flags(tmp_path, capsys, flag, value):
+    # The linear path does not iterate, but a bad Picard flag is still the
+    # validation error it is with --weight, and nothing is written.
+    out = tmp_path / "x.csv"
+    for problem in (["--forcing", "power:0"], ["--weight", "power:0"]):
+        code = main(["solve", "--alpha", "1.5", *problem, flag, value, "--out", str(out)])
+        assert code == EXIT_PARSE
+        assert capsys.readouterr().out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "flag,text", [("--weight", "power:abc"), ("--forcing", "1*t^")]
 )
 def test_solve_malformed_grammar_exits_with_position(tmp_path, capsys, flag, text):
@@ -321,21 +338,26 @@ def _nan_operator(t, *args):
     return np.full(np.shape(t), np.nan)
 
 
+def _nan_operators(kinds, t, *args):
+    return tuple(_nan_operator(t) for _ in kinds)
+
+
 @pytest.mark.parametrize(
     "flag,target",
     [
         # the linear and the Picard path meet non-finite values of u
         ("--forcing", "fracbvp.solve.apply_green"),
         ("--weight", "fracbvp.solve.apply_green"),
-        # a finite solution, non-finite du or q
-        ("--weight", "fracbvp.cli.apply_green_derivative"),
+        # a finite solution, non-finite du and q inside (0, 1), or q at t = 1
+        ("--weight", "fracbvp.cli.apply_operators"),
         ("--forcing", "fracbvp.cli.apply_dalpha_minus_1"),
     ],
 )
 def test_solve_non_finite_quadrature_exits_4(tmp_path, capsys, monkeypatch, flag, target):
     # A quadrature breakdown is exit 4 with its own message on both paths,
     # not a validation error (3) and not a status line holding a NaN.
-    monkeypatch.setattr(target, _nan_operator)
+    stub = _nan_operators if target.endswith("apply_operators") else _nan_operator
+    monkeypatch.setattr(target, stub)
     code = main([
         "solve", "--alpha", "1.6", flag, "power:1.2",
         "--n", "64", "--out", str(tmp_path / "x.csv"),

@@ -13,6 +13,7 @@ from fracbvp import (
     apply_dalpha_minus_1,
     apply_green,
     apply_green_derivative,
+    apply_operators,
     as_weight_spec,
     build_mesh,
     check_condition_h,
@@ -357,6 +358,96 @@ def test_tiling_does_not_change_values(monkeypatch, w, alpha):
         assert np.all(np.abs(got - whole) <= bound)
 
 
+# --- several operators in one pass -------------------------------------------------
+
+# forcings of the operator parity set: a strongly singular weight, constants
+# at the classical and a fractional order, the README's forcings u3 and u1,
+# a weight that changes sign, and margins of 0.1 and 0.15
+_PARITY_PROBLEMS = {
+    "t^-1.2@1.6": (WeightSpec(1.2), 1.6),
+    "1@2": (WeightSpec(0.0), 2.0),
+    "1@1.5": (WeightSpec(0.0), 1.5),
+    "u3@1.5": (as_weight_spec(forcing("u3")), ALPHA_PAIRS),
+    "u1@1.5": (as_weight_spec(forcing("u1")), ALPHA_PAIRS),
+    "signed@1.3": (WeightSpec(0.5, PowerSum([(1.0, 0.0), (-2.5, 0.5)])), 1.3),
+    "t^-0.95@1.05": (WeightSpec(0.95), 1.05),
+    "t^-1.8@1.95": (WeightSpec(1.8, PowerSum([(2.0, 0.0), (1.0, 0.7)])), 1.95),
+}
+_SINGLE = {"u": apply_green, "du": apply_green_derivative, "dalpha": apply_dalpha_minus_1}
+
+
+@pytest.mark.parametrize("n", [16, 128, 512])
+@pytest.mark.parametrize("problem", list(_PARITY_PROBLEMS))
+def test_operators_in_one_pass_match_single_calls(problem, n):
+    # The three operators requested at once share the shared panels, g on
+    # the own panels, the right panel and the moment stream (as long as
+    # the longer of the two series); each must still agree with its own
+    # call.  Targets: interior nodes, random points, nodes x (1 +- 1e-12),
+    # a point far below t_1 and one next to t = 1.
+    w, alpha = _PARITY_PROBLEMS[problem]
+    mesh = build_mesh(n, w, alpha)
+    beta_g, reg = w.singular_decomposition()
+    inner = mesh.nodes[1:-1]
+    t = np.concatenate((
+        inner, np.random.default_rng(n).uniform(0.0, 1.0, 200),
+        inner * (1.0 + 1e-12), inner * (1.0 - 1e-12), [1.4e-17, 1.0 - 1e-9],
+    ))
+    t = t[(t > 0.0) & (t < 1.0)]
+    kinds = ("u", "du", "dalpha")
+    fused = apply_operators(kinds, t, beta_g, reg, alpha, mesh)
+    for kind, got in zip(kinds, fused):
+        single = _SINGLE[kind](t, beta_g, reg, alpha, mesh)
+        _assert_within_bound(got, single)
+
+
+def test_operators_in_one_pass_keep_each_domain():
+    w, alpha = WeightSpec(1.2), 1.6
+    mesh = build_mesh(64, w, alpha)
+    # scalar targets give floats, in the order asked for
+    u, dalpha = apply_operators(("u", "dalpha"), 0.3, 1.2, ONE, alpha, mesh)
+    assert u == apply_green(0.3, 1.2, ONE, alpha, mesh)
+    assert dalpha == apply_dalpha_minus_1(0.3, 1.2, ONE, alpha, mesh)
+    # t = 1 is computed for D^(alpha-1)u, while u stays exactly 0 there
+    t = np.array([[0.5], [1.0]])
+    u, dalpha = apply_operators(("u", "dalpha"), t, 1.2, ONE, alpha, mesh)
+    assert u.shape == dalpha.shape == (2, 1) and u[1, 0] == 0.0
+    assert dalpha[1, 0] == apply_dalpha_minus_1(1.0, 1.2, ONE, alpha, mesh)
+    assert apply_operators((), t, 1.2, ONE, alpha, mesh) == ()
+    # every kind's interval applies: u' takes neither t = 0 nor t = 1
+    for bad in (0.0, 1.0):
+        with pytest.raises(ValueError, match=r"\(0, 1\)"):
+            apply_operators(("u", "du"), [0.5, bad], 1.2, ONE, alpha, mesh)
+    with pytest.raises(ValueError, match="unknown operator"):
+        apply_operators(("u", "d2u"), 0.5, 1.2, ONE, alpha, mesh)
+
+
+def _series_by_recurrence(e):
+    # the loop the vectorized _series_coefficients replaced: b_m by the
+    # recurrence, appended until the tail bound drops below _SERIES_TAIL
+    coeffs, b, m = [], 1.0, 1
+    while True:
+        b *= (m - 1.0 - e) / m
+        if abs(b) * quadrature.EPS**m / (1.0 - quadrature.EPS) < quadrature._SERIES_TAIL:
+            return np.array(coeffs)
+        coeffs.append(b)
+        m += 1
+
+
+def test_series_coefficients_match_the_recurrence():
+    es = np.concatenate((
+        np.linspace(-1.0, 1.0, 2001)[1:], [1e-12, -1e-12, 2.0**-10, -0.999999, 0.6, -0.4],
+    ))
+    lengths = set()
+    for e in es:
+        got = quadrature._series_coefficients(float(e))
+        ref = _series_by_recurrence(float(e))
+        assert got.shape == ref.shape and np.array_equal(got, ref), e
+        lengths.add(len(got))
+    # e = 0 keeps no term and e = 1 one; the longest series fits the cap
+    assert min(lengths) == 0 and 1 in lengths
+    assert max(lengths) < quadrature._SERIES_CAP
+
+
 def _far_field_targets(mesh, rng):
     # nodes, off-mesh points, points below t_1, targets whose far-field cut
     # falls on one of the first nodes, targets next to t = 1, where the far
@@ -407,9 +498,9 @@ def _far_field_case(grading, alpha, kind, reg=_POSITIVE):
 
 
 def _left_bracket_sums(kind, alpha, mesh, panels, t, e, lo, rows):
-    left = quadrature._LeftBracket(kind, alpha, mesh.nodes, panels)
+    left = quadrature._LeftBracket((kind,), alpha, mesh.nodes, panels)
     return np.concatenate([
-        left.sums(t[q:q + rows], t[q:q + rows] ** e, lo[q:q + rows])
+        left.sums(t[q:q + rows], (t[q:q + rows] ** e,), lo[q:q + rows])[0]
         for q in range(0, len(t), rows)
     ])
 
@@ -489,9 +580,9 @@ def test_two_sums_match_full_bracket_block(monkeypatch, alpha, kind, reg):
     count = [0]
     two_sums = quadrature._LeftBracket._two_sums
 
-    def counted(self, t, te, split, hi, stop):
+    def counted(self, t, te, e, split, hi, stop):
         count[0] += int(np.sum(np.maximum(stop - split, 0)))
-        return two_sums(self, t, te, split, hi, stop)
+        return two_sums(self, t, te, e, split, hi, stop)
 
     monkeypatch.setattr(quadrature._LeftBracket, "_two_sums", counted)
     got = _left_bracket_sums(kind, alpha, mesh, panels, t, e, lo, 16)

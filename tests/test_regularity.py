@@ -6,9 +6,11 @@ from fracbvp import (
     NO,
     YES,
     ConditionHError,
+    GradedMesh,
     GreenProblem,
     PowerSum,
     WeightSpec,
+    apply_green,
     classical_derivative,
     classify,
     frac_derivative,
@@ -127,6 +129,49 @@ def test_limit_extrapolation_matches_closed_form():
     assert report.p_limit_estimate == pytest.approx(
         0.6 * 2.2181595437576882, rel=1e-4
     )
+
+
+@pytest.mark.parametrize(
+    "problem",
+    [weight_problem(1.2, 1.6), pair_problem("u3"), weight_problem(0.0, 2.0, 128)],
+    ids=["t^-1.2@1.6", "u3@1.5", "1@2"],
+)
+def test_classify_is_the_composition_of_the_profiles(problem):
+    # classify takes u, q and p from one assembly pass; its report is the
+    # one that q_profile, p_profile and apply_green give at its points,
+    # within 1e-12 relative plus 1e-15 of the largest value.
+    report = classify(problem)
+    beta_g, reg = problem.decomposition()
+    alpha, mesh = problem.alpha, problem.mesh
+    ts = [t for t, _, _ in report.samples]
+    grid = GradedMesh.from_grading(512, mesh.grading).nodes
+    pts = np.union1d(grid[(grid > 0.0) & (grid < 1.0)], ts)
+    q = np.array(q_profile(problem, pts))[:, 1]
+    p = np.array(p_profile(problem, pts))[:, 1]
+    u = apply_green(pts, beta_g, reg, alpha, mesh)
+    probes = np.searchsorted(pts, ts)
+
+    def close(got, ref, scale):
+        return abs(got - ref) <= 1e-12 * abs(ref) + 1e-15 * scale
+
+    q_scale, p_scale = np.max(np.abs(q)), np.max(np.abs(p))
+    for (t, qs, ps), qr, pr in zip(report.samples, q[probes], p[probes]):
+        assert close(qs, qr, q_scale) and close(ps, pr, p_scale), t
+    u_max = np.max(np.abs(u))
+    for norm, profile_max, verdict in (
+        (report.e_alpha_norm, q_scale, report.in_E_alpha),
+        (report.c1_norm, p_scale, report.in_C1_2ma),
+    ):
+        if verdict == NO:
+            assert norm is None
+        else:
+            assert close(norm, u_max + profile_max, u_max + profile_max)
+    ref_q, ref_p = _stabilization_verdict(q[probes]), _stabilization_verdict(p[probes])
+    assert (report.in_E_alpha, report.in_C1_2ma) == (ref_q[0], ref_p[0])
+    for got, ref in ((report.q_limit_estimate, ref_q[1]), (report.p_limit_estimate, ref_p[1])):
+        assert (got is None) == (ref is None)
+        if got is not None:
+            assert close(got, ref, abs(ref))
 
 
 def test_problem_build_rejects_condition_h_violation():
