@@ -22,12 +22,13 @@ bracket, t^e (1-s)^(a-1) - (t-s)^e with e = a-1 and e = a-2
 Three constructions replace adaptivity:
 
 * panels follow a graded mesh t_i = (i/n)^grading, refined toward 0;
-* the first panel [0, e] is mapped by s = tau^m, m = ceil(2/(alpha-beta_g)),
-  which turns the leading s^(margin-1)-type behaviour into a smooth power;
-* the panel ending at s = t (for u and u', whose bracket has a kink or an
-  (t-s)^(alpha-2) blow-up there) is mapped by s = t - tau^(1/(alpha-1)),
-  which absorbs the singular factor into the Jacobian exactly; elsewhere
-  u and u' use the bracket kernel itself.
+* the origin panel [0, t_1], and for a target t <= t_1 the piece [0, t/2],
+  is mapped by s = tau^m, m = ceil(2/(alpha-beta_g)), which turns the
+  leading s^(margin-1)-type behaviour into a smooth power;
+* the piece of the target's panel that ends at s = t (for u and u', whose
+  bracket has a kink or an (t-s)^(alpha-2) blow-up there) is mapped by
+  s = t - tau^(1/(alpha-1)), which absorbs the singular factor into the
+  Jacobian exactly; elsewhere u and u' use the bracket kernel itself.
 
 Fixed-order Gauss-Legendre (12 points) is used on every transformed panel:
 once the integrands are regularized, panel count - not order - controls the
@@ -36,13 +37,14 @@ error.
 The three operators share one assembly and accept any array of targets in
 one pass, and several operators at one set of targets (apply_operators)
 share that pass: the shared panels, the row blocks, the values of g_reg,
-the right panel of each target and the one moment stream of the far field.
-g_reg is evaluated once at each quadrature point: in one call on the plain
-panels between mesh nodes, which all targets share, and in one call per
-block of targets on the 12 points of each panel the targets own (origin
-panel, left panel ending at t, right panel starting at t; u and u' use the
-same points, D^(alpha-1)u its own origin and left panels).  Over the shared
-panels the parts that do not depend on t reduce to prefix and suffix sums:
+the pieces each target owns and the one moment stream of the far field.
+g_reg is evaluated once at each quadrature point: in one call on the mesh
+panels, origin panel included, which all targets share, and in one call
+per block of targets on the 12 points of each piece of its panel that a
+target owns: the left piece ending at t (u and u' share its points,
+D^(alpha-1)u has its own), the right piece starting at t, and for t <= t_1
+the origin piece [0, t/2], which all kinds share.  Over the shared panels
+the parts that do not depend on t reduce to prefix and suffix sums:
 (1-s)^(alpha-1) in the right parts of all three operators, and both kernels
 of D^(alpha-1)u.  The left brackets of u and u' depend on t.  The sorted
 targets are taken in sub-blocks of 16 that split their shared left panels
@@ -57,7 +59,7 @@ moments and the factors (t_c/t)^m do not depend on e, so u and u' read one
 stream, as long as the longer of their series (one set of moments for
 several target kernels, the economy of the multipole method: Greengard and
 Rokhlin, J. Comput. Phys. 73, 1987).  The
-band, from t_c up to each target's own left panel, holds about 4% of the
+band, from t_c up to the panel each target lies in, holds about 4% of the
 lower triangle at grading 5 and n = 2048 (6% at n = 512) and 16% at grading
 1.  From one column of a sub-block's band on, the split, the two terms of
 the bracket differ by a factor of two or more in every row, so their
@@ -251,8 +253,8 @@ def apply_operators(kinds, t, g_singular_exponent, g_regular, alpha, mesh):
     with one value per kind is returned, in the order of ``kinds``, each as
     the named function returns it; ``t`` must lie in the interval of every
     kind requested.  The kinds share one assembly pass: the shared panels,
-    one evaluation of g_regular per quadrature point, the right panel each
-    target owns and, for u and u', the far-field moments.
+    one evaluation of g_regular per quadrature point, the pieces of its
+    panel each target owns and, for u and u', the far-field moments.
     """
     alpha = checked_alpha(alpha)
     t = np.asarray(t, dtype=float)
@@ -283,7 +285,8 @@ def apply_green(t, g_singular_exponent, g_regular, alpha, mesh):
 
     ``t`` is a scalar in [0, 1] (a float is returned) or an array of such
     targets (an array of the same shape is returned).  ``g_regular`` must
-    accept numpy arrays of s in [0, 1].  The value is exactly 0.0 at t = 0
+    accept numpy arrays of s in [0, 1], of any shape, and return an array
+    of that shape.  The value is exactly 0.0 at t = 0
     and t = 1 where the kernel vanishes.
     """
     return apply_operators(("u",), t, g_singular_exponent, g_regular, alpha, mesh)[0]
@@ -319,14 +322,14 @@ def apply_dalpha_minus_1(t, g_singular_exponent, g_regular, alpha, mesh):
 # 70k-80k minor faults per n = 2048 solve, against about 1.3k at 96 (72 KiB
 # per temporary).  The two sums past the split take the same tiles.  The
 # rows of a sub-block share the cut of the smallest and each row's band ends
-# at its own panel, so the rows should lie close together: at n = 2048
+# at the panel it lies in, so the rows should lie close together: at n = 2048
 # (t^-1.2, alpha = 1.6) the kernel tiles mask away 12.5% of what they
 # evaluate and the two-sum tiles 16.6%.
 _TILE = 96
 
 # Far-field cut.  A sub-block of targets sums the shared panels below the
 # last mesh node t_c <= EPS*t_min from power moments (_LeftBracket); the
-# shared panels from t_c up to each target's own left panel, the band, go
+# shared panels from t_c up to the panel each target lies in, the band, go
 # through the exact bracket kernel or the two sums.  A higher cut shrinks
 # the band (O(n^2)) and lengthens the series (O(n M)); at 0.85, M is at
 # most 268.
@@ -390,10 +393,10 @@ def _green_integrals(kinds, t, beta_g, g_regular, alpha, mesh):
 
     ``kinds`` is a tuple of "u" (Green integral), "du" (u' without its
     factor (alpha-1)/Gamma(alpha)) and "dalpha" (D^(alpha-1)u).  Targets
-    lie in (0, 1]; t = 1 is not admitted for "du".  The plain panels
-    between mesh nodes are shared by all targets (_SharedPanels); each
-    target also owns three panels (see _own_panels).  Targets are taken in
-    ascending row blocks of _TILE, once for all kinds.
+    lie in (0, 1]; t = 1 is not admitted for "du".  The mesh panels are
+    shared by all targets (_SharedPanels); each target also owns the two
+    pieces of the panel it lies in (see _own_panels).  Targets are taken
+    in ascending row blocks of _TILE, once for all kinds.
     """
     if t.size == 0:
         return tuple(np.empty(0) for _ in kinds)
@@ -416,20 +419,19 @@ def _green_integrals(kinds, t, beta_g, g_regular, alpha, mesh):
         rows = order[r0:r0 + _TILE]
         tb = t[rows]
         te = [tb ** _bracket_exponent(kind, alpha) for kind in brackets]
-        # nodes[:lo] < t <= nodes[lo]; nodes[hi] is the first node above t.
+        # nodes[lo-1] < t <= nodes[lo]: t lies in panel lo-1
         lo = np.searchsorted(nodes, tb, side="left")
-        hi = np.minimum(np.searchsorted(nodes, tb, side="right"), mesh.n)
         s, parts, right = _own_panels(
-            kinds, tb, dict(zip(brackets, te)), lo, hi, nodes, m, beta_g, alpha
+            kinds, tb, dict(zip(brackets, te)), lo, nodes, m, beta_g, alpha
         )
-        g = np.split(g_regular(np.concatenate([x.ravel() for x in s])), len(s))
-        g = [gj.reshape(-1, GAUSS_ORDER) for gj in g]
-        right = np.sum(right * g[-1], axis=1) + panels.right_sums[hi - 1]
-        # origin panel plus left panel ending at t, then the shared left panels
-        total = {
-            kind: np.sum(kw0 * g[j0], axis=1) + np.sum(kw1 * g[j1], axis=1)
-            for kind, ((j0, kw0), (j1, kw1)) in parts.items()
-        }
+        g = np.split(g_regular(np.concatenate(s)), np.cumsum([len(x) for x in s[:-1]]))
+        right = np.sum(right * g[-1], axis=1) + panels.right_sums[lo]
+        # the own pieces (the origin piece has fewer rows), then the shared
+        # left panels
+        total = {kind: np.zeros(len(tb)) for kind in parts}
+        for kind, pairs in parts.items():
+            for j, kw in pairs:
+                total[kind][:len(kw)] += np.sum(kw * g[j], axis=1)
         if brackets:
             totals = [total[kind] for kind in brackets]
             for q0 in range(0, len(rows), step):
@@ -438,10 +440,8 @@ def _green_integrals(kinds, t, beta_g, g_regular, alpha, mesh):
                 for acc, sk in zip(totals, sums):
                     acc[q] += sk
         for kind, values in zip(kinds, out):
-            if kind == "dalpha":
-                # shared left panels j = 1..lo-2
-                left_part = panels.left_sums[np.maximum(lo - 2, 0)]
-                values[rows] = total[kind] + left_part + right
+            if kind == "dalpha":  # shared left panels j = 0..lo-2
+                values[rows] = total[kind] + panels.left_sums[lo - 1] + right
             else:
                 values[rows] = total[kind] + te[brackets.index(kind)] * right
     return out
@@ -449,14 +449,18 @@ def _green_integrals(kinds, t, beta_g, g_regular, alpha, mesh):
 
 @dataclass(frozen=True)
 class _SharedPanels:
-    """Gauss points of the panels [nodes[j], nodes[j+1]], j = 1..n-1, row j-1.
+    """Gauss points of the mesh panels [nodes[j], nodes[j+1]], row j = 0..n-1.
 
-    ``wg`` holds the weights times g; ``log_s``, ``pow_s`` are
-    green.column_terms.  The t-free kernels over these panels reduce to
-    prefix sums, left_sums[k] = sum over rows < k of ((1-s)^(alpha-1) - 1)
-    w g (the left part of D^(alpha-1)u, and a part of u'), and suffix sums,
-    right_sums[k] = sum over rows >= k of (1-s)^(alpha-1) w g (the right
-    part of all three operators).
+    Row j is panel j; row 0, the origin panel, is mapped by s = tau^m
+    (_origin_panel).  The weights carry s^(-beta_g), and in row 0 the
+    Jacobian as well; points of row 0 that underflow to s = 0 add 0 to
+    every left kernel, which vanishes there.  ``wg`` holds the weights
+    times g; ``log_s``, ``pow_s`` are green.column_terms.  The t-free
+    kernels over these panels reduce to prefix sums, left_sums[k] = sum
+    over rows < k of ((1-s)^(alpha-1) - 1) w g (the left part of
+    D^(alpha-1)u, and a part of u'), and suffix sums, right_sums[k] = sum
+    over rows >= k of (1-s)^(alpha-1) w g (the right part of all three
+    operators).
     """
 
     s: np.ndarray
@@ -468,8 +472,11 @@ class _SharedPanels:
 
     @classmethod
     def build(cls, nodes, beta_g, g_regular, alpha) -> "_SharedPanels":
-        s, w = _gauss(nodes[1:-1], nodes[2:])
-        wg = w * np.power(s, -beta_g) * g_regular(s.ravel()).reshape(s.shape)
+        s, w = _gauss(nodes[:-1], nodes[1:])
+        m = _origin_substitution_order(alpha, beta_g)
+        s[:1], w[:1] = _origin_panel(nodes[1:2], m, beta_g)
+        w[1:] *= np.power(s[1:], -beta_g)
+        wg = w * g_regular(s)
         log_s, pow_s = column_terms(s, alpha)
         left_sums = np.append(0.0, np.cumsum(np.sum(np.expm1(log_s) * wg, axis=1)))
         right_sums = np.append(np.cumsum(np.sum(pow_s * wg, axis=1)[::-1])[::-1], 0.0)
@@ -496,10 +503,11 @@ class _LeftBracket:
     """Sums of the left brackets of u and u' over the shared panels left of t.
 
     A target t with nodes[lo-1] < t <= nodes[lo] sums B_e(t, s) w(s) g(s)
-    over the shared panels j = 1..lo-2.  The targets of one call share one
-    cut, the last node t_c <= EPS*t_min; below it, j < c, lie the far
-    panels, where x = s/t <= t_c/t <= EPS for every target of the call.
-    With (1-x)^e - 1 = sum_m b_m x^m (_series_coefficients)
+    over the shared panels j = 0..lo-2 (row j is panel j, the origin panel
+    row 0).  The targets of one call share one cut, the last node t_c <=
+    EPS*t_min; below it, j < c, lie the far panels, where x = s/t <= t_c/t
+    <= EPS for every target of the call.  With (1-x)^e - 1 = sum_m b_m x^m
+    (_series_coefficients)
 
         u  (e = alpha-1):  B_e = t^e ((1-s)^e - (1-x)^e)
                                = t^e sum_m b_m (t^m - 1) x^m,
@@ -507,15 +515,16 @@ class _LeftBracket:
 
     where no sum subtracts two terms of one sign.  The far panels thus need
     only the moments Phi_m(c) = sum (s/t_c)^m w g over the shared points
-    s < t_c: their x-moments are (t_c/t)^m Phi_m(c).  Phi(1) = 0, and a
+    s < t_c: their x-moments are (t_c/t)^m Phi_m(c).  Phi(0) = 0, and a
     higher cut c' takes Phi(c') = (t_c/t_c')^m Phi(c) plus the moments about
     t_c' of the points in [t_c, t_c').  Every factor is at most 1, so
     nothing overflows, and what underflows lies below the double range
-    anyway.  Only the current Phi is kept, so targets must come in
-    ascending order across calls.  The band, panels c..lo-2, goes through
-    the bracket kernel up to a column ``split``; from there on the two terms
-    of B_e differ by a factor of two or more in every row, so they are
-    summed apart and subtracted once per row (_band).
+    anyway; origin points that underflow to s = 0 add 0 to every moment.
+    Only the current Phi is kept, so targets must come in ascending order
+    across calls.  The band, panels c..lo-2, goes through the bracket
+    kernel up to a column ``split``; from there on the two terms of B_e
+    differ by a factor of two or more in every row, so they are summed
+    apart and subtracted once per row (_band).
 
     Phi and the factors (t_c/t)^m do not depend on e, so the kinds of one
     instance ("u", "du" or both) share one moment stream, as long as the
@@ -541,32 +550,35 @@ class _LeftBracket:
         self.m_coarse = 8.0 * np.arange(-(-size // 8))
         self.m_fine = np.arange(1.0, 9.0)
         self.phi = np.zeros(size)
-        self.cut = 1
+        self.cut = 0
         # the band's columns, flattened
         self.s, self.wg, self.log_s, self.pow_s = (
             x.ravel() for x in (panels.s, panels.wg, panels.log_s, panels.pow_s)
         )
+        # Origin points that underflowed to s = 0 add 0 to every moment; the
+        # stream starts past them (log 0 = -inf, and -inf * 0 is NaN).
+        self.nonzero = int(np.count_nonzero(self.s[:GAUSS_ORDER] == 0.0))
 
     def sums(self, t, te, lo):
         """The sums at ascending targets ``t``, one array per kind.
 
         ``te[i]`` is t^e of the i-th kind, and ``lo`` is as above.
         """
-        # t_c <= EPS * t[0]; no shared point lies below t_1
-        cut = max(int(np.searchsorted(self.nodes, EPS * t[0], side="right")) - 1, 1)
-        start = GAUSS_ORDER * (cut - 1)
-        stop = GAUSS_ORDER * np.maximum(lo - 2, 0)
+        # t_c <= EPS * t[0]
+        cut = int(np.searchsorted(self.nodes, EPS * t[0], side="right")) - 1
+        start = GAUSS_ORDER * cut
+        stop = GAUSS_ORDER * (lo - 1)
         out = []
         for kind, e, te_k, far_sum in zip(self.kinds, self.es, te, self._series(t, cut)):
             if kind == "du":
-                far_sum = self.panels.left_sums[cut - 1] - far_sum
+                far_sum = self.panels.left_sums[cut] - far_sum
             out.append(te_k * far_sum + self._band(t, te_k, e, start, stop))
         return out
 
     def _series(self, t, cut):
         # sum_m b_m (t^m - 1) x^m (u) or sum_m b_m x^m (u') over s < t_c,
         # one array per kind
-        if not len(self.m) or cut == 1:
+        if not len(self.m) or cut == 0:
             return [np.zeros(len(t)) for _ in self.kinds]
         self._advance(cut)
         log_t = np.log(t)[:, None]
@@ -587,9 +599,10 @@ class _LeftBracket:
         if cut <= self.cut:
             return
         top = self.nodes[cut]
-        self.phi *= np.exp(math.log(self.nodes[self.cut] / top) * self.m)
-        stop = GAUSS_ORDER * (cut - 1)
-        for p0 in range(GAUSS_ORDER * (self.cut - 1), stop, _STREAM_POINTS):
+        if self.cut:  # Phi(0) = 0
+            self.phi *= np.exp(math.log(self.nodes[self.cut] / top) * self.m)
+        stop = GAUSS_ORDER * cut
+        for p0 in range(max(GAUSS_ORDER * self.cut, self.nonzero), stop, _STREAM_POINTS):
             p = slice(p0, min(p0 + _STREAM_POINTS, stop))
             log_r = np.log(self.s[p] / top)[:, None]
             coarse = log_r * self.m_coarse
@@ -700,39 +713,44 @@ def _origin_panel(end, m, beta_g):
     return tau**m, w
 
 
-def _own_panels(kinds, t, te, lo, hi, nodes, m, beta_g, alpha):
-    """Points of the panels each target owns, and each kind's weights on them.
+def _own_panels(kinds, t, te, lo, nodes, m, beta_g, alpha):
+    """Points of the pieces each target owns, and each kind's weights on them.
 
-    Returns (points, parts, right).  ``points`` is a list of (len(t),
-    GAUSS_ORDER) arrays: for u and u' the origin panel and the left panel
-    ending at t, which the two share; for D^(alpha-1)u its own two; last the
-    right panel [t, nodes[hi]], which all kinds share.  ``parts`` maps each
-    kind to its two (index into points, kernel times weight) pairs, and
-    ``right`` is the right kernel (1-s)^(alpha-1) times the weights.  The
-    weights carry s^(-beta_g) and the Jacobians; ``te`` maps each of u and
-    u' that is asked for to t^e, e the exponent of its left bracket.
+    A target t with nodes[lo-1] < t <= nodes[lo] owns the two pieces of
+    the panel it lies in: the left piece [a, t], a = nodes[lo-1], and the
+    right piece [t, nodes[lo]], of zero width at a node.  In the first
+    panel (lo = 1; these targets are a prefix of the ascending t) a = t/2,
+    which keeps the map s = tau^m apart from the s = t substitution, and
+    the target also owns the origin piece [0, t/2].
+
+    Returns (points, parts, right).  ``points`` is a list of (rows,
+    GAUSS_ORDER) arrays: first the origin pieces, which all kinds share,
+    then the left piece of u and u', the left piece of D^(alpha-1)u, and
+    last the right piece, which all kinds share.  ``parts`` maps each kind
+    to its (index into points, kernel times weight) pairs, and ``right`` is
+    the right kernel (1-s)^(alpha-1) times the weights.  The weights carry
+    s^(-beta_g) and the Jacobians; ``te`` maps each of u and u' that is
+    asked for to t^e, e the exponent of its left bracket.
     """
     a1 = alpha - 1.0
     tc = t[:, None]
-    first = lo == 1
-    points, parts = [], {}
+    k = int(np.count_nonzero(lo == 1))
+    a = np.where(lo == 1, 0.5 * t, nodes[lo - 1])
+    s0, w0 = _origin_panel(0.5 * t[:k], m, beta_g)
+    points, parts = [s0], {}
     if te:
-        # t inside the first mesh panel: the origin panel ends at t/2, to
-        # keep it apart from the s = t substitution.
-        cut = 0.5 * t
-        s0, w0 = _origin_panel(np.where(first, cut, nodes[1]), m, beta_g)
-        # The left panel is mapped by s = t - tau^p, p = 1/(alpha-1):
+        # The left piece is mapped by s = t - tau^p, p = 1/(alpha-1):
         # (t-s)^(alpha-1) becomes tau, and (t-s)^(alpha-2) ds reduces to
         # dtau/(alpha-1).
         p = 1.0 / a1
-        tau_hi = (t - np.where(first, cut, nodes[lo - 1])) ** a1
+        tau_hi = (t - a) ** a1
         tau = 0.5 * tau_hi[:, None] * (_GL_X + 1.0)
         s1 = tc - tau**p
         w1 = 0.5 * tau_hi[:, None] * _GL_W * p * np.power(s1, -beta_g)
         jacobian = np.power(tau, p - 1.0)
         for kind in te:
-            k0 = bracket_values(tc, s0, alpha, _bracket_exponent(kind, alpha),
-                                te[kind][:, None])
+            k0 = bracket_values(tc[:k], s0, alpha, _bracket_exponent(kind, alpha),
+                                te[kind][:k, None])
             if kind == "u":
                 kw1 = (np.power(tc * (1.0 - s1), a1) - tau) * (w1 * jacobian)
             else:
@@ -740,21 +758,17 @@ def _own_panels(kinds, t, te, lo, hi, nodes, m, beta_g, alpha):
                 k1 -= 1.0
                 kw1 = k1 * w1
             parts[kind] = [(0, k0 * w0), (1, kw1)]
-        points += [s0, s1]
+        points.append(s1)
     if "dalpha" in kinds:
-        # no substitution on the left panel; in the first mesh panel the
-        # origin panel ends at t
-        s0, w0 = _origin_panel(np.where(first, t, nodes[1]), m, beta_g)
-        s1, w1 = _gauss(np.where(first, t, nodes[lo - 1]), t)
-        w1 = w1 * np.power(s1, -beta_g)
-        j = len(points)
+        # no substitution on the left piece
+        s1, w1 = _gauss(a, t)
         parts["dalpha"] = [
-            (j, _dalpha_bracket(s0, alpha) * w0),
-            (j + 1, _dalpha_bracket(s1, alpha) * w1),
+            (0, _dalpha_bracket(s0, alpha) * w0),
+            (len(points), _dalpha_bracket(s1, alpha) * w1 * np.power(s1, -beta_g)),
         ]
-        points += [s0, s1]
+        points.append(s1)
 
-    s2, w2 = _gauss(t, nodes[hi])
+    s2, w2 = _gauss(t, nodes[lo])
     w2 = w2 * np.power(s2, -beta_g)
     points.append(s2)
     return points, parts, np.power(1.0 - s2, a1) * w2

@@ -340,9 +340,6 @@ def solve_nonlinear(
     tol: float = 1e-8,
     max_iter: int = 200,
     damping: float = 1.0,
-    *,
-    residual_m: int = 1024,
-    seed_on_stall: bool = True,
 ) -> SolveReport:
     """Damped Picard iteration for D^alpha u + h f(u) = 0 from u = 0.
 
@@ -375,7 +372,6 @@ def solve_nonlinear(
         if (
             not updates
             and update == 0.0
-            and seed_on_stall
             and f.value_at_zero == 0.0
             and f(1.0) > 0.0
             and not regular.is_zero
@@ -399,7 +395,7 @@ def solve_nonlinear(
     # h(0) is infinite for singular weights; the residual ignores the origin
     with np.errstate(invalid="ignore"):
         g_nodes = w(mesh.nodes) * f(solution.values)
-    stats = gl_residual(solution, g_nodes, alpha, residual_m)
+    stats = gl_residual(solution, g_nodes, alpha)
     return SolveReport(
         solution=solution,
         picard_iterations=len(updates),

@@ -20,7 +20,7 @@ from fracbvp import (
     frac_derivative,
     solve_linear,
 )
-from fracbvp import quadrature
+from fracbvp import quadrature, regularity
 from fracbvp.green import bracket_values
 
 from helpers import (
@@ -30,6 +30,7 @@ from helpers import (
     decomposed,
     forcing,
     sup_node_error,
+    weight_problem,
 )
 
 
@@ -380,8 +381,8 @@ _SINGLE = {"u": apply_green, "du": apply_green_derivative, "dalpha": apply_dalph
 @pytest.mark.parametrize("problem", list(_PARITY_PROBLEMS))
 def test_operators_in_one_pass_match_single_calls(problem, n):
     # The three operators requested at once share the shared panels, g on
-    # the own panels, the right panel and the moment stream (as long as
-    # the longer of the two series); each must still agree with its own
+    # the pieces each target owns and the moment stream (as long as the
+    # longer of the two series); each must still agree with its own
     # call.  Targets: interior nodes, random points, nodes x (1 +- 1e-12),
     # a point far below t_1 and one next to t = 1.
     w, alpha = _PARITY_PROBLEMS[problem]
@@ -419,6 +420,53 @@ def test_operators_in_one_pass_keep_each_domain():
             apply_operators(("u", "du"), [0.5, bad], 1.2, ONE, alpha, mesh)
     with pytest.raises(ValueError, match="unknown operator"):
         apply_operators(("u", "d2u"), 0.5, 1.2, ONE, alpha, mesh)
+
+
+class _CountedPoints:
+    """A g_regular that counts the points it is evaluated at."""
+
+    def __init__(self, regular):
+        self.regular, self.points = regular, 0
+
+    def __call__(self, s):
+        self.points += s.size
+        return self.regular(s)
+
+
+def _g_points(kinds, t, mesh):
+    # 12 points on each mesh panel, on each piece a target owns (left and
+    # right of t; D^(alpha-1)u has its own left piece, so a call that mixes
+    # it with u or u' owns three) and on the origin piece of each target in
+    # the first panel
+    t = t[(t > 0.0) & (t < 1.0)]
+    pieces = 3 if "dalpha" in kinds and len(kinds) > 1 else 2
+    first = np.count_nonzero(t <= mesh.nodes[1])
+    return quadrature.GAUSS_ORDER * (mesh.n + pieces * len(t) + first)
+
+
+def test_g_is_evaluated_once_per_quadrature_point(monkeypatch):
+    # The origin panel is a shared mesh panel, so a target owns only the
+    # pieces of the panel it lies in: at the nodes of an n = 512 mesh g is
+    # taken at 18,420 points (24,528 when every target owned an origin
+    # panel), and in classify's pass at 25,272 (37,992).
+    w, alpha = WeightSpec(1.2), 1.6
+    beta_g, reg = w.singular_decomposition()
+    mesh = build_mesh(512, w, alpha)
+    g = _CountedPoints(reg)
+    apply_operators(("u",), mesh.nodes, beta_g, g, alpha, mesh)
+    assert g.points == _g_points(("u",), mesh.nodes, mesh) == 18_420
+
+    calls = []
+
+    def counted(kinds, t, beta_g, g_regular, *rest):
+        calls.append((kinds, t, _CountedPoints(g_regular)))
+        return apply_operators(kinds, t, beta_g, calls[-1][2], *rest)
+
+    monkeypatch.setattr(regularity, "apply_operators", counted)
+    problem = weight_problem(1.2, alpha)
+    regularity.classify(problem)
+    [(kinds, t, g)] = calls
+    assert g.points == _g_points(kinds, t, problem.mesh) == 25_272
 
 
 def _series_by_recurrence(e):
@@ -468,11 +516,11 @@ def _far_field_targets(mesh, rng):
 
 def _full_bracket_block(t, lo, panels, alpha, e):
     # the bracket kernel over every (target, shared Gauss point) pair left
-    # of each target's own panels (j = 1..lo-2)
+    # of the panel each target lies in (j = 0..lo-2)
     s = panels.s.ravel()
     with np.errstate(invalid="ignore", divide="ignore"):
         kern = bracket_values(t[:, None], s[None, :], alpha, e)
-    mine = np.arange(s.size) < quadrature.GAUSS_ORDER * np.maximum(lo - 2, 0)[:, None]
+    mine = np.arange(s.size) < quadrature.GAUSS_ORDER * (lo - 1)[:, None]
     return np.where(mine, kern, 0.0) @ panels.wg.ravel()
 
 
@@ -482,8 +530,8 @@ _POSITIVE = PowerSum([(1.0, 0.0), (-0.7, 0.5)])
 _SIGNED = PowerSum([(1.0, 0.0), (-2.5, 0.5)])
 
 
-def _left_bracket_case(mesh, t, alpha, kind, reg=_POSITIVE):
-    beta_g = max(alpha - 0.2, 0.0)
+def _left_bracket_case(mesh, t, alpha, kind, reg=_POSITIVE, margin=0.2):
+    beta_g = max(alpha - margin, 0.0)
     e = alpha - 1.0 if kind == "u" else alpha - 2.0
     lo = np.searchsorted(mesh.nodes, t)
     panels = quadrature._SharedPanels.build(mesh.nodes, beta_g, reg, alpha)
@@ -491,10 +539,10 @@ def _left_bracket_case(mesh, t, alpha, kind, reg=_POSITIVE):
     return e, lo, panels, ref
 
 
-def _far_field_case(grading, alpha, kind, reg=_POSITIVE):
+def _far_field_case(grading, alpha, kind, reg=_POSITIVE, margin=0.2):
     mesh = GradedMesh.from_grading(48, grading)
     t = _far_field_targets(mesh, np.random.default_rng(int(10 * grading)))
-    return (mesh, t, *_left_bracket_case(mesh, t, alpha, kind, reg))
+    return (mesh, t, *_left_bracket_case(mesh, t, alpha, kind, reg, margin))
 
 
 def _left_bracket_sums(kind, alpha, mesh, panels, t, e, lo, rows):
@@ -514,7 +562,7 @@ def _assert_within_bound(got, ref):
 @pytest.mark.parametrize("alpha", [1.0005, 1.05, 1.3, 1.6, 2.0])
 @pytest.mark.parametrize("grading", [1.0, 2.0, 5.0, 8.0])
 def test_far_field_matches_full_bracket_block(grading, alpha, kind):
-    # The left bracket over the shared panels left of each target (j = 1..
+    # The left bracket over the shared panels left of each target (j = 0..
     # lo-2), far panels from moments and the band from the kernel and the
     # two sums, against the bracket kernel over every (target, shared Gauss
     # point) pair.  At alpha = 1.0005 the exponent of u is below 2^-10,
@@ -537,6 +585,30 @@ def test_far_field_matches_full_bracket_block_for_signed_g(grading, alpha, kind)
     mesh, t, e, lo, panels, ref = _far_field_case(grading, alpha, kind, _SIGNED)
     got = _left_bracket_sums(kind, alpha, mesh, panels, t, e, lo, 24)
     _assert_within_bound(got, ref)
+
+
+@pytest.mark.parametrize("kind", ["u", "du"])
+@pytest.mark.parametrize("alpha", [1.05, 1.3, 1.6])
+@pytest.mark.parametrize("grading", [1.0, 5.0, 8.0])
+def test_far_field_matches_full_bracket_block_when_origin_points_underflow(
+    grading, alpha, kind
+):
+    # At beta_g = alpha - 0.01 the origin panel is mapped by s = tau^200,
+    # and its first points underflow to s = 0.  They must add 0 to every
+    # moment, with no NaN and no warning (log 0 = -inf).
+    mesh, t, e, lo, panels, ref = _far_field_case(grading, alpha, kind, margin=0.01)
+    assert panels.s[0, 0] == 0.0
+    got = _left_bracket_sums(kind, alpha, mesh, panels, t, e, lo, 24)
+    _assert_within_bound(got, ref)
+
+
+@pytest.mark.parametrize("beta,alpha", [(1.05, 1.06), (1.49, 1.5)])
+def test_solve_with_underflowing_origin_points_stays_finite(beta, alpha):
+    # Margin 0.01, so the far field streams origin points that underflowed
+    # to s = 0 (RuntimeWarnings are errors here).  Accuracy is not asserted:
+    # the 12-point origin rule is coarse at m = 200.
+    sol = solve_linear(WeightSpec(beta), alpha, 512)
+    assert np.all(np.isfinite(sol.values))
 
 
 @pytest.mark.parametrize("kind", ["u", "du"])
@@ -623,8 +695,10 @@ def test_traced_memory_of_a_large_solve_stays_small():
 def test_band_evaluates_few_kernel_elements(monkeypatch):
     # Kernel elements, as broadcast sizes of (t, s), that one solve passes to
     # the bracket kernel: the band columns before the split of the two sums
-    # plus the origin panels.  77,080 with the two sums, against 143,640
-    # when the whole band went through the kernel.
+    # plus the origin pieces of the targets in the first panel.  71,152 with
+    # the origin panel shared; 77,080 when every target owned one, and
+    # 143,640 before the two sums, when the whole band went through the
+    # kernel.
     count = [0]
 
     def counted(t, s, *args, **kwargs):
@@ -633,7 +707,7 @@ def test_band_evaluates_few_kernel_elements(monkeypatch):
 
     monkeypatch.setattr(quadrature, "bracket_values", counted)
     solve_linear(WeightSpec(1.2), 1.6, 512)
-    assert 0 < count[0] <= 1.05 * 77_080
+    assert 0 < count[0] <= 1.05 * 71_152
 
 
 # --- convergence and sign --------------------------------------------------------

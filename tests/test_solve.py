@@ -142,15 +142,6 @@ def test_trivial_nonlinearity_stays_at_zero():
     assert np.all(rep.solution.values == 0.0)
 
 
-def test_seeding_can_be_disabled():
-    rep = solve_nonlinear(
-        WeightSpec(0.0), NonlinearitySpec.power(0.5), 1.5, 64, seed_on_stall=False
-    )
-    assert rep.converged
-    assert not rep.seeded
-    assert np.all(rep.solution.values == 0.0)
-
-
 def test_divergent_iteration_reports_nonconvergence():
     rep = solve_nonlinear(
         WeightSpec(0.0), NonlinearitySpec.linear(25.0), 1.5, 64, max_iter=60
