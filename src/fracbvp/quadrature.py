@@ -61,21 +61,23 @@ several target kernels, the economy of the multipole method: Greengard and
 Rokhlin, J. Comput. Phys. 73, 1987).  The
 band, from t_c up to the panel each target lies in, holds about 4% of the
 lower triangle at grading 5 and n = 2048 (6% at n = 512) and 16% at grading
-1.  From one column of a sub-block's band on, the split, the two terms of
-the bracket differ by a factor of two or more in every row, so their
+1.  Each row sums its own band columns and splits them at its own column,
+the first with s at or above a closed-form bound in t: from there on the
+two terms of the bracket differ by a factor of two or more, so their
 difference has condition number at most 3 (Higham, Accuracy and Stability
 of Numerical Algorithms, 2002, sec. 1.7) and they are summed apart:
-t^e sum (1-s)^(alpha-1) w g from a running sum, minus sum (t-s)^e w g with
-(t-s)^e a power of the exact t - s.  An element past the split costs one
-subtraction, one power and its share of a mat-vec.  The columns before the
-split go through the bracket kernel in fixed tiles, and so do all of them
-where the split would leave the two sums less than half of the band, and
-for u' at alpha = 2, where the bracket is -s.  Each tile is one call of the
-bracket kernel with t^e taken once per row and log1p(-s), (1-s)^(alpha-1)
-once per call, so an element costs one log1p, one expm1 and one power (u)
-or exp (u'), plus for u' a power where the two terms of the bracket differ
-by a factor of two or more.  For t^-1.2 at alpha = 1.6 and n = 2048 the
-kernel gets 15% of the band's elements.
+t^e times the sum of (1-s)^(alpha-1) w g over the row's columns, in order,
+minus sum (t-s)^e w g with (t-s)^e a power of the exact t - s.  An element
+past the split costs two gathers, one subtraction, one power and its share
+of a reduceat.  The
+columns before the split go through the bracket kernel, and so do all of
+them for u' at alpha = 2, where the bracket is -s.  Both take flat gathers
+of the (t, s) pairs each row owns, so no element is evaluated and then
+masked.  The kernel is given t^e and log1p(-s), (1-s)^(alpha-1) gathered,
+so an element costs one log1p, one expm1 and one power (u) or exp (u'),
+plus for u' a power where the two terms of the bracket differ by a factor
+of two or more.  For t^-1.2 at alpha = 1.6 the kernel gets 10% of the
+band's elements at n = 2048 and 26% at n = 512.
 """
 
 from __future__ import annotations
@@ -106,7 +108,18 @@ __all__ = [
 ]
 
 GAUSS_ORDER = 12
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(GAUSS_ORDER)
+
+
+def _gauss_legendre(order):
+    # Golub-Welsch: the nodes are the eigenvalues of the Jacobi matrix of the
+    # Legendre polynomials, with off-diagonal k / sqrt(4k^2 - 1), and the
+    # weights are 2 v_0^2 from the first components of its unit eigenvectors.
+    k = np.arange(1.0, order)
+    x, v = np.linalg.eigh(np.diag(k / np.sqrt(4.0 * k * k - 1.0), -1))
+    return x, 2.0 * v[0] ** 2
+
+
+_GL_X, _GL_W = _gauss_legendre(GAUSS_ORDER)
 
 # Unbounded grading collapses the early panels below double-precision node
 # spacing, so the exponent is clamped.
@@ -312,19 +325,16 @@ def apply_dalpha_minus_1(t, g_singular_exponent, g_regular, alpha, mesh):
 # --- internals ---------------------------------------------------------------
 
 # Targets are taken in ascending row blocks of _TILE (the panels each target
-# owns are built per block), and each block in sub-blocks of _TILE // 6 rows
-# for the far field and the band.  The band is evaluated in tiles of
-# _TILE // 6 rows by 6 * _TILE columns, so no temporary of the bracket
-# kernel holds more than _TILE**2 doubles.  glibc mmaps blocks of 128 KiB
-# (its default mmap threshold; 128**2 doubles exactly) and trims the heap
-# top once 128 KiB lie free there; with square tiles of side 128, and in
-# some heap layouts from 104 up, every tile faulted in fresh pages: about
-# 70k-80k minor faults per n = 2048 solve, against about 1.3k at 96 (72 KiB
-# per temporary).  The two sums past the split take the same tiles.  The
-# rows of a sub-block share the cut of the smallest and each row's band ends
-# at the panel it lies in, so the rows should lie close together: at n = 2048
-# (t^-1.2, alpha = 1.6) the kernel tiles mask away 12.5% of what they
-# evaluate and the two-sum tiles 16.6%.
+# owns and the band are built per block), and each block in sub-blocks of
+# _TILE // 6 rows, which share one far-field cut.  The band gathers the
+# (row, column) pairs of groups of consecutive rows that hold at most
+# _TILE**2 pairs, so no temporary of the bracket kernel or of the two sums
+# holds more than _TILE**2 doubles unless one row's band does.  glibc mmaps
+# blocks of 128 KiB (its default mmap threshold; 128**2 doubles exactly)
+# and trims the heap top once 128 KiB lie free there; with temporaries of
+# 128**2 doubles, and in some heap layouts from 104**2 up, every temporary
+# faulted in fresh pages: about 70k-80k minor faults per n = 2048 solve,
+# against about 1.3k at 96**2 (72 KiB per temporary).
 _TILE = 96
 
 # Far-field cut.  A sub-block of targets sums the shared panels below the
@@ -342,10 +352,6 @@ _SERIES_CAP = math.ceil(math.log(_SERIES_TAIL * (1.0 - EPS)) / math.log(EPS))
 # Shared points per chunk of the moment stream: 256 points by at most 34 + 8
 # power factors each stay below the 128 KiB mmap threshold.
 _STREAM_POINTS = 256
-# Floor of t - s on the band columns a row does not own, where s may reach
-# t: the smallest normal double.  An owned t - s is at least the spacing of
-# doubles at s >= t_1, far above it, and _TINY^e stays finite for e > -1.
-_TINY = np.finfo(float).tiny
 
 
 def _checked_t(t, interval: str) -> np.ndarray:
@@ -414,18 +420,18 @@ def _green_integrals(kinds, t, beta_g, g_regular, alpha, mesh):
     # arrays changed glibc's heap layout so that an n = 2048 solve faulted
     # in 367 fresh pages instead of 318 and ran about 5% slower.
     out = tuple(np.empty(len(t)) for _ in kinds)
-    step = _TILE // 6  # rows per sub-block of the left bracket
     for r0 in range(0, len(t), _TILE):
         rows = order[r0:r0 + _TILE]
         tb = t[rows]
         te = [tb ** _bracket_exponent(kind, alpha) for kind in brackets]
         # nodes[lo-1] < t <= nodes[lo]: t lies in panel lo-1
         lo = np.searchsorted(nodes, tb, side="left")
-        s, parts, right = _own_panels(
+        s, parts, inside, right_kw = _own_panels(
             kinds, tb, dict(zip(brackets, te)), lo, nodes, m, beta_g, alpha
         )
         g = np.split(g_regular(np.concatenate(s)), np.cumsum([len(x) for x in s[:-1]]))
-        right = np.sum(right * g[-1], axis=1) + panels.right_sums[lo]
+        right = panels.right_sums[lo]
+        right[inside] += np.sum(right_kw * g[-1], axis=1)
         # the own pieces (the origin piece has fewer rows), then the shared
         # left panels
         total = {kind: np.zeros(len(tb)) for kind in parts}
@@ -433,12 +439,8 @@ def _green_integrals(kinds, t, beta_g, g_regular, alpha, mesh):
             for j, kw in pairs:
                 total[kind][:len(kw)] += np.sum(kw * g[j], axis=1)
         if brackets:
-            totals = [total[kind] for kind in brackets]
-            for q0 in range(0, len(rows), step):
-                q = slice(q0, q0 + step)
-                sums = left.sums(tb[q], [x[q] for x in te], lo[q])
-                for acc, sk in zip(totals, sums):
-                    acc[q] += sk
+            for kind, sk in zip(brackets, left.sums(tb, te, lo)):
+                total[kind] += sk
         for kind, values in zip(kinds, out):
             if kind == "dalpha":  # shared left panels j = 0..lo-2
                 values[rows] = total[kind] + panels.left_sums[lo - 1] + right
@@ -504,10 +506,10 @@ class _LeftBracket:
 
     A target t with nodes[lo-1] < t <= nodes[lo] sums B_e(t, s) w(s) g(s)
     over the shared panels j = 0..lo-2 (row j is panel j, the origin panel
-    row 0).  The targets of one call share one cut, the last node t_c <=
-    EPS*t_min; below it, j < c, lie the far panels, where x = s/t <= t_c/t
-    <= EPS for every target of the call.  With (1-x)^e - 1 = sum_m b_m x^m
-    (_series_coefficients)
+    row 0).  The targets of one sub-block share one cut, the last node t_c
+    <= EPS*t_min; below it, j < c, lie the far panels, where x = s/t <=
+    t_c/t <= EPS for every target of the sub-block.  With (1-x)^e - 1 =
+    sum_m b_m x^m (_series_coefficients)
 
         u  (e = alpha-1):  B_e = t^e ((1-s)^e - (1-x)^e)
                                = t^e sum_m b_m (t^m - 1) x^m,
@@ -521,10 +523,10 @@ class _LeftBracket:
     nothing overflows, and what underflows lies below the double range
     anyway; origin points that underflow to s = 0 add 0 to every moment.
     Only the current Phi is kept, so targets must come in ascending order
-    across calls.  The band, panels c..lo-2, goes through the bracket
-    kernel up to a column ``split``; from there on the two terms of B_e
-    differ by a factor of two or more in every row, so they are summed
-    apart and subtracted once per row (_band).
+    across calls.  The band of a target, the columns of panels c..lo-2,
+    goes through the bracket kernel up to the target's own column split;
+    from there on the two terms of B_e differ by a factor of two or more,
+    so they are summed apart and subtracted once per row (_band).
 
     Phi and the factors (t_c/t)^m do not depend on e, so the kinds of one
     instance ("u", "du" or both) share one moment stream, as long as the
@@ -562,17 +564,22 @@ class _LeftBracket:
     def sums(self, t, te, lo):
         """The sums at ascending targets ``t``, one array per kind.
 
-        ``te[i]`` is t^e of the i-th kind, and ``lo`` is as above.
+        ``te[i]`` is t^e of the i-th kind, and ``lo`` is as above.  The
+        targets are taken in sub-blocks of _TILE // 6, each with one cut.
         """
-        # t_c <= EPS * t[0]
-        cut = int(np.searchsorted(self.nodes, EPS * t[0], side="right")) - 1
-        start = GAUSS_ORDER * cut
+        step = _TILE // 6
+        # t_c <= EPS * t_min of each sub-block
+        cuts = np.searchsorted(self.nodes, EPS * t[::step], side="right") - 1
+        start = GAUSS_ORDER * np.repeat(cuts, step)[:len(t)]
         stop = GAUSS_ORDER * (lo - 1)
-        out = []
-        for kind, e, te_k, far_sum in zip(self.kinds, self.es, te, self._series(t, cut)):
-            if kind == "du":
-                far_sum = self.panels.left_sums[cut] - far_sum
-            out.append(te_k * far_sum + self._band(t, te_k, e, start, stop))
+        out = [self._band(t, te_k, e, start, stop) for e, te_k in zip(self.es, te)]
+        for q0, cut in zip(range(0, len(t), step), cuts.tolist()):
+            q = slice(q0, q0 + step)
+            series = self._series(t[q], cut)
+            for kind, acc, te_k, far_sum in zip(self.kinds, out, te, series):
+                if kind == "du":
+                    far_sum = self.panels.left_sums[cut] - far_sum
+                acc[q] += te_k[q] * far_sum
         return out
 
     def _series(self, t, cut):
@@ -616,11 +623,13 @@ class _LeftBracket:
         # From s = this bound on, the two terms of B_e at t differ by a
         # factor of two or more: t^e (1-s)^(alpha-1) >= 2 (t-s)^e for u once
         # s >= K t / (1 + K - t), K = 2^(1/e) - 1, and (t-s)^e >= 2 t^e >=
-        # 2 t^e (1-s)^(alpha-1) for u' once s >= t (1 - 2^(1/e)).  Both
-        # increase with t.  For e = 0 (u' at alpha = 2, B = -s) the terms are
-        # 1 - s and 1 and never split; for 0 < e <= 2^-10 (u at alpha up to
-        # 1 + 2^-10) K overflows, and the bound would lie within t (1-t)/K
-        # of t, closer than any double below t, so no column splits either.
+        # 2 t^e (1-s)^(alpha-1) for u' once s >= t (1 - 2^(1/e)).  ``t`` is
+        # an array of targets, one bound each.  Both bounds increase with
+        # t, so the splits of ascending rows ascend.  For e = 0 (u' at
+        # alpha = 2, B = -s) the terms are 1 - s and 1 and never split; for
+        # 0 < e <= 2^-10 (u at alpha up to 1 + 2^-10) K overflows, and the
+        # bound would lie within t (1-t)/K of t, closer than any double
+        # below t, so no column splits either.
         if e < 0.0:
             return (1.0 - 2.0 ** (1.0 / e)) * t
         if e > 2.0**-10:
@@ -629,79 +638,71 @@ class _LeftBracket:
         return math.inf
 
     def _band(self, t, te, e, start, stop):
-        # The bracket over the columns start..stop-1 of each row.  Columns
-        # from ``split`` on, where the two terms differ by a factor of two
-        # or more in every row (condition number at most 3), are summed term
-        # by term; those before it go through the bracket kernel.
-        hi = int(stop.max())
-        bound = self._split_bound(t[-1], e)
-        # The two sums cost a second pass, which pays only when it takes at
-        # least half of the band's columns.  At small n the rows of a
-        # sub-block spread widely (t_max/t_min >= 1.8 at n = 128, grading
-        # 5), so the split at t_max leaves the two sums a few columns, most
-        # of them past the rows' stops; taking them anyway cost 8% of an
-        # n = 128 solve.
-        mid = (start + hi) // 2
-        if mid < hi and self.s[mid] >= bound:
-            split = start + int(self.s[start:mid].searchsorted(bound))
-        else:
-            split = hi
-        total = self._kernel_tiles(t, te, e, start, split, stop)
-        if split < hi:
-            total += self._two_sums(t, te, e, split, hi, stop)
+        # The bracket over the columns start_r..stop_r-1 of each row r.  From
+        # its column split_r on, the two terms differ by a factor of two or
+        # more (condition number at most 3) and are summed apart; the columns
+        # before it go through the bracket kernel.
+        split = np.clip(self.s.searchsorted(self._split_bound(t, e)), start, stop)
+        # t^e sum (1-s)^(alpha-1) w g, each row's range summed in order; the
+        # even entries of reduceat are the ranges split_r..stop_r-1, and an
+        # empty one returns the element at its start
+        c0, c1 = split[0], stop[-1] + 1
+        ends = np.column_stack((split, stop)).ravel() - c0
+        past = np.add.reduceat(self.pow_s[c0:c1] * self.wg[c0:c1], ends)[::2]
+        total = np.where(split < stop, te * past, 0.0)
+        for g in _row_groups(stop - start):
+            tr, cols, runs = _gather(t[g], start[g], split[g])
+            if cols.size:
+                kern = bracket_values(
+                    tr, self.s[cols], self.alpha, e, np.repeat(te[g], runs),
+                    (self.log_s[cols], self.pow_s[cols]),
+                )
+                kern *= self.wg[cols]
+                total[g] += _run_sums(kern, runs)
+            total[g] -= self._power_sums(t[g], e, split[g], stop[g])
         return total
 
-    @staticmethod
-    def _tiles(start, end, stop):
-        # The columns start..end-1 in tiles of 6 * _TILE, each with the mask
-        # of the columns that each row owns (those before its stop), or
-        # None where every row owns the whole tile.
-        owned = stop.min()
-        for c0 in range(start, end, 6 * _TILE):
-            cols = slice(c0, min(c0 + 6 * _TILE, end))
-            if cols.stop <= owned:
-                yield cols, None
-            else:
-                yield cols, np.arange(cols.start, cols.stop) < stop[:, None]
+    def _power_sums(self, t, e, split, stop):
+        # sum (t-s)^e w g over the columns split_r..stop_r-1 of each row r,
+        # (t-s)^e a power of the exact t - s
+        x, cols, runs = _gather(t, split, stop)
+        if not cols.size:
+            return 0.0
+        x -= self.s[cols]
+        np.power(x, e, out=x)
+        x *= self.wg[cols]
+        return _run_sums(x, runs)
 
-    def _kernel_tiles(self, t, te, e, start, end, stop):
-        # The bracket kernel over the columns start..min(stop, end)-1 of each
-        # row, in tiles of len(t) rows.
-        total = np.zeros(len(t))
-        tc, tec = t[:, None], te[:, None]
-        for cols, mine in self._tiles(start, end, stop):
-            args = (tc, self.s[None, cols], self.alpha, e, tec,
-                    (self.log_s[cols], self.pow_s[cols]))
-            if mine is None:
-                total += bracket_values(*args) @ self.wg[cols]
-                continue
-            # columns at or past a row's stop may have s >= t
-            with np.errstate(invalid="ignore", divide="ignore"):
-                kern = bracket_values(*args)
-            total += np.where(mine, kern, 0.0) @ self.wg[cols]
-        return total
 
-    def _two_sums(self, t, te, e, split, hi, stop):
-        # t^e sum (1-s)^(alpha-1) w g - sum (t-s)^e w g over the columns
-        # split..stop-1 of each row: the first sum from one running sum over
-        # the columns, the second in the tiles of _kernel_tiles, with
-        # (t-s)^e from the exact difference.  The columns a row does not own
-        # (where s may reach t) take the floor _TINY and are zeroed after the
-        # power.
-        running = np.zeros(hi - split + 1)
-        np.multiply(self.pow_s[split:hi], self.wg[split:hi], out=running[1:])
-        np.cumsum(running[1:], out=running[1:])
-        total = te * running[np.maximum(stop - split, 0)]
-        tc = t[:, None]
-        for cols, mine in self._tiles(split, hi, stop):
-            x = tc - self.s[cols]
-            if mine is not None:
-                np.maximum(x, _TINY, out=x)
-            np.power(x, e, out=x)
-            if mine is not None:
-                x *= mine
-            total -= x @ self.wg[cols]
-        return total
+def _row_groups(size):
+    # Slices of consecutive rows that hold at most _TILE**2 elements (rows
+    # of ``size`` elements each), one row at least.
+    ends = np.cumsum(size)
+    r0 = 0
+    while r0 < len(size):
+        r1 = np.searchsorted(ends, ends[r0] - size[r0] + _TILE**2, side="right")
+        r1 = max(int(r1), r0 + 1)
+        yield slice(r0, r1)
+        r0 = r1
+
+
+def _gather(t, begin, end):
+    # The pairs (t_r, column c), begin_r <= c < end_r, flat and row by row:
+    # t_r repeated, the columns, and the number of pairs of each row.
+    runs = end - begin
+    cols = np.arange(int(runs.sum()))
+    cols += np.repeat(begin - (np.cumsum(runs) - runs), runs)
+    return np.repeat(t, runs), cols, runs
+
+
+def _run_sums(x, runs):
+    # The sums of x over consecutive runs of runs_r elements, each in order.
+    # reduceat takes only the nonempty runs: it returns the element at an
+    # empty run's start, and no index may reach the end of x.
+    sums = np.zeros(len(runs))
+    full = runs > 0
+    sums[full] = np.add.reduceat(x, (np.cumsum(runs) - runs)[full])
+    return sums
 
 
 def _origin_panel(end, m, beta_g):
@@ -718,19 +719,21 @@ def _own_panels(kinds, t, te, lo, nodes, m, beta_g, alpha):
 
     A target t with nodes[lo-1] < t <= nodes[lo] owns the two pieces of
     the panel it lies in: the left piece [a, t], a = nodes[lo-1], and the
-    right piece [t, nodes[lo]], of zero width at a node.  In the first
+    right piece [t, nodes[lo]], which only the targets ``inside`` their
+    panel (t < nodes[lo]) own; at a node it has zero width.  In the first
     panel (lo = 1; these targets are a prefix of the ascending t) a = t/2,
     which keeps the map s = tau^m apart from the s = t substitution, and
     the target also owns the origin piece [0, t/2].
 
-    Returns (points, parts, right).  ``points`` is a list of (rows,
+    Returns (points, parts, inside, right).  ``points`` is a list of (rows,
     GAUSS_ORDER) arrays: first the origin pieces, which all kinds share,
     then the left piece of u and u', the left piece of D^(alpha-1)u, and
-    last the right piece, which all kinds share.  ``parts`` maps each kind
-    to its (index into points, kernel times weight) pairs, and ``right`` is
-    the right kernel (1-s)^(alpha-1) times the weights.  The weights carry
-    s^(-beta_g) and the Jacobians; ``te`` maps each of u and u' that is
-    asked for to t^e, e the exponent of its left bracket.
+    last the right pieces of the targets inside, which all kinds share.
+    ``parts`` maps each kind to its (index into points, kernel times
+    weight) pairs, and ``right`` is the right kernel (1-s)^(alpha-1) times
+    the weights.  The weights carry s^(-beta_g) and the Jacobians; ``te``
+    maps each of u and u' that is asked for to t^e, e the exponent of its
+    left bracket.
     """
     a1 = alpha - 1.0
     tc = t[:, None]
@@ -768,7 +771,8 @@ def _own_panels(kinds, t, te, lo, nodes, m, beta_g, alpha):
         ]
         points.append(s1)
 
-    s2, w2 = _gauss(t, nodes[lo])
+    inside = t < nodes[lo]
+    s2, w2 = _gauss(t[inside], nodes[lo[inside]])
     w2 = w2 * np.power(s2, -beta_g)
     points.append(s2)
-    return points, parts, np.power(1.0 - s2, a1) * w2
+    return points, parts, inside, np.power(1.0 - s2, a1) * w2

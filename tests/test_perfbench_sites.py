@@ -26,3 +26,31 @@ def test_every_tracer_site_resolves():
         assert tracer.missing == []
     finally:
         tracer.uninstall()
+
+
+def test_bracket_kernel_points_are_broadcast_sizes(monkeypatch):
+    # The tracer books the size of the kernel's ``s`` argument as the span's
+    # points.  Every caller passes an ``s`` as large as its broadcast against
+    # ``t`` (the band passes flat gathers), so the points are the kernel's
+    # element counts.
+    import numpy as np
+
+    from fracbvp import WeightSpec, quadrature, solve
+    from fracbvp.green import bracket_values
+
+    sizes = []
+
+    def counted(t, s, *args, **kwargs):
+        sizes.append(np.broadcast(t, s).size)
+        return bracket_values(t, s, *args, **kwargs)
+
+    monkeypatch.setattr(quadrature, "bracket_values", counted)
+    tracer = _load_tracer().Tracer()
+    try:
+        tracer.install()
+        solve.solve_linear(WeightSpec(1.2), 1.6, 512)
+    finally:
+        tracer.uninstall()
+    kernel = tracer.names.index("green.bracket_values")
+    points = [p for nid, p in zip(tracer.name_id, tracer.points) if nid == kernel]
+    assert len(sizes) > 1 and points == sizes

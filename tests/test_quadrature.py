@@ -334,11 +334,11 @@ def test_array_with_one_bad_target_raises(op, bad):
 def test_tiling_does_not_change_values(monkeypatch, w, alpha):
     # Under the default tile the 160 sorted targets form two row blocks and
     # ten sub-blocks of 16.  The targets of a sub-block share one far-field
-    # cut, set by the first of them, and each sub-block has its own band
-    # tiles; every sub-block after the first has far panels, so it resumes
-    # the moment stream where the one before left it, and the later targets
-    # have bands.  A 4096 tile puts all targets in one block, one sub-block
-    # and one band tile.
+    # cut, set by the first of them, where each row's band starts; every
+    # sub-block after the first has far panels, so it resumes the moment
+    # stream where the one before left it, and the later targets have
+    # bands.  A 4096 tile puts all targets in one block, one sub-block and
+    # one row group of the band.
     mesh = build_mesh(64, w, alpha)
     beta_g, reg = w.singular_decomposition()
     rng = np.random.default_rng(5)
@@ -436,25 +436,28 @@ class _CountedPoints:
 def _g_points(kinds, t, mesh):
     # 12 points on each mesh panel, on each piece a target owns (left and
     # right of t; D^(alpha-1)u has its own left piece, so a call that mixes
-    # it with u or u' owns three) and on the origin piece of each target in
-    # the first panel
+    # it with u or u' owns three; a node target owns no right piece) and
+    # on the origin piece of each target in the first panel
     t = t[(t > 0.0) & (t < 1.0)]
     pieces = 3 if "dalpha" in kinds and len(kinds) > 1 else 2
     first = np.count_nonzero(t <= mesh.nodes[1])
-    return quadrature.GAUSS_ORDER * (mesh.n + pieces * len(t) + first)
+    at_nodes = np.count_nonzero(np.isin(t, mesh.nodes))
+    return quadrature.GAUSS_ORDER * (mesh.n + pieces * len(t) + first - at_nodes)
 
 
 def test_g_is_evaluated_once_per_quadrature_point(monkeypatch):
     # The origin panel is a shared mesh panel, so a target owns only the
-    # pieces of the panel it lies in: at the nodes of an n = 512 mesh g is
-    # taken at 18,420 points (24,528 when every target owned an origin
-    # panel), and in classify's pass at 25,272 (37,992).
+    # pieces of the panel it lies in, and a node target only the left one:
+    # at the nodes of an n = 512 mesh g is taken at 12,288 points (18,420
+    # with a zero-width right piece at each node, 24,528 when every target
+    # also owned an origin panel), and in classify's pass at 25,272 less 12
+    # per node target (37,992 with own origin panels).
     w, alpha = WeightSpec(1.2), 1.6
     beta_g, reg = w.singular_decomposition()
     mesh = build_mesh(512, w, alpha)
     g = _CountedPoints(reg)
     apply_operators(("u",), mesh.nodes, beta_g, g, alpha, mesh)
-    assert g.points == _g_points(("u",), mesh.nodes, mesh) == 18_420
+    assert g.points == _g_points(("u",), mesh.nodes, mesh) == 12_288
 
     calls = []
 
@@ -466,7 +469,21 @@ def test_g_is_evaluated_once_per_quadrature_point(monkeypatch):
     problem = weight_problem(1.2, alpha)
     regularity.classify(problem)
     [(kinds, t, g)] = calls
-    assert g.points == _g_points(kinds, t, problem.mesh) == 25_272
+    at_nodes = np.count_nonzero(np.isin(t[t < 1.0], problem.mesh.nodes))
+    assert at_nodes > 0
+    assert g.points == _g_points(kinds, t, problem.mesh) == 25_272 - 12 * at_nodes
+
+
+def test_gauss_legendre_rule_matches_leggauss():
+    # Golub-Welsch against numpy's companion-matrix rule with a Newton step,
+    # at the order in use and two below it
+    from numpy.polynomial.legendre import leggauss
+
+    for order in (2, 5, quadrature.GAUSS_ORDER):
+        x, w = quadrature._gauss_legendre(order)
+        ref_x, ref_w = leggauss(order)
+        assert np.all(np.abs(x - ref_x) <= 1e-15)
+        assert np.all(np.abs(w - ref_w) <= 1e-14 * ref_w)
 
 
 def _series_by_recurrence(e):
@@ -615,15 +632,17 @@ def test_solve_with_underflowing_origin_points_stays_finite(beta, alpha):
 @pytest.mark.parametrize("alpha", [1.05, 1.6, 2.0])
 @pytest.mark.parametrize("grading", [1.0, 5.0, 8.0])
 @pytest.mark.parametrize("rows", [1, 5, 16, None])
-def test_sub_block_partition_does_not_matter(rows, grading, alpha, kind):
-    # The targets of one call share the cut set by the first of them, so a
-    # call of any size gives the same sums: one target per call (each its
-    # own cut), 5 and 16 rows, and all targets in one call (the first lies
-    # below t_1, so there are no far panels and the band is the whole left
-    # part).  With one row per call some call keeps the cut of the call
-    # before it, so the moment stream does not advance.
+def test_sub_block_partition_does_not_matter(monkeypatch, rows, grading, alpha, kind):
+    # The targets of one sub-block share the cut set by the first of them,
+    # so a sub-block of any size gives the same sums: one target per call
+    # (each its own cut), 5 and 16 rows, and all targets in one sub-block
+    # (the first lies below t_1, so there are no far panels and each band
+    # is the whole left part).  With one row per call some call keeps the
+    # cut of the call before it, so the moment stream does not advance.
     mesh, t, e, lo, panels, ref = _far_field_case(grading, alpha, kind)
-    rows = rows or len(t)
+    if rows is None:
+        rows = len(t)
+        monkeypatch.setattr(quadrature, "_TILE", 6 * rows)
     first = t[::rows]
     cuts = np.searchsorted(mesh.nodes, quadrature.EPS * first, side="right") - 1
     assert first[0] < mesh.nodes[1]
@@ -638,9 +657,9 @@ def test_sub_block_partition_does_not_matter(rows, grading, alpha, kind):
 @pytest.mark.parametrize("alpha", [1.3, 1.6, 2.0])
 def test_two_sums_match_full_bracket_block(monkeypatch, alpha, kind, reg):
     # Sub-blocks of 16 close targets just above a node of a fine uniform
-    # mesh: there most of each band lies past the split, where the two terms
-    # of the bracket differ by a factor of two or more in every row, and is
-    # summed term by term; the bands of the targets near t = 0.176 hold the
+    # mesh: there most of each band lies past the row's split, where the two
+    # terms of the bracket differ by a factor of two or more, and is summed
+    # term by term; the bands of the targets near t = 0.176 hold the
     # sign change of the signed g.  For u' at alpha = 2 the terms are 1 - s
     # and 1, which never split, so the whole band stays on the kernel.
     mesh = GradedMesh.from_grading(512, 1.0)
@@ -650,13 +669,13 @@ def test_two_sums_match_full_bracket_block(monkeypatch, alpha, kind, reg):
     e, lo, panels, ref = _left_bracket_case(mesh, t, alpha, kind, reg)
     # (row, column) pairs summed term by term
     count = [0]
-    two_sums = quadrature._LeftBracket._two_sums
+    power_sums = quadrature._LeftBracket._power_sums
 
-    def counted(self, t, te, e, split, hi, stop):
-        count[0] += int(np.sum(np.maximum(stop - split, 0)))
-        return two_sums(self, t, te, e, split, hi, stop)
+    def counted(self, t, e, split, stop):
+        count[0] += int(np.sum(stop - split))
+        return power_sums(self, t, e, split, stop)
 
-    monkeypatch.setattr(quadrature._LeftBracket, "_two_sums", counted)
+    monkeypatch.setattr(quadrature._LeftBracket, "_power_sums", counted)
     got = _left_bracket_sums(kind, alpha, mesh, panels, t, e, lo, 16)
     if kind == "du" and alpha == 2.0:
         assert count[0] == 0
@@ -694,11 +713,11 @@ def test_traced_memory_of_a_large_solve_stays_small():
 
 def test_band_evaluates_few_kernel_elements(monkeypatch):
     # Kernel elements, as broadcast sizes of (t, s), that one solve passes to
-    # the bracket kernel: the band columns before the split of the two sums
-    # plus the origin pieces of the targets in the first panel.  71,152 with
-    # the origin panel shared; 77,080 when every target owned one, and
-    # 143,640 before the two sums, when the whole band went through the
-    # kernel.
+    # the bracket kernel: the band columns before each row's split plus the
+    # origin pieces of the targets in the first panel.  23,744 with a split
+    # per row; 71,152 with one split per sub-block of 16 rows, taken only
+    # where it left the two sums half of the band, and 143,640 before the
+    # two sums, when the whole band went through the kernel.
     count = [0]
 
     def counted(t, s, *args, **kwargs):
@@ -707,7 +726,50 @@ def test_band_evaluates_few_kernel_elements(monkeypatch):
 
     monkeypatch.setattr(quadrature, "bracket_values", counted)
     solve_linear(WeightSpec(1.2), 1.6, 512)
-    assert 0 < count[0] <= 1.05 * 71_152
+    assert 0 < count[0] <= 1.05 * 23_744
+
+
+def test_band_evaluates_exactly_the_pairs_it_owns(monkeypatch):
+    # Each row's band is its own columns start_r..stop_r-1, each either on
+    # the kernel or summed term by term: none is evaluated and then masked.
+    owned, kernel, term_by_term, in_band = [0], [0], [0], [False]
+    band = quadrature._LeftBracket._band
+    power_sums = quadrature._LeftBracket._power_sums
+
+    def counted_band(self, t, te, e, start, stop):
+        owned[0] += int(np.sum(stop - start))
+        in_band[0] = True
+        try:
+            return band(self, t, te, e, start, stop)
+        finally:
+            in_band[0] = False
+
+    def counted_kernel(t, s, *args, **kwargs):
+        if in_band[0]:
+            kernel[0] += np.broadcast(t, s).size
+        return bracket_values(t, s, *args, **kwargs)
+
+    def counted_power_sums(self, t, e, split, stop):
+        term_by_term[0] += int(np.sum(stop - split))
+        return power_sums(self, t, e, split, stop)
+
+    monkeypatch.setattr(quadrature._LeftBracket, "_band", counted_band)
+    monkeypatch.setattr(quadrature._LeftBracket, "_power_sums", counted_power_sums)
+    monkeypatch.setattr(quadrature, "bracket_values", counted_kernel)
+    solve_linear(WeightSpec(1.2), 1.6, 512)
+    assert kernel[0] > 0 and term_by_term[0] > 0
+    assert kernel[0] + term_by_term[0] == owned[0]
+
+
+def test_run_sums_skip_empty_runs():
+    # reduceat returns the element at an empty run's start and rejects an
+    # index at the end of the array; empty runs first, between and last
+    x = np.arange(1.0, 8.0)
+    runs = np.array([0, 2, 0, 0, 4, 1, 0])
+    got = quadrature._run_sums(x, runs)
+    assert np.array_equal(got, [0.0, 3.0, 0.0, 0.0, 18.0, 7.0, 0.0])
+    empty = quadrature._run_sums(np.empty(0), np.zeros(3, dtype=int))
+    assert np.array_equal(empty, np.zeros(3))
 
 
 # --- convergence and sign --------------------------------------------------------

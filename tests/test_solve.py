@@ -368,3 +368,15 @@ def test_import_loads_no_scipy():
         env={"PYTHONPATH": src}, capture_output=True, text=True, check=True, timeout=60,
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_import_loads_no_numpy_polynomial():
+    # The Gauss-Legendre rule is built without numpy.polynomial, which
+    # numpy imports only on first use.
+    code = "import sys, fracbvp.cli\nprint('numpy.polynomial' in sys.modules)"
+    src = str(Path(fracbvp.__file__).resolve().parent.parent)
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={"PYTHONPATH": src}, capture_output=True, text=True, check=True, timeout=60,
+    )
+    assert out.stdout.strip() == "False"
