@@ -47,7 +47,7 @@ from .quadrature import (
     apply_operators,
     as_weight_spec,
 )
-from .regularity import GreenProblem, classify
+from .regularity import INCONCLUSIVE, NO, GreenProblem, classify
 from .solve import (
     NonlinearitySpec,
     check_picard_controls,
@@ -308,11 +308,20 @@ def cmd_classify(args) -> int:
     problem = GreenProblem.build(_weight_or_forcing(args), args.alpha, args.n)
     report = classify(problem)
 
-    def show(limit):
-        return "divergent" if limit is None else f"{limit:.12g}"
+    # a limit is estimated only for the verdict "yes"
+    missing = {NO: "divergent", INCONCLUSIVE: "undetermined"}
 
-    print(f"in_E_alpha={report.in_E_alpha} q_limit={show(report.q_limit_estimate)}")
-    print(f"in_C1_2ma={report.in_C1_2ma} p_limit={show(report.p_limit_estimate)}")
+    def show(verdict, limit):
+        return missing[verdict] if limit is None else f"{limit:.12g}"
+
+    print(
+        f"in_E_alpha={report.in_E_alpha}"
+        f" q_limit={show(report.in_E_alpha, report.q_limit_estimate)}"
+    )
+    print(
+        f"in_C1_2ma={report.in_C1_2ma}"
+        f" p_limit={show(report.in_C1_2ma, report.p_limit_estimate)}"
+    )
     print(
         f"e_alpha_norm={report.e_alpha_norm} c1_norm={report.c1_norm}"
         f" -> {out}"

@@ -69,7 +69,8 @@ def bracket_values(t, s, alpha: float, e: float, t_e=None, s_terms=None):
     broadcast against each other with 0 < t <= 1 and 0 <= s < t
     elementwise; ``e`` is alpha-1 or alpha-2.  ``t_e = t**e`` and
     ``s_terms = column_terms(s, alpha)`` may be passed when the caller
-    already holds them.
+    already holds them; its log1p term is read only for e = alpha-2, and
+    may be None for e = alpha-1.
     """
     if t_e is None:
         t_e = np.power(t, e)

@@ -38,16 +38,19 @@ The three operators share one assembly and accept any array of targets in
 one pass, and several operators at one set of targets (apply_operators)
 share that pass: the shared panels, the row blocks, the values of g_reg,
 the pieces each target owns and the one moment stream of the far field.
+The sorted targets go in row blocks of 768, so that each (row, Gauss
+point) array of a block, 768 x 12 doubles, and each group of the band's
+(row, column) pairs stays within a temporary budget of 72 KiB (_BUDGET).
 g_reg is evaluated once at each quadrature point: in one call on the mesh
 panels, origin panel included, which all targets share, and in one call
-per block of targets on the 12 points of each piece of its panel that a
-target owns: the left piece ending at t (u and u' share its points,
-D^(alpha-1)u has its own), the right piece starting at t, and for t <= t_1
-the origin piece [0, t/2], which all kinds share.  Over the shared panels
-the parts that do not depend on t reduce to prefix and suffix sums:
-(1-s)^(alpha-1) in the right parts of all three operators, and both kernels
-of D^(alpha-1)u.  The left brackets of u and u' depend on t.  The sorted
-targets are taken in sub-blocks of 16 that split their shared left panels
+per row block on the 12 points of each piece of its panel that a target
+owns: the left piece ending at t (u and u' share its points, D^(alpha-1)u
+has its own), the right piece starting at t, and for t <= t_1 the origin
+piece [0, t/2], which all kinds share.  Over the shared panels the parts
+that do not depend on t reduce to prefix and suffix sums: (1-s)^(alpha-1)
+in the right parts of all three operators, and both kernels of
+D^(alpha-1)u.  The left brackets of u and u' depend on t.  Each row block
+is taken in sub-blocks of 16 targets that split their shared left panels
 at one cut, the last mesh node t_c <= EPS*t_min (EPS = 0.85).  Below t_c,
 on the far panels, x = s/t <= 0.85 for every target of the sub-block, and
 the bracket is t^e times an exact power series in x with the binomial
@@ -324,18 +327,32 @@ def apply_dalpha_minus_1(t, g_singular_exponent, g_regular, alpha, mesh):
 
 # --- internals ---------------------------------------------------------------
 
-# Targets are taken in ascending row blocks of _TILE (the panels each target
-# owns and the band are built per block), and each block in sub-blocks of
-# _TILE // 6 rows, which share one far-field cut.  The band gathers the
-# (row, column) pairs of groups of consecutive rows that hold at most
-# _TILE**2 pairs, so no temporary of the bracket kernel or of the two sums
-# holds more than _TILE**2 doubles unless one row's band does.  glibc mmaps
-# blocks of 128 KiB (its default mmap threshold; 128**2 doubles exactly)
-# and trims the heap top once 128 KiB lie free there; with temporaries of
-# 128**2 doubles, and in some heap layouts from 104**2 up, every temporary
-# faulted in fresh pages: about 70k-80k minor faults per n = 2048 solve,
-# against about 1.3k at 96**2 (72 KiB per temporary).
-_TILE = 96
+# Temporary budget: 96**2 doubles, 72 KiB.  glibc mmaps blocks of 128 KiB
+# (its default mmap threshold; 128**2 doubles exactly) and trims the heap
+# top once 128 KiB lie free there; with band temporaries of 128**2 doubles,
+# and in some heap layouts from 104**2 up, every temporary faulted in fresh
+# pages: about 70k-80k minor faults per n = 2048 solve, against about 1.3k
+# at 96**2.
+_BUDGET = 96**2
+# Targets are taken in ascending row blocks of _BUDGET // GAUSS_ORDER = 768
+# rows, so each (row, Gauss point) array of the pieces a block's targets own
+# holds at most _BUDGET doubles; g_regular takes the points of all of them
+# in one call.  The pieces each target owns and the band are built per
+# block.  Blocks of 96 rows took 6 passes for classify's 531 targets and 22
+# for an n = 2048 solve, where 768 rows take 1 and 3, with the same values:
+# classify then ran 0.79x as long and an n = 2048 solve 0.83x (30
+# interleaved pairs in one process, one CPU).
+_BLOCK_ROWS = _BUDGET // GAUSS_ORDER
+# Each block is taken in sub-blocks of _SUB_BLOCK rows, which share one
+# far-field cut, set by their first row; _BLOCK_ROWS is a multiple of it,
+# so the sub-blocks are those of any other multiple.  Sub-blocks of a whole
+# block would widen every band to the cut of the block's first row: an
+# n = 2048 solve took about 7x as long.
+_SUB_BLOCK = 16
+# The band gathers the (row, column) pairs of groups of consecutive rows
+# that hold at most _BUDGET pairs (_row_groups), so no temporary of the
+# bracket kernel or of the gathered pairs of the two sums holds more than
+# _BUDGET doubles unless one row's band does.
 
 # Far-field cut.  A sub-block of targets sums the shared panels below the
 # last mesh node t_c <= EPS*t_min from power moments (_LeftBracket); the
@@ -402,7 +419,7 @@ def _green_integrals(kinds, t, beta_g, g_regular, alpha, mesh):
     lie in (0, 1]; t = 1 is not admitted for "du".  The mesh panels are
     shared by all targets (_SharedPanels); each target also owns the two
     pieces of the panel it lies in (see _own_panels).  Targets are taken
-    in ascending row blocks of _TILE, once for all kinds.
+    in ascending row blocks of _BLOCK_ROWS, once for all kinds.
     """
     if t.size == 0:
         return tuple(np.empty(0) for _ in kinds)
@@ -420,25 +437,17 @@ def _green_integrals(kinds, t, beta_g, g_regular, alpha, mesh):
     # arrays changed glibc's heap layout so that an n = 2048 solve faulted
     # in 367 fresh pages instead of 318 and ran about 5% slower.
     out = tuple(np.empty(len(t)) for _ in kinds)
-    for r0 in range(0, len(t), _TILE):
-        rows = order[r0:r0 + _TILE]
+    for r0 in range(0, len(t), _BLOCK_ROWS):
+        rows = order[r0:r0 + _BLOCK_ROWS]
         tb = t[rows]
         te = [tb ** _bracket_exponent(kind, alpha) for kind in brackets]
         # nodes[lo-1] < t <= nodes[lo]: t lies in panel lo-1
         lo = np.searchsorted(nodes, tb, side="left")
-        s, parts, inside, right_kw = _own_panels(
-            kinds, tb, dict(zip(brackets, te)), lo, nodes, m, beta_g, alpha
+        total, right = _own_sums(
+            kinds, tb, dict(zip(brackets, te)), lo, nodes, m, beta_g, g_regular,
+            alpha, panels.right_sums,
         )
-        g = np.split(g_regular(np.concatenate(s)), np.cumsum([len(x) for x in s[:-1]]))
-        right = panels.right_sums[lo]
-        right[inside] += np.sum(right_kw * g[-1], axis=1)
-        # the own pieces (the origin piece has fewer rows), then the shared
-        # left panels
-        total = {kind: np.zeros(len(tb)) for kind in parts}
-        for kind, pairs in parts.items():
-            for j, kw in pairs:
-                total[kind][:len(kw)] += np.sum(kw * g[j], axis=1)
-        if brackets:
+        if brackets:  # the shared left panels
             for kind, sk in zip(brackets, left.sums(tb, te, lo)):
                 total[kind] += sk
         for kind, values in zip(kinds, out):
@@ -565,9 +574,9 @@ class _LeftBracket:
         """The sums at ascending targets ``t``, one array per kind.
 
         ``te[i]`` is t^e of the i-th kind, and ``lo`` is as above.  The
-        targets are taken in sub-blocks of _TILE // 6, each with one cut.
+        targets are taken in sub-blocks of _SUB_BLOCK, each with one cut.
         """
-        step = _TILE // 6
+        step = _SUB_BLOCK
         # t_c <= EPS * t_min of each sub-block
         cuts = np.searchsorted(self.nodes, EPS * t[::step], side="right") - 1
         start = GAUSS_ORDER * np.repeat(cuts, step)[:len(t)]
@@ -653,9 +662,11 @@ class _LeftBracket:
         for g in _row_groups(stop - start):
             tr, cols, runs = _gather(t[g], start[g], split[g])
             if cols.size:
+                # log1p(-s) is read only by the kernel of u' (e <= 0)
+                log_s = self.log_s[cols] if e <= 0.0 else None
                 kern = bracket_values(
                     tr, self.s[cols], self.alpha, e, np.repeat(te[g], runs),
-                    (self.log_s[cols], self.pow_s[cols]),
+                    (log_s, self.pow_s[cols]),
                 )
                 kern *= self.wg[cols]
                 total[g] += _run_sums(kern, runs)
@@ -675,12 +686,12 @@ class _LeftBracket:
 
 
 def _row_groups(size):
-    # Slices of consecutive rows that hold at most _TILE**2 elements (rows
+    # Slices of consecutive rows that hold at most _BUDGET elements (rows
     # of ``size`` elements each), one row at least.
     ends = np.cumsum(size)
     r0 = 0
     while r0 < len(size):
-        r1 = np.searchsorted(ends, ends[r0] - size[r0] + _TILE**2, side="right")
+        r1 = np.searchsorted(ends, ends[r0] - size[r0] + _BUDGET, side="right")
         r1 = max(int(r1), r0 + 1)
         yield slice(r0, r1)
         r0 = r1
@@ -712,6 +723,29 @@ def _origin_panel(end, m, beta_g):
     tau = 0.5 * tau_hi[:, None] * (_GL_X + 1.0)
     w = 0.5 * tau_hi[:, None] * _GL_W * m * np.power(tau, m - 1.0 - m * beta_g)
     return tau**m, w
+
+
+def _own_sums(kinds, t, te, lo, nodes, m, beta_g, g_regular, alpha, right_sums):
+    """Each kind's sums over the pieces each target owns, and its right sums.
+
+    g_regular is evaluated in one call at the points of every piece
+    (_own_panels).  Returns ({kind: sums}, right), right being right_sums[lo]
+    plus the right piece of the targets inside their panel, with the right
+    kernel (1-s)^(alpha-1).  The pieces' points, g and kernel weights are
+    freed on return, before the band of the row block runs.
+    """
+    s, parts, inside, right_kw = _own_panels(
+        kinds, t, te, lo, nodes, m, beta_g, alpha
+    )
+    g = np.split(g_regular(np.concatenate(s)), np.cumsum([len(x) for x in s[:-1]]))
+    right = right_sums[lo]
+    right[inside] += np.sum(right_kw * g[-1], axis=1)
+    # the origin piece has fewer rows
+    total = {kind: np.zeros(len(t)) for kind in parts}
+    for kind, pairs in parts.items():
+        for j, kw in pairs:
+            total[kind][:len(kw)] += np.sum(kw * g[j], axis=1)
+    return total, right
 
 
 def _own_panels(kinds, t, te, lo, nodes, m, beta_g, alpha):

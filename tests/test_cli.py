@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import re
 
 import numpy as np
@@ -409,6 +410,33 @@ def test_classify_command(tmp_path, capsys):
     header, rows = _read_csv(out)
     assert header == ["t", "q", "p"]
     assert len(rows) == 20
+
+
+@pytest.mark.parametrize(
+    "weight,line,label",
+    [
+        # q tends to a limit, which the verdict "yes" prints
+        ("power:1.2", 0, None),
+        # q tends to 0 (exponents 0.6 and 0.1), too slowly to be decided
+        ("power:1.5", 0, "in_E_alpha=inconclusive q_limit=undetermined"),
+        # p grows without bound
+        ("power:1.2", 1, "in_C1_2ma=no p_limit=divergent"),
+    ],
+)
+def test_classify_limit_labels_follow_the_verdict(
+    tmp_path, capsys, weight, line, label
+):
+    code = main([
+        "classify", "--alpha", "1.6", "--weight", weight,
+        "--out", str(tmp_path / "cls.csv"),
+    ])
+    assert code == EXIT_OK
+    text = capsys.readouterr().out.splitlines()[line]
+    if label is None:
+        head, limit = text.split(" q_limit=")
+        assert head == "in_E_alpha=yes" and math.isfinite(float(limit))
+    else:
+        assert text == label
 
 
 def test_classify_non_finite_report_exits_4(tmp_path, capsys, monkeypatch):

@@ -332,27 +332,30 @@ def test_array_with_one_bad_target_raises(op, bad):
     "w,alpha", [(WeightSpec(1.2), 1.6), (as_weight_spec(forcing("u3")), ALPHA_PAIRS)]
 )
 def test_tiling_does_not_change_values(monkeypatch, w, alpha):
-    # Under the default tile the 160 sorted targets form two row blocks and
-    # ten sub-blocks of 16.  The targets of a sub-block share one far-field
+    # In row blocks of 96 the 160 sorted targets form two blocks and ten
+    # sub-blocks of 16.  The targets of a sub-block share one far-field
     # cut, set by the first of them, where each row's band starts; every
     # sub-block after the first has far panels, so it resumes the moment
     # stream where the one before left it, and the later targets have
-    # bands.  A 4096 tile puts all targets in one block, one sub-block and
-    # one row group of the band.
+    # bands.  Blocks, sub-blocks and a budget of 4096 rows (4096**2 pairs)
+    # put all targets in one block, one sub-block and one row group of the
+    # band.
     mesh = build_mesh(64, w, alpha)
     beta_g, reg = w.singular_decomposition()
     rng = np.random.default_rng(5)
     t = np.concatenate((mesh.nodes[1:-1], rng.uniform(mesh.nodes[1], 1.0, 97)))
-    tile = quadrature._TILE
-    step = tile // 6
+    monkeypatch.setattr(quadrature, "_BLOCK_ROWS", 96)
+    step = quadrature._SUB_BLOCK
     ts = np.sort(t)
     far = np.searchsorted(mesh.nodes, quadrature.EPS * ts[::step], side="right") - 2
     far_of_row = np.repeat(np.maximum(far, 0), step)[:len(ts)]
     band = np.searchsorted(mesh.nodes, ts) - 2 - far_of_row
-    assert len(t) > tile and np.all(far[1:] > 0) and np.max(band[step:]) > 0
+    assert len(t) > 96 and np.all(far[1:] > 0) and np.max(band[step:]) > 0
     ops = (apply_green, apply_green_derivative)
     tiled = [op(t, beta_g, reg, alpha, mesh) for op in ops]
-    monkeypatch.setattr(quadrature, "_TILE", 4096)
+    monkeypatch.setattr(quadrature, "_BUDGET", 4096**2)
+    monkeypatch.setattr(quadrature, "_BLOCK_ROWS", 4096)
+    monkeypatch.setattr(quadrature, "_SUB_BLOCK", 4096)
     for got, op in zip(tiled, ops):
         whole = op(t, beta_g, reg, alpha, mesh)
         bound = 1e-13 * np.abs(whole) + 1e-15 * np.max(np.abs(whole))
@@ -426,10 +429,11 @@ class _CountedPoints:
     """A g_regular that counts the points it is evaluated at."""
 
     def __init__(self, regular):
-        self.regular, self.points = regular, 0
+        self.regular, self.points, self.calls = regular, 0, 0
 
     def __call__(self, s):
         self.points += s.size
+        self.calls += 1
         return self.regular(s)
 
 
@@ -472,6 +476,30 @@ def test_g_is_evaluated_once_per_quadrature_point(monkeypatch):
     at_nodes = np.count_nonzero(np.isin(t[t < 1.0], problem.mesh.nodes))
     assert at_nodes > 0
     assert g.points == _g_points(kinds, t, problem.mesh) == 25_272 - 12 * at_nodes
+
+
+def test_row_blocks_fill_the_temporary_budget(monkeypatch):
+    # Targets go in row blocks of _BUDGET // GAUSS_ORDER = 768 rows, and g
+    # is evaluated in one call on the shared panels and one per row block:
+    # 4 calls at the 2,047 interior nodes of an n = 2048 mesh and 2 in
+    # classify's pass at its 531 points (23 and 7 in blocks of 96 rows).
+    w, alpha = WeightSpec(1.2), 1.6
+    beta_g, reg = w.singular_decomposition()
+    mesh = build_mesh(2048, w, alpha)
+    g = _CountedPoints(reg)
+    apply_green(mesh.nodes, beta_g, g, alpha, mesh)
+    assert g.calls == 4
+
+    calls = []
+
+    def counted(kinds, t, beta_g, g_regular, *rest):
+        calls.append((t, _CountedPoints(g_regular)))
+        return apply_operators(kinds, t, beta_g, calls[-1][1], *rest)
+
+    monkeypatch.setattr(regularity, "apply_operators", counted)
+    regularity.classify(weight_problem(1.2, alpha))
+    [(t, g)] = calls
+    assert len(t) == 531 and g.calls == 2
 
 
 def test_gauss_legendre_rule_matches_leggauss():
@@ -642,7 +670,7 @@ def test_sub_block_partition_does_not_matter(monkeypatch, rows, grading, alpha, 
     mesh, t, e, lo, panels, ref = _far_field_case(grading, alpha, kind)
     if rows is None:
         rows = len(t)
-        monkeypatch.setattr(quadrature, "_TILE", 6 * rows)
+        monkeypatch.setattr(quadrature, "_SUB_BLOCK", rows)
     first = t[::rows]
     cuts = np.searchsorted(mesh.nodes, quadrature.EPS * first, side="right") - 1
     assert first[0] < mesh.nodes[1]
@@ -700,8 +728,10 @@ def test_series_reaches_the_binomial_at_the_cut(e):
 
 def test_traced_memory_of_a_large_solve_stays_small():
     # The far field streams its moments; an n x M table of them, or the
-    # series temporaries of a whole row block, would show here (about
-    # 1.4 MiB traced at n = 2048 with neither).
+    # series temporaries of a whole row block, would show here.  With
+    # neither, and each row block's own pieces freed before its band runs,
+    # 1.47 MiB is traced at n = 2048 (1.62 MiB with those pieces kept
+    # alive, 2.25 MiB with all 2,047 targets in one block).
     tracemalloc.start()
     try:
         solve_linear(WeightSpec(1.2), 1.6, 2048)
