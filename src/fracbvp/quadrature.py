@@ -36,32 +36,33 @@ error.
 
 The three operators share one assembly and accept any array of targets in
 one pass, and several operators at one set of targets (apply_operators)
-share that pass: the shared panels, the row blocks, the values of g_reg,
-the pieces each target owns and the one moment stream of the far field.
-The sorted targets go in row blocks of 768, so that each (row, Gauss
-point) array of a block, 768 x 12 doubles, and each group of the band's
-(row, column) pairs stays within a temporary budget of 72 KiB (_BUDGET).
-g_reg is evaluated once at each quadrature point: in one call on the mesh
-panels, origin panel included, which all targets share, and in one call
-per row block on the 12 points of each piece of its panel that a target
-owns: the left piece ending at t (u and u' share its points, D^(alpha-1)u
-has its own), the right piece starting at t, and for t <= t_1 the origin
-piece [0, t/2], which all kinds share.  Over the shared panels the parts
-that do not depend on t reduce to prefix and suffix sums: (1-s)^(alpha-1)
-in the right parts of all three operators, and both kernels of
-D^(alpha-1)u.  The left brackets of u and u' depend on t.  Each row block
-is taken in sub-blocks of 16 targets that split their shared left panels
-at one cut, the last mesh node t_c <= EPS*t_min (EPS = 0.85).  Below t_c,
-on the far panels, x = s/t <= 0.85 for every target of the sub-block, and
-the bracket is t^e times an exact power series in x with the binomial
-coefficients of (1-x)^e, cut at a 2^-60 tail; no sum in it subtracts two
-terms of one sign.  The far panels thus reduce to power moments about t_c,
-streamed up the mesh once per sub-block; the M powers of a point (M of
-about 190 to 270) are products of two short tables, M/8 + 8 exps.  The
-moments and the factors (t_c/t)^m do not depend on e, so u and u' read one
-stream, as long as the longer of their series (one set of moments for
-several target kernels, the economy of the multipole method: Greengard and
-Rokhlin, J. Comput. Phys. 73, 1987).  The
+share that pass: the shared panels, the values of g_reg, the pieces each
+target owns and the one moment stream of the far field.  The targets are
+sorted once.  g_reg is evaluated once at each quadrature point: in one
+call on the mesh panels, origin panel included, which all targets share,
+and on the 12 points of each piece of its panel that a target owns: the
+left piece ending at t (u and u' share its points, D^(alpha-1)u has its
+own), the right piece starting at t, and for t <= t_1 the origin piece
+[0, t/2], which all kinds share.  Only these own pieces go in row blocks,
+of 768 targets with one g_reg call each, so that each (row, Gauss point)
+array of a block, 768 x 12 doubles, stays within a temporary budget of
+72 KiB (_BUDGET).  The far field and the band take all targets in one
+call, the band in groups of rows that keep its temporaries within the same
+budget.  Over the shared panels the parts that do not depend on t reduce
+to prefix and suffix sums: (1-s)^(alpha-1) in the right parts of all three
+operators, and both kernels of D^(alpha-1)u.  The left brackets of u and
+u' depend on t.  The sorted targets are taken in sub-blocks of 16 that
+split their shared left panels at one cut, the last mesh node t_c <=
+EPS*t_min (EPS = 0.85).  Below t_c, on the far panels, x = s/t <= 0.85 for
+every target of the sub-block, and the bracket is t^e times an exact power
+series in x with the binomial coefficients of (1-x)^e, cut at a 2^-60
+tail; no sum in it subtracts two terms of one sign.  The far panels thus
+reduce to power moments about t_c, streamed up the mesh once as the cuts
+rise; the M powers of a point (M of about 190 to 270) are products of two
+short tables, M/8 + 8 exps.  The moments and the factors (t_c/t)^m do not
+depend on e, so u and u' read one stream, as long as the longer of their
+series (one set of moments for several target kernels, the economy of the
+multipole method: Greengard and Rokhlin, J. Comput. Phys. 73, 1987).  The
 band, from t_c up to the panel each target lies in, holds about 4% of the
 lower triangle at grading 5 and n = 2048 (6% at n = 512) and 16% at grading
 1.  Each row sums its own band columns and splits them at its own column,
@@ -334,28 +335,26 @@ def apply_dalpha_minus_1(t, g_singular_exponent, g_regular, alpha, mesh):
 # pages: about 70k-80k minor faults per n = 2048 solve, against about 1.3k
 # at 96**2.
 _BUDGET = 96**2
-# Targets are taken in ascending row blocks of _BUDGET // GAUSS_ORDER = 768
-# rows, so each (row, Gauss point) array of the pieces a block's targets own
-# holds at most _BUDGET doubles; g_regular takes the points of all of them
-# in one call.  The pieces each target owns and the band are built per
-# block.  Blocks of 96 rows took 6 passes for classify's 531 targets and 22
-# for an n = 2048 solve, where 768 rows take 1 and 3, with the same values:
-# classify then ran 0.79x as long and an n = 2048 solve 0.83x (30
-# interleaved pairs in one process, one CPU).
-_BLOCK_ROWS = _BUDGET // GAUSS_ORDER
-# Each block is taken in sub-blocks of _SUB_BLOCK rows, which share one
-# far-field cut, set by their first row; _BLOCK_ROWS is a multiple of it,
-# so the sub-blocks are those of any other multiple.  Sub-blocks of a whole
-# block would widen every band to the cut of the block's first row: an
-# n = 2048 solve took about 7x as long.
+# Only the pieces the targets own go in row blocks: _own_sums takes the
+# sorted targets in blocks of _BUDGET // GAUSS_ORDER = 768 rows, so each
+# (row, Gauss point) array of a block holds at most _BUDGET doubles, and
+# g_regular takes the points of all of a block's pieces in one call.  Blocks
+# of 96 rows took 6 g_regular calls for classify's 531 targets and 22 for an
+# n = 2048 solve, where 768 rows take 1 and 3: classify ran 0.79x as long
+# and an n = 2048 solve 0.83x.  The far field and the band take all targets
+# in one call.  The band gathers the (row, column) pairs of groups of
+# consecutive rows that hold at most _BUDGET pairs, and takes the range sums
+# of its rows in runs whose columns span at most _BUDGET (_row_groups), so
+# none of its temporaries holds more than _BUDGET doubles unless one row's
+# band does.
+# The far field takes the sorted targets in sub-blocks of _SUB_BLOCK rows,
+# which share one cut, set by their first row.  Sub-blocks of 768 rows would
+# widen every band to the cut of the sub-block's first row: an n = 2048
+# solve took about 7x as long.
 _SUB_BLOCK = 16
-# The band gathers the (row, column) pairs of groups of consecutive rows
-# that hold at most _BUDGET pairs (_row_groups), so no temporary of the
-# bracket kernel or of the gathered pairs of the two sums holds more than
-# _BUDGET doubles unless one row's band does.
 
 # Far-field cut.  A sub-block of targets sums the shared panels below the
-# last mesh node t_c <= EPS*t_min from power moments (_LeftBracket); the
+# last mesh node t_c <= EPS*t_min from power moments; the
 # shared panels from t_c up to the panel each target lies in, the band, go
 # through the exact bracket kernel or the two sums.  A higher cut shrinks
 # the band (O(n^2)) and lengthens the series (O(n M)); at 0.85, M is at
@@ -418,8 +417,10 @@ def _green_integrals(kinds, t, beta_g, g_regular, alpha, mesh):
     factor (alpha-1)/Gamma(alpha)) and "dalpha" (D^(alpha-1)u).  Targets
     lie in (0, 1]; t = 1 is not admitted for "du".  The mesh panels are
     shared by all targets (_SharedPanels); each target also owns the two
-    pieces of the panel it lies in (see _own_panels).  Targets are taken
-    in ascending row blocks of _BLOCK_ROWS, once for all kinds.
+    pieces of the panel it lies in (see _own_panels).  The targets are
+    sorted once for all kinds: the pieces they own go in blocks of
+    _BUDGET // GAUSS_ORDER rows (_own_sums), and the far field and the band
+    take all of them in one call (_left_bracket_sums).
     """
     if t.size == 0:
         return tuple(np.empty(0) for _ in kinds)
@@ -427,34 +428,27 @@ def _green_integrals(kinds, t, beta_g, g_regular, alpha, mesh):
     m = _origin_substitution_order(alpha, beta_g)
     nodes = mesh.nodes
     panels = _SharedPanels.build(nodes, beta_g, g_regular, alpha)
-    # the kinds with a left bracket, u last (see _LeftBracket)
-    brackets = tuple(kind for kind in ("du", "u") if kind in kinds)
-    if brackets:
-        left = _LeftBracket(brackets, alpha, nodes, panels)
-
     order = np.argsort(t, kind="stable")
-    # Allocated after the shared panels: allocated before them, these small
-    # arrays changed glibc's heap layout so that an n = 2048 solve faulted
-    # in 367 fresh pages instead of 318 and ran about 5% slower.
+    ts = t[order]
+    # t^e of the kinds with a left bracket
+    te = {
+        kind: ts**_bracket_exponent(kind, alpha) for kind in kinds if kind != "dalpha"
+    }
+    # nodes[lo-1] < t <= nodes[lo]: t lies in panel lo-1
+    lo = np.searchsorted(nodes, ts, side="left")
+    total, right = _own_sums(
+        kinds, ts, te, lo, nodes, m, beta_g, g_regular, alpha, panels.right_sums
+    )
+    if te:  # the shared left panels
+        left = _left_bracket_sums(tuple(te), ts, te, lo, alpha, nodes, panels)
+        for kind, sums in zip(te, left):
+            total[kind] += sums
     out = tuple(np.empty(len(t)) for _ in kinds)
-    for r0 in range(0, len(t), _BLOCK_ROWS):
-        rows = order[r0:r0 + _BLOCK_ROWS]
-        tb = t[rows]
-        te = [tb ** _bracket_exponent(kind, alpha) for kind in brackets]
-        # nodes[lo-1] < t <= nodes[lo]: t lies in panel lo-1
-        lo = np.searchsorted(nodes, tb, side="left")
-        total, right = _own_sums(
-            kinds, tb, dict(zip(brackets, te)), lo, nodes, m, beta_g, g_regular,
-            alpha, panels.right_sums,
-        )
-        if brackets:  # the shared left panels
-            for kind, sk in zip(brackets, left.sums(tb, te, lo)):
-                total[kind] += sk
-        for kind, values in zip(kinds, out):
-            if kind == "dalpha":  # shared left panels j = 0..lo-2
-                values[rows] = total[kind] + panels.left_sums[lo - 1] + right
-            else:
-                values[rows] = total[kind] + te[brackets.index(kind)] * right
+    for kind, values in zip(kinds, out):
+        if kind == "dalpha":  # shared left panels j = 0..lo-2
+            values[order] = total[kind] + panels.left_sums[lo - 1] + right
+        else:
+            values[order] = total[kind] + te[kind] * right
     return out
 
 
@@ -510,15 +504,17 @@ def _series_coefficients(e: float) -> np.ndarray:
     return b[:int(np.argmax(below))]
 
 
-class _LeftBracket:
+def _left_bracket_sums(kinds, t, te, lo, alpha, nodes, panels: _SharedPanels):
     """Sums of the left brackets of u and u' over the shared panels left of t.
 
-    A target t with nodes[lo-1] < t <= nodes[lo] sums B_e(t, s) w(s) g(s)
-    over the shared panels j = 0..lo-2 (row j is panel j, the origin panel
-    row 0).  The targets of one sub-block share one cut, the last node t_c
-    <= EPS*t_min; below it, j < c, lie the far panels, where x = s/t <=
-    t_c/t <= EPS for every target of the sub-block.  With (1-x)^e - 1 =
-    sum_m b_m x^m (_series_coefficients)
+    ``kinds`` holds "u", "du" or both, ``t`` the ascending targets, ``te``
+    maps each kind to t^e, and a target t with nodes[lo-1] < t <= nodes[lo]
+    sums B_e(t, s) w(s) g(s) over the shared panels j = 0..lo-2 (row j is
+    panel j, the origin panel row 0).  The targets are taken in sub-blocks
+    of _SUB_BLOCK, each with one cut, the last node t_c <= EPS*t_min; below
+    it, j < c, lie the far panels, where x = s/t <= t_c/t <= EPS for every
+    target of the sub-block.  With (1-x)^e - 1 = sum_m b_m x^m
+    (_series_coefficients)
 
         u  (e = alpha-1):  B_e = t^e ((1-s)^e - (1-x)^e)
                                = t^e sum_m b_m (t^m - 1) x^m,
@@ -526,172 +522,160 @@ class _LeftBracket:
 
     where no sum subtracts two terms of one sign.  The far panels thus need
     only the moments Phi_m(c) = sum (s/t_c)^m w g over the shared points
-    s < t_c: their x-moments are (t_c/t)^m Phi_m(c).  Phi(0) = 0, and a
-    higher cut c' takes Phi(c') = (t_c/t_c')^m Phi(c) plus the moments about
-    t_c' of the points in [t_c, t_c').  Every factor is at most 1, so
-    nothing overflows, and what underflows lies below the double range
-    anyway; origin points that underflow to s = 0 add 0 to every moment.
-    Only the current Phi is kept, so targets must come in ascending order
-    across calls.  The band of a target, the columns of panels c..lo-2,
+    s < t_c: their x-moments are (t_c/t)^m Phi_m(c).  The moments are
+    streamed up the mesh once (_moments), as the cuts of the ascending
+    sub-blocks rise.  The band of a target, the columns of panels c..lo-2,
     goes through the bracket kernel up to the target's own column split;
     from there on the two terms of B_e differ by a factor of two or more,
     so they are summed apart and subtracted once per row (_band).
 
-    Phi and the factors (t_c/t)^m do not depend on e, so the kinds of one
-    instance ("u", "du" or both) share one moment stream, as long as the
-    longer of their series, and one table of (t_c/t)^m per call; each kind
-    has its own band.  Sums come back in the order of ``kinds``, which must
-    end with "u" if it holds "u".
+    Phi and the factors (t_c/t)^m do not depend on e, so the kinds share
+    one moment stream, as long as the longer of their series, and one table
+    of (t_c/t)^m per sub-block; each kind has its own band.  Sums come back
+    in the order of ``kinds``.
     """
-
-    def __init__(self, kinds, alpha, nodes, panels: _SharedPanels):
-        # u multiplies its factors t^m - 1 into the shared table of
-        # (t_c/t)^m Phi_m in place, so it must be the last kind
-        if "u" in kinds[:-1]:
-            raise ValueError(f"u must be the last kind, got {kinds!r}")
-        self.kinds = kinds
-        self.alpha = alpha
-        self.es = tuple(_bracket_exponent(kind, alpha) for kind in kinds)
-        self.nodes, self.panels = nodes, panels
-        self.b = tuple(_series_coefficients(e) for e in self.es)
-        size = max(len(b) for b in self.b)
-        self.m = np.arange(1.0, size + 1.0)
-        # (s/t_c)^m = (s/t_c)^(8q) (s/t_c)^(j+1) for m = 8q + j + 1: Q + 8
-        # exps per point give all M powers.
-        self.m_coarse = 8.0 * np.arange(-(-size // 8))
-        self.m_fine = np.arange(1.0, 9.0)
-        self.phi = np.zeros(size)
-        self.cut = 0
-        # the band's columns, flattened
-        self.s, self.wg, self.log_s, self.pow_s = (
-            x.ravel() for x in (panels.s, panels.wg, panels.log_s, panels.pow_s)
-        )
-        # Origin points that underflowed to s = 0 add 0 to every moment; the
-        # stream starts past them (log 0 = -inf, and -inf * 0 is NaN).
-        self.nonzero = int(np.count_nonzero(self.s[:GAUSS_ORDER] == 0.0))
-
-    def sums(self, t, te, lo):
-        """The sums at ascending targets ``t``, one array per kind.
-
-        ``te[i]`` is t^e of the i-th kind, and ``lo`` is as above.  The
-        targets are taken in sub-blocks of _SUB_BLOCK, each with one cut.
-        """
-        step = _SUB_BLOCK
-        # t_c <= EPS * t_min of each sub-block
-        cuts = np.searchsorted(self.nodes, EPS * t[::step], side="right") - 1
-        start = GAUSS_ORDER * np.repeat(cuts, step)[:len(t)]
-        stop = GAUSS_ORDER * (lo - 1)
-        out = [self._band(t, te_k, e, start, stop) for e, te_k in zip(self.es, te)]
-        for q0, cut in zip(range(0, len(t), step), cuts.tolist()):
-            q = slice(q0, q0 + step)
-            series = self._series(t[q], cut)
-            for kind, acc, te_k, far_sum in zip(self.kinds, out, te, series):
-                if kind == "du":
-                    far_sum = self.panels.left_sums[cut] - far_sum
-                acc[q] += te_k[q] * far_sum
-        return out
-
-    def _series(self, t, cut):
-        # sum_m b_m (t^m - 1) x^m (u) or sum_m b_m x^m (u') over s < t_c,
-        # one array per kind
-        if not len(self.m) or cut == 0:
-            return [np.zeros(len(t)) for _ in self.kinds]
-        self._advance(cut)
-        log_t = np.log(t)[:, None]
-        x_moments = np.exp((math.log(self.nodes[cut]) - log_t) * self.m)
-        x_moments *= self.phi
-        out = []
-        for kind, b in zip(self.kinds, self.b):
-            x = x_moments[:, :len(b)]
-            if kind == "u":  # the last kind: scale the table in place
-                factor = log_t * self.m[:len(b)]
-                x *= np.expm1(factor, out=factor)
-            out.append(x @ b)
-        return out
-
-    def _advance(self, cut):
-        # Phi(cut) from Phi(self.cut), adding the shared points in
-        # [t_(self.cut), t_cut) in chunks of _STREAM_POINTS.
-        if cut <= self.cut:
-            return
-        top = self.nodes[cut]
-        if self.cut:  # Phi(0) = 0
-            self.phi *= np.exp(math.log(self.nodes[self.cut] / top) * self.m)
-        stop = GAUSS_ORDER * cut
-        for p0 in range(max(GAUSS_ORDER * self.cut, self.nonzero), stop, _STREAM_POINTS):
-            p = slice(p0, min(p0 + _STREAM_POINTS, stop))
-            log_r = np.log(self.s[p] / top)[:, None]
-            coarse = log_r * self.m_coarse
-            np.exp(coarse, out=coarse)
-            coarse *= self.wg[p, None]
-            self.phi += (coarse.T @ np.exp(log_r * self.m_fine)).ravel()[:len(self.m)]
-        self.cut = cut
-
-    @staticmethod
-    def _split_bound(t, e):
-        # From s = this bound on, the two terms of B_e at t differ by a
-        # factor of two or more: t^e (1-s)^(alpha-1) >= 2 (t-s)^e for u once
-        # s >= K t / (1 + K - t), K = 2^(1/e) - 1, and (t-s)^e >= 2 t^e >=
-        # 2 t^e (1-s)^(alpha-1) for u' once s >= t (1 - 2^(1/e)).  ``t`` is
-        # an array of targets, one bound each.  Both bounds increase with
-        # t, so the splits of ascending rows ascend.  For e = 0 (u' at
-        # alpha = 2, B = -s) the terms are 1 - s and 1 and never split; for
-        # 0 < e <= 2^-10 (u at alpha up to 1 + 2^-10) K overflows, and the
-        # bound would lie within t (1-t)/K of t, closer than any double
-        # below t, so no column splits either.
-        if e < 0.0:
-            return (1.0 - 2.0 ** (1.0 / e)) * t
-        if e > 2.0**-10:
-            k = 2.0 ** (1.0 / e) - 1.0
-            return k * t / (1.0 + k - t)
-        return math.inf
-
-    def _band(self, t, te, e, start, stop):
-        # The bracket over the columns start_r..stop_r-1 of each row r.  From
-        # its column split_r on, the two terms differ by a factor of two or
-        # more (condition number at most 3) and are summed apart; the columns
-        # before it go through the bracket kernel.
-        split = np.clip(self.s.searchsorted(self._split_bound(t, e)), start, stop)
-        # t^e sum (1-s)^(alpha-1) w g, each row's range summed in order; the
-        # even entries of reduceat are the ranges split_r..stop_r-1, and an
-        # empty one returns the element at its start
-        c0, c1 = split[0], stop[-1] + 1
-        ends = np.column_stack((split, stop)).ravel() - c0
-        past = np.add.reduceat(self.pow_s[c0:c1] * self.wg[c0:c1], ends)[::2]
-        total = np.where(split < stop, te * past, 0.0)
-        for g in _row_groups(stop - start):
-            tr, cols, runs = _gather(t[g], start[g], split[g])
-            if cols.size:
-                # log1p(-s) is read only by the kernel of u' (e <= 0)
-                log_s = self.log_s[cols] if e <= 0.0 else None
-                kern = bracket_values(
-                    tr, self.s[cols], self.alpha, e, np.repeat(te[g], runs),
-                    (log_s, self.pow_s[cols]),
-                )
-                kern *= self.wg[cols]
-                total[g] += _run_sums(kern, runs)
-            total[g] -= self._power_sums(t[g], e, split[g], stop[g])
-        return total
-
-    def _power_sums(self, t, e, split, stop):
-        # sum (t-s)^e w g over the columns split_r..stop_r-1 of each row r,
-        # (t-s)^e a power of the exact t - s
-        x, cols, runs = _gather(t, split, stop)
-        if not cols.size:
-            return 0.0
-        x -= self.s[cols]
-        np.power(x, e, out=x)
-        x *= self.wg[cols]
-        return _run_sums(x, runs)
+    step = _SUB_BLOCK
+    # t_c <= EPS * t_min of each sub-block
+    cuts = np.searchsorted(nodes, EPS * t[::step], side="right") - 1
+    start = GAUSS_ORDER * np.repeat(cuts, step)[:len(t)]
+    stop = GAUSS_ORDER * (lo - 1)
+    es = [_bracket_exponent(kind, alpha) for kind in kinds]
+    out = [
+        _band(t, te[kind], e, start, stop, alpha, panels) for kind, e in zip(kinds, es)
+    ]
+    b = {kind: _series_coefficients(e) for kind, e in zip(kinds, es)}
+    m = np.arange(1.0, max(len(bk) for bk in b.values()) + 1.0)
+    # u multiplies its factors t^m - 1 into the shared table of (t_c/t)^m
+    # Phi_m in place, so it reads the table last
+    last_u = sorted(b, key=lambda kind: kind == "u")
+    cuts = cuts.tolist()
+    moments = _moments(cuts, m, nodes, panels)  # Phi(c) of each sub-block's cut
+    for q0, cut, phi in zip(range(0, len(t), step), cuts, moments):
+        q = slice(q0, q0 + step)
+        # sum_m b_m (t^m - 1) x^m (u) or sum_m b_m x^m (u') over s < t_c
+        series = dict.fromkeys(kinds, 0.0)
+        if len(m) and cut:
+            log_t = np.log(t[q])[:, None]
+            x_moments = np.exp((math.log(nodes[cut]) - log_t) * m)
+            x_moments *= phi
+            for kind in last_u:
+                x = x_moments[:, :len(b[kind])]
+                if kind == "u":
+                    factor = log_t * m[:len(b[kind])]
+                    x *= np.expm1(factor, out=factor)
+                series[kind] = x @ b[kind]
+        for kind, acc in zip(kinds, out):
+            far_sum = series[kind]
+            if kind == "du":
+                far_sum = panels.left_sums[cut] - far_sum
+            acc[q] += te[kind][q] * far_sum
+    return out
 
 
-def _row_groups(size):
-    # Slices of consecutive rows that hold at most _BUDGET elements (rows
-    # of ``size`` elements each), one row at least.
-    ends = np.cumsum(size)
+def _moments(cuts, m, nodes, panels):
+    # Phi_m(c) for each of the ascending ``cuts`` in turn, one array updated
+    # in place: Phi(0) = 0, and a higher cut c' takes Phi(c') = (t_c/t_c')^m
+    # Phi(c) plus the moments about t_c' of the shared points in [t_c,
+    # t_c'), in chunks of _STREAM_POINTS.  Every factor is at most 1, so
+    # nothing overflows, and what underflows lies below the double range
+    # anyway.
+    # (s/t_c')^m = (s/t_c')^(8q) (s/t_c')^(j+1) for m = 8q + j + 1: Q + 8
+    # exps per point give all M powers.
+    m_coarse, m_fine = m[::8] - 1.0, np.arange(1.0, 9.0)
+    s, wg = panels.s.ravel(), panels.wg.ravel()
+    phi, cut = np.zeros(len(m)), 0
+    # Origin points that underflowed to s = 0 add 0 to every moment; the
+    # stream starts past them (log 0 = -inf, and -inf * 0 is NaN).
+    start = np.count_nonzero(s[:GAUSS_ORDER] == 0.0)
+    for new_cut in cuts:
+        if len(m) and new_cut > cut:
+            top, stop = nodes[new_cut], GAUSS_ORDER * new_cut
+            if cut:
+                phi *= np.exp(math.log(nodes[cut] / top) * m)
+            for p0 in range(start, stop, _STREAM_POINTS):
+                p = slice(p0, min(p0 + _STREAM_POINTS, stop))
+                log_r = np.log(s[p] / top)[:, None]
+                coarse = log_r * m_coarse
+                np.exp(coarse, out=coarse)
+                coarse *= wg[p, None]
+                phi += (coarse.T @ np.exp(log_r * m_fine)).ravel()[:len(m)]
+            start, cut = stop, new_cut
+        yield phi
+
+
+def _split_bound(t, e):
+    # From s = this bound on, the two terms of B_e at t differ by a factor
+    # of two or more: t^e (1-s)^(alpha-1) >= 2 (t-s)^e for u once s >= K t /
+    # (1 + K - t), K = 2^(1/e) - 1, and (t-s)^e >= 2 t^e >= 2 t^e
+    # (1-s)^(alpha-1) for u' once s >= t (1 - 2^(1/e)).  ``t`` is an array
+    # of targets, one bound each.  Both bounds increase with t, so the
+    # splits of ascending rows ascend.  For e = 0 (u' at alpha = 2, B = -s)
+    # the terms are 1 - s and 1 and never split; for 0 < e <= 2^-10 (u at
+    # alpha up to 1 + 2^-10) K overflows, and the bound would lie within
+    # t (1-t)/K of t, closer than any double below t, so no column splits
+    # either.
+    if e < 0.0:
+        return (1.0 - 2.0 ** (1.0 / e)) * t
+    if e > 2.0**-10:
+        k = 2.0 ** (1.0 / e) - 1.0
+        return k * t / (1.0 + k - t)
+    return math.inf
+
+
+def _band(t, te, e, start, stop, alpha, panels):
+    # The bracket over the shared columns start_r..stop_r-1 of each row r.
+    # From its column split_r on, the two terms differ by a factor of two or
+    # more (condition number at most 3) and are summed apart; the columns
+    # before it go through the bracket kernel.
+    s, wg, log_s, pow_s = (
+        x.ravel() for x in (panels.s, panels.wg, panels.log_s, panels.pow_s)
+    )
+    split = np.clip(s.searchsorted(_split_bound(t, e)), start, stop)
+    # t^e sum (1-s)^(alpha-1) w g, each row's range summed in order, in runs
+    # of rows whose columns span at most _BUDGET; the even entries of
+    # reduceat are the ranges split_r..stop_r-1, and an empty one returns
+    # the element at its start
+    past = np.empty(len(t))
+    for g in _row_groups(split, stop + 1):
+        c0, c1 = split[g.start], stop[g.stop - 1] + 1
+        bounds = np.column_stack((split[g], stop[g])).ravel() - c0
+        past[g] = np.add.reduceat(pow_s[c0:c1] * wg[c0:c1], bounds)[::2]
+    total = np.where(split < stop, te * past, 0.0)
+    # groups of rows whose pairs, flat and row by row, number at most _BUDGET
+    ends = np.cumsum(stop - start)
+    for g in _row_groups(ends - (stop - start), ends):
+        tr, cols, runs = _gather(t[g], start[g], split[g])
+        if cols.size:
+            # log1p(-s) is read only by the kernel of u' (e <= 0)
+            kern = bracket_values(
+                tr, s[cols], alpha, e, np.repeat(te[g], runs),
+                (log_s[cols] if e <= 0.0 else None, pow_s[cols]),
+            )
+            kern *= wg[cols]
+            total[g] += _run_sums(kern, runs)
+        total[g] -= _power_sums(t[g], e, split[g], stop[g], panels)
+    return total
+
+
+def _power_sums(t, e, split, stop, panels):
+    # sum (t-s)^e w g over the shared columns split_r..stop_r-1 of each row
+    # r, (t-s)^e a power of the exact t - s
+    x, cols, runs = _gather(t, split, stop)
+    if not cols.size:
+        return 0.0
+    x -= panels.s.ravel()[cols]
+    np.power(x, e, out=x)
+    x *= panels.wg.ravel()[cols]
+    return _run_sums(x, runs)
+
+
+def _row_groups(begin, end):
+    # Slices of consecutive rows whose elements, from begin_r of the first
+    # row to end_r of the last, span at most _BUDGET, one row at least;
+    # ``end`` ascends.
     r0 = 0
-    while r0 < len(size):
-        r1 = np.searchsorted(ends, ends[r0] - size[r0] + _BUDGET, side="right")
+    while r0 < len(begin):
+        r1 = np.searchsorted(end, begin[r0] + _BUDGET, side="right")
         r1 = max(int(r1), r0 + 1)
         yield slice(r0, r1)
         r0 = r1
@@ -719,32 +703,42 @@ def _run_sums(x, runs):
 def _origin_panel(end, m, beta_g):
     # Points and weights of the origin panels [0, end_i] under s = tau^m; the
     # Jacobian and the singular power fold into one smooth tau power.
+    # At a tiny margin the tau power overflows (tau^-9999 at m = 20,000).
+    # Such a weight is stored as NaN, which spreads without warnings, so
+    # the caller's finiteness check reports it; inf would raise
+    # invalid-value warnings wherever it meets a zero.
     tau_hi = end ** (1.0 / m)
     tau = 0.5 * tau_hi[:, None] * (_GL_X + 1.0)
-    w = 0.5 * tau_hi[:, None] * _GL_W * m * np.power(tau, m - 1.0 - m * beta_g)
+    with np.errstate(over="ignore"):
+        w = 0.5 * tau_hi[:, None] * _GL_W * m * np.power(tau, m - 1.0 - m * beta_g)
+    w[np.isinf(w)] = np.nan
     return tau**m, w
 
 
 def _own_sums(kinds, t, te, lo, nodes, m, beta_g, g_regular, alpha, right_sums):
     """Each kind's sums over the pieces each target owns, and its right sums.
 
-    g_regular is evaluated in one call at the points of every piece
-    (_own_panels).  Returns ({kind: sums}, right), right being right_sums[lo]
-    plus the right piece of the targets inside their panel, with the right
-    kernel (1-s)^(alpha-1).  The pieces' points, g and kernel weights are
-    freed on return, before the band of the row block runs.
+    The ascending targets go in blocks of _BUDGET // GAUSS_ORDER rows, and
+    g_regular is evaluated in one call per block at the points of every
+    piece its targets own (_own_panels).  Returns ({kind: sums}, right),
+    right being right_sums[lo] plus the right piece of the targets inside
+    their panel, with the right kernel (1-s)^(alpha-1).
     """
-    s, parts, inside, right_kw = _own_panels(
-        kinds, t, te, lo, nodes, m, beta_g, alpha
-    )
-    g = np.split(g_regular(np.concatenate(s)), np.cumsum([len(x) for x in s[:-1]]))
+    total = {kind: np.zeros(len(t)) for kind in kinds}
     right = right_sums[lo]
-    right[inside] += np.sum(right_kw * g[-1], axis=1)
-    # the origin piece has fewer rows
-    total = {kind: np.zeros(len(t)) for kind in parts}
-    for kind, pairs in parts.items():
-        for j, kw in pairs:
-            total[kind][:len(kw)] += np.sum(kw * g[j], axis=1)
+    rows = _BUDGET // GAUSS_ORDER
+    for r0 in range(0, len(t), rows):
+        b = slice(r0, r0 + rows)
+        s, parts, inside, right_kw = _own_panels(
+            kinds, t[b], {kind: x[b] for kind, x in te.items()}, lo[b], nodes, m,
+            beta_g, alpha,
+        )
+        g = np.split(g_regular(np.concatenate(s)), np.cumsum([len(x) for x in s[:-1]]))
+        right[b][inside] += np.sum(right_kw * g[-1], axis=1)
+        # the origin piece has fewer rows
+        for kind, pairs in parts.items():
+            for j, kw in pairs:
+                total[kind][r0:r0 + len(kw)] += np.sum(kw * g[j], axis=1)
     return total, right
 
 

@@ -369,6 +369,22 @@ def test_solve_non_finite_quadrature_exits_4(tmp_path, capsys, monkeypatch, flag
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("command", ["solve", "classify"])
+def test_tiny_margin_exits_4_with_only_the_error_line(tmp_path, capsys, command):
+    # Margin 1e-4 makes the origin substitution s = tau^20000, whose weight
+    # tau^-9999 overflows.  The quadrature breakdown is exit 4 with its
+    # message alone on stderr (RuntimeWarnings are errors here), and
+    # classify still writes its CSV.
+    out = tmp_path / "x.csv"
+    code = main([
+        command, "--alpha", "1.5", "--weight", "power:1.4999",
+        "--n", "64", "--out", str(out),
+    ])
+    assert code == EXIT_NO_CONVERGENCE
+    assert capsys.readouterr().err == "error: the quadrature produced non-finite values\n"
+    assert out.exists() == (command == "classify")
+
+
 @pytest.mark.parametrize("flag", ["--forcing", "--weight"])
 def test_solve_order_just_above_one(tmp_path, flag):
     # At alpha = 1.0005 the exponent alpha - 1 of u lies below 2^-10, where

@@ -332,34 +332,40 @@ def test_array_with_one_bad_target_raises(op, bad):
     "w,alpha", [(WeightSpec(1.2), 1.6), (as_weight_spec(forcing("u3")), ALPHA_PAIRS)]
 )
 def test_tiling_does_not_change_values(monkeypatch, w, alpha):
-    # In row blocks of 96 the 160 sorted targets form two blocks and ten
-    # sub-blocks of 16.  The targets of a sub-block share one far-field
-    # cut, set by the first of them, where each row's band starts; every
-    # sub-block after the first has far panels, so it resumes the moment
-    # stream where the one before left it, and the later targets have
-    # bands.  Blocks, sub-blocks and a budget of 4096 rows (4096**2 pairs)
-    # put all targets in one block, one sub-block and one row group of the
-    # band.
+    # With a budget of 96 * 12 doubles the 160 sorted targets own their
+    # pieces in two blocks of 96 rows, and they form ten sub-blocks of 16.
+    # The targets of a sub-block share one far-field cut, set by the first
+    # of them, where each row's band starts; every sub-block after the
+    # first has far panels, so it resumes the moment stream where the one
+    # before left it, and the later targets have bands.  A budget of 64
+    # doubles gives own-piece blocks of 5 rows, band groups and range-sum
+    # runs of one row where a row's band is wide, and rows whose band
+    # exceeds the budget.  Sub-blocks
+    # and a budget of 4096 rows (4096**2 pairs) put all targets in one
+    # block, one sub-block and one group of the band.
     mesh = build_mesh(64, w, alpha)
     beta_g, reg = w.singular_decomposition()
     rng = np.random.default_rng(5)
     t = np.concatenate((mesh.nodes[1:-1], rng.uniform(mesh.nodes[1], 1.0, 97)))
-    monkeypatch.setattr(quadrature, "_BLOCK_ROWS", 96)
     step = quadrature._SUB_BLOCK
     ts = np.sort(t)
     far = np.searchsorted(mesh.nodes, quadrature.EPS * ts[::step], side="right") - 2
     far_of_row = np.repeat(np.maximum(far, 0), step)[:len(ts)]
     band = np.searchsorted(mesh.nodes, ts) - 2 - far_of_row
     assert len(t) > 96 and np.all(far[1:] > 0) and np.max(band[step:]) > 0
+    assert quadrature.GAUSS_ORDER * np.max(band) > 64
     ops = (apply_green, apply_green_derivative)
-    tiled = [op(t, beta_g, reg, alpha, mesh) for op in ops]
+    arms = []
+    for budget in (96 * quadrature.GAUSS_ORDER, 64):
+        monkeypatch.setattr(quadrature, "_BUDGET", budget)
+        arms.append([op(t, beta_g, reg, alpha, mesh) for op in ops])
     monkeypatch.setattr(quadrature, "_BUDGET", 4096**2)
-    monkeypatch.setattr(quadrature, "_BLOCK_ROWS", 4096)
     monkeypatch.setattr(quadrature, "_SUB_BLOCK", 4096)
-    for got, op in zip(tiled, ops):
+    for i, op in enumerate(ops):
         whole = op(t, beta_g, reg, alpha, mesh)
         bound = 1e-13 * np.abs(whole) + 1e-15 * np.max(np.abs(whole))
-        assert np.all(np.abs(got - whole) <= bound)
+        for arm in arms:
+            assert np.all(np.abs(arm[i] - whole) <= bound)
 
 
 # --- several operators in one pass -------------------------------------------------
@@ -479,16 +485,26 @@ def test_g_is_evaluated_once_per_quadrature_point(monkeypatch):
 
 
 def test_row_blocks_fill_the_temporary_budget(monkeypatch):
-    # Targets go in row blocks of _BUDGET // GAUSS_ORDER = 768 rows, and g
-    # is evaluated in one call on the shared panels and one per row block:
-    # 4 calls at the 2,047 interior nodes of an n = 2048 mesh and 2 in
-    # classify's pass at its 531 points (23 and 7 in blocks of 96 rows).
+    # The pieces the targets own go in row blocks of _BUDGET // GAUSS_ORDER
+    # = 768 rows, and g is evaluated in one call on the shared panels and
+    # one per row block: 4 calls at the 2,047 interior nodes of an n = 2048
+    # mesh and 2 in classify's pass at its 531 points (23 and 7 in blocks of
+    # 96 rows).  The far field and the band take all targets of a pass in
+    # one call (3 at n = 2048 when they went in row blocks as well).
     w, alpha = WeightSpec(1.2), 1.6
     beta_g, reg = w.singular_decomposition()
     mesh = build_mesh(2048, w, alpha)
+    left_calls = [0]
+    left_bracket_sums = quadrature._left_bracket_sums
+
+    def counted_left(*args):
+        left_calls[0] += 1
+        return left_bracket_sums(*args)
+
+    monkeypatch.setattr(quadrature, "_left_bracket_sums", counted_left)
     g = _CountedPoints(reg)
     apply_green(mesh.nodes, beta_g, g, alpha, mesh)
-    assert g.calls == 4
+    assert g.calls == 4 and left_calls == [1]
 
     calls = []
 
@@ -497,9 +513,11 @@ def test_row_blocks_fill_the_temporary_budget(monkeypatch):
         return apply_operators(kinds, t, beta_g, calls[-1][1], *rest)
 
     monkeypatch.setattr(regularity, "apply_operators", counted)
-    regularity.classify(weight_problem(1.2, alpha))
+    problem = weight_problem(1.2, alpha)
+    left_calls[0] = 0
+    regularity.classify(problem)
     [(t, g)] = calls
-    assert len(t) == 531 and g.calls == 2
+    assert len(t) == 531 and g.calls == 2 and left_calls == [1]
 
 
 def test_gauss_legendre_rule_matches_leggauss():
@@ -591,11 +609,12 @@ def _far_field_case(grading, alpha, kind, reg=_POSITIVE, margin=0.2):
 
 
 def _left_bracket_sums(kind, alpha, mesh, panels, t, e, lo, rows):
-    left = quadrature._LeftBracket((kind,), alpha, mesh.nodes, panels)
-    return np.concatenate([
-        left.sums(t[q:q + rows], (t[q:q + rows] ** e,), lo[q:q + rows])[0]
-        for q in range(0, len(t), rows)
-    ])
+    # one call, in sub-blocks of ``rows`` targets
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(quadrature, "_SUB_BLOCK", rows)
+        return quadrature._left_bracket_sums(
+            (kind,), t, {kind: t**e}, lo, alpha, mesh.nodes, panels
+        )[0]
 
 
 def _assert_within_bound(got, ref):
@@ -660,17 +679,17 @@ def test_solve_with_underflowing_origin_points_stays_finite(beta, alpha):
 @pytest.mark.parametrize("alpha", [1.05, 1.6, 2.0])
 @pytest.mark.parametrize("grading", [1.0, 5.0, 8.0])
 @pytest.mark.parametrize("rows", [1, 5, 16, None])
-def test_sub_block_partition_does_not_matter(monkeypatch, rows, grading, alpha, kind):
+def test_sub_block_partition_does_not_matter(rows, grading, alpha, kind):
     # The targets of one sub-block share the cut set by the first of them,
-    # so a sub-block of any size gives the same sums: one target per call
-    # (each its own cut), 5 and 16 rows, and all targets in one sub-block
-    # (the first lies below t_1, so there are no far panels and each band
-    # is the whole left part).  With one row per call some call keeps the
-    # cut of the call before it, so the moment stream does not advance.
+    # so a sub-block of any size gives the same sums: one target per
+    # sub-block (each its own cut), 5 and 16 rows, and all targets in one
+    # sub-block (the first lies below t_1, so there are no far panels and
+    # each band is the whole left part).  With one row per sub-block some
+    # sub-block keeps the cut of the one before it, so the moment stream
+    # does not advance.
     mesh, t, e, lo, panels, ref = _far_field_case(grading, alpha, kind)
     if rows is None:
         rows = len(t)
-        monkeypatch.setattr(quadrature, "_SUB_BLOCK", rows)
     first = t[::rows]
     cuts = np.searchsorted(mesh.nodes, quadrature.EPS * first, side="right") - 1
     assert first[0] < mesh.nodes[1]
@@ -697,13 +716,13 @@ def test_two_sums_match_full_bracket_block(monkeypatch, alpha, kind, reg):
     e, lo, panels, ref = _left_bracket_case(mesh, t, alpha, kind, reg)
     # (row, column) pairs summed term by term
     count = [0]
-    power_sums = quadrature._LeftBracket._power_sums
+    power_sums = quadrature._power_sums
 
-    def counted(self, t, e, split, stop):
+    def counted(t, e, split, stop, panels):
         count[0] += int(np.sum(stop - split))
-        return power_sums(self, t, e, split, stop)
+        return power_sums(t, e, split, stop, panels)
 
-    monkeypatch.setattr(quadrature._LeftBracket, "_power_sums", counted)
+    monkeypatch.setattr(quadrature, "_power_sums", counted)
     got = _left_bracket_sums(kind, alpha, mesh, panels, t, e, lo, 16)
     if kind == "du" and alpha == 2.0:
         assert count[0] == 0
@@ -728,10 +747,11 @@ def test_series_reaches_the_binomial_at_the_cut(e):
 
 def test_traced_memory_of_a_large_solve_stays_small():
     # The far field streams its moments; an n x M table of them, or the
-    # series temporaries of a whole row block, would show here.  With
-    # neither, and each row block's own pieces freed before its band runs,
-    # 1.47 MiB is traced at n = 2048 (1.62 MiB with those pieces kept
-    # alive, 2.25 MiB with all 2,047 targets in one block).
+    # series temporaries of all targets at once, would show here.  With
+    # neither, 1.63 MiB is traced at n = 2048, while the pieces of one row
+    # block of 768 targets are built as the previous block's are still
+    # held (1.58 MiB in the far field and the band; 2.53 MiB with the
+    # pieces of all 2,047 targets in one block).
     tracemalloc.start()
     try:
         solve_linear(WeightSpec(1.2), 1.6, 2048)
@@ -763,14 +783,14 @@ def test_band_evaluates_exactly_the_pairs_it_owns(monkeypatch):
     # Each row's band is its own columns start_r..stop_r-1, each either on
     # the kernel or summed term by term: none is evaluated and then masked.
     owned, kernel, term_by_term, in_band = [0], [0], [0], [False]
-    band = quadrature._LeftBracket._band
-    power_sums = quadrature._LeftBracket._power_sums
+    band = quadrature._band
+    power_sums = quadrature._power_sums
 
-    def counted_band(self, t, te, e, start, stop):
+    def counted_band(t, te, e, start, stop, *rest):
         owned[0] += int(np.sum(stop - start))
         in_band[0] = True
         try:
-            return band(self, t, te, e, start, stop)
+            return band(t, te, e, start, stop, *rest)
         finally:
             in_band[0] = False
 
@@ -779,12 +799,12 @@ def test_band_evaluates_exactly_the_pairs_it_owns(monkeypatch):
             kernel[0] += np.broadcast(t, s).size
         return bracket_values(t, s, *args, **kwargs)
 
-    def counted_power_sums(self, t, e, split, stop):
+    def counted_power_sums(t, e, split, stop, panels):
         term_by_term[0] += int(np.sum(stop - split))
-        return power_sums(self, t, e, split, stop)
+        return power_sums(t, e, split, stop, panels)
 
-    monkeypatch.setattr(quadrature._LeftBracket, "_band", counted_band)
-    monkeypatch.setattr(quadrature._LeftBracket, "_power_sums", counted_power_sums)
+    monkeypatch.setattr(quadrature, "_band", counted_band)
+    monkeypatch.setattr(quadrature, "_power_sums", counted_power_sums)
     monkeypatch.setattr(quadrature, "bracket_values", counted_kernel)
     solve_linear(WeightSpec(1.2), 1.6, 512)
     assert kernel[0] > 0 and term_by_term[0] > 0
