@@ -428,7 +428,11 @@ def main(argv=None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     try:
-        return args.func(args)
+        # An overflow in the quadrature ends as inf or NaN in the values the
+        # commands check (require_finite), which exit 4 with one error line;
+        # numpy's warnings about it would only precede that line.
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
     except ConditionHError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONDITION_H

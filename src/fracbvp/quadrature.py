@@ -37,7 +37,7 @@ error.
 The three operators share one assembly and accept any array of targets in
 one pass, and several operators at one set of targets (apply_operators)
 share that pass: the shared panels, the values of g_reg, the pieces each
-target owns and the one moment stream of the far field.  The targets are
+target owns and the prefix moments of the far field.  The targets are
 sorted once.  g_reg is evaluated once at each quadrature point: in one
 call on the mesh panels, origin panel included, which all targets share,
 and on the 12 points of each piece of its panel that a target owns: the
@@ -47,27 +47,31 @@ own), the right piece starting at t, and for t <= t_1 the origin piece
 of 768 targets with one g_reg call each, so that each (row, Gauss point)
 array of a block, 768 x 12 doubles, stays within a temporary budget of
 72 KiB (_BUDGET).  The far field and the band take all targets in one
-call, the band in groups of rows that keep its temporaries within the same
-budget.  Over the shared panels the parts that do not depend on t reduce
-to prefix and suffix sums: (1-s)^(alpha-1) in the right parts of all three
+call, each in pieces that keep its temporaries within the same budget.
+Over the shared panels the parts that do not depend on t reduce to prefix
+and suffix sums: (1-s)^(alpha-1) in the right parts of all three
 operators, and both kernels of D^(alpha-1)u.  The left brackets of u and
-u' depend on t.  The sorted targets are taken in sub-blocks of 16 that
-split their shared left panels at one cut, the last mesh node t_c <=
-EPS*t_min (EPS = 0.85).  Below t_c, on the far panels, x = s/t <= 0.85 for
-every target of the sub-block, and the bracket is t^e times an exact power
+u' depend on t.  Each target splits its shared left panels at its own
+cut, the last mesh node t_c <= EPS*t (EPS = 0.85).  Below t_c, on the far
+panels, x = s/t <= 0.85, and the bracket is t^e times an exact power
 series in x with the binomial coefficients of (1-x)^e, cut at a 2^-60
 tail; no sum in it subtracts two terms of one sign.  The far panels thus
-reduce to power moments about t_c, streamed up the mesh once as the cuts
-rise; the M powers of a point (M of about 190 to 270) are products of two
-short tables, M/8 + 8 exps.  The moments and the factors (t_c/t)^m do not
-depend on e, so u and u' read one stream, as long as the longer of their
-series (one set of moments for several target kernels, the economy of the
-multipole method: Greengard and Rokhlin, J. Comput. Phys. 73, 1987).  The
-band, from t_c up to the panel each target lies in, holds about 4% of the
-lower triangle at grading 5 and n = 2048 (6% at n = 512) and 16% at grading
-1.  Each row sums its own band columns and splits them at its own column,
-the first with s at or above a closed-form bound in t: from there on the
-two terms of the bracket differ by a factor of two or more, so their
+reduce to the target's x-moments, sum (s/t)^m w g over s < t_c, read off
+running prefix sums over the panels of the power moments (s/2^E)^m w g.
+These are built once up the mesh, in chunks of panels whose tops lie
+within a factor of 8 below 2^E, so that (2^E/t)^m stays in range; between
+chunks they are rescaled exactly by a power of two.  The M powers of a
+point (M of about 190 to 270) are products of two short tables, M/8 + 8
+exps, a batched matmul gives each panel's moments, and a matmul with a
+triangle of ones their prefix sums.  The moments do not depend on e, so u
+and u' read one set, as long as the longer of their series (one set of
+moments for several target kernels, the economy of the multipole method:
+Greengard and Rokhlin, J. Comput. Phys. 73, 1987).  The band, from t_c up
+to the panel each target lies in, holds about 3% of the lower triangle at
+grading 5 (n = 512 and 2048) and 15% at grading 1.  Each row sums its own
+band columns and splits them at its own column, the first with s at or
+above a closed-form bound in t: from there on the two terms of the
+bracket differ by a factor of two or more, so their
 difference has condition number at most 3 (Higham, Accuracy and Stability
 of Numerical Algorithms, 2002, sec. 1.7) and they are summed apart:
 t^e times the sum of (1-s)^(alpha-1) w g over the row's columns, in order,
@@ -80,8 +84,8 @@ of the (t, s) pairs each row owns, so no element is evaluated and then
 masked.  The kernel is given t^e and log1p(-s), (1-s)^(alpha-1) gathered,
 so an element costs one log1p, one expm1 and one power (u) or exp (u'),
 plus for u' a power where the two terms of the bracket differ by a factor
-of two or more.  For t^-1.2 at alpha = 1.6 the kernel gets 10% of the
-band's elements at n = 2048 and 26% at n = 512.
+of two or more.  For t^-1.2 at alpha = 1.6 the kernel gets 8% of the
+band's elements at n = 2048 and 9% at n = 512.
 """
 
 from __future__ import annotations
@@ -346,28 +350,26 @@ _BUDGET = 96**2
 # consecutive rows that hold at most _BUDGET pairs, and takes the range sums
 # of its rows in runs whose columns span at most _BUDGET (_row_groups), so
 # none of its temporaries holds more than _BUDGET doubles unless one row's
-# band does.
-# The far field takes the sorted targets in sub-blocks of _SUB_BLOCK rows,
-# which share one cut, set by their first row.  Sub-blocks of 768 rows would
-# widen every band to the cut of the sub-block's first row: an n = 2048
-# solve took about 7x as long.
-_SUB_BLOCK = 16
+# band does.  The far field builds its prefix moments in chunks of panels
+# whose power tables, and copies its targets' moment rows into a buffer
+# whose rows, hold at most _BUDGET doubles (_far_series).
 
-# Far-field cut.  A sub-block of targets sums the shared panels below the
-# last mesh node t_c <= EPS*t_min from power moments; the
-# shared panels from t_c up to the panel each target lies in, the band, go
-# through the exact bracket kernel or the two sums.  A higher cut shrinks
-# the band (O(n^2)) and lengthens the series (O(n M)); at 0.85, M is at
-# most 268.
+# Far-field cut.  Each target t sums the shared panels below its own cut,
+# the last mesh node t_c <= EPS*t, from power moments; the shared panels
+# from t_c up to the panel the target lies in, the band, go through the
+# exact bracket kernel or the two sums.  A higher cut shrinks the band
+# (O(n^2)) and lengthens the series (O(n M)); at 0.85, M is at most 268.
 EPS = 0.85
 # The series in s/t keeps the terms before the first index M whose tail
 # bound |b_M| EPS^M / (1 - EPS) is below this.
 _SERIES_TAIL = 2.0**-60
 # |b_m| <= 1, so the tail test holds by index 268 at EPS = 0.85 for every e.
 _SERIES_CAP = math.ceil(math.log(_SERIES_TAIL * (1.0 - EPS)) / math.log(EPS))
-# Shared points per chunk of the moment stream: 256 points by at most 34 + 8
-# power factors each stay below the 128 KiB mmap threshold.
-_STREAM_POINTS = 256
+# The panel tops of one chunk of prefix moments have binary exponents
+# (frexp) within this many of each other.  With 2^E above the highest, each
+# target's cut t_c >= 2^(E-3), so 2^E/t <= 8 EPS and no factor (2^E/t)^m
+# exceeds (8 EPS)^268 < 1e224.
+_EXPONENT_SPAN = 2
 
 
 def _checked_t(t, interval: str) -> np.ndarray:
@@ -510,97 +512,136 @@ def _left_bracket_sums(kinds, t, te, lo, alpha, nodes, panels: _SharedPanels):
     ``kinds`` holds "u", "du" or both, ``t`` the ascending targets, ``te``
     maps each kind to t^e, and a target t with nodes[lo-1] < t <= nodes[lo]
     sums B_e(t, s) w(s) g(s) over the shared panels j = 0..lo-2 (row j is
-    panel j, the origin panel row 0).  The targets are taken in sub-blocks
-    of _SUB_BLOCK, each with one cut, the last node t_c <= EPS*t_min; below
-    it, j < c, lie the far panels, where x = s/t <= t_c/t <= EPS for every
-    target of the sub-block.  With (1-x)^e - 1 = sum_m b_m x^m
-    (_series_coefficients)
+    panel j, the origin panel row 0).  Each target has its own cut, the
+    last node t_c <= EPS*t; below it, j < c, lie its far panels, where
+    x = s/t <= EPS.  With (1-x)^e - 1 = sum_m b_m x^m (_series_coefficients)
 
         u  (e = alpha-1):  B_e = t^e ((1-s)^e - (1-x)^e)
                                = t^e sum_m b_m (t^m - 1) x^m,
         u' (e = alpha-2):  B_e = t^e [((1-s)^(alpha-1) - 1) - sum_m b_m x^m],
 
     where no sum subtracts two terms of one sign.  The far panels thus need
-    only the moments Phi_m(c) = sum (s/t_c)^m w g over the shared points
-    s < t_c: their x-moments are (t_c/t)^m Phi_m(c).  The moments are
-    streamed up the mesh once (_moments), as the cuts of the ascending
-    sub-blocks rise.  The band of a target, the columns of panels c..lo-2,
+    only the target's x-moments X_m = sum (s/t)^m w g over the shared points
+    s < t_c, which are read from running prefix sums over the panels, built
+    once up the mesh in chunks of panels (_far_series, _prefix_moments).
+    The band of a target, the columns of panels c..lo-2,
     goes through the bracket kernel up to the target's own column split;
     from there on the two terms of B_e differ by a factor of two or more,
     so they are summed apart and subtracted once per row (_band).
 
-    Phi and the factors (t_c/t)^m do not depend on e, so the kinds share
-    one moment stream, as long as the longer of their series, and one table
-    of (t_c/t)^m per sub-block; each kind has its own band.  Sums come back
-    in the order of ``kinds``.
+    The x-moments do not depend on e, so the kinds share one set of them,
+    as long as the longer of their series; each kind has its own band.
+    Sums come back in the order of ``kinds``.
     """
-    step = _SUB_BLOCK
-    # t_c <= EPS * t_min of each sub-block
-    cuts = np.searchsorted(nodes, EPS * t[::step], side="right") - 1
-    start = GAUSS_ORDER * np.repeat(cuts, step)[:len(t)]
+    # Each band starts at the first column of the target's cut c, the last
+    # node t_c <= EPS * t.  The cuts are read back from there once the bands
+    # are summed, so that one array of n indices fewer is held meanwhile.
+    start = GAUSS_ORDER * (np.searchsorted(nodes, EPS * t, side="right") - 1)
     stop = GAUSS_ORDER * (lo - 1)
     es = [_bracket_exponent(kind, alpha) for kind in kinds]
     out = [
         _band(t, te[kind], e, start, stop, alpha, panels) for kind, e in zip(kinds, es)
     ]
-    b = {kind: _series_coefficients(e) for kind, e in zip(kinds, es)}
-    m = np.arange(1.0, max(len(bk) for bk in b.values()) + 1.0)
-    # u multiplies its factors t^m - 1 into the shared table of (t_c/t)^m
-    # Phi_m in place, so it reads the table last
-    last_u = sorted(b, key=lambda kind: kind == "u")
-    cuts = cuts.tolist()
-    moments = _moments(cuts, m, nodes, panels)  # Phi(c) of each sub-block's cut
-    for q0, cut, phi in zip(range(0, len(t), step), cuts, moments):
-        q = slice(q0, q0 + step)
-        # sum_m b_m (t^m - 1) x^m (u) or sum_m b_m x^m (u') over s < t_c
-        series = dict.fromkeys(kinds, 0.0)
-        if len(m) and cut:
-            log_t = np.log(t[q])[:, None]
-            x_moments = np.exp((math.log(nodes[cut]) - log_t) * m)
-            x_moments *= phi
-            for kind in last_u:
-                x = x_moments[:, :len(b[kind])]
-                if kind == "u":
-                    factor = log_t * m[:len(b[kind])]
-                    x *= np.expm1(factor, out=factor)
-                series[kind] = x @ b[kind]
-        for kind, acc in zip(kinds, out):
-            far_sum = series[kind]
-            if kind == "du":
-                far_sum = panels.left_sums[cut] - far_sum
-            acc[q] += te[kind][q] * far_sum
+    cuts = start // GAUSS_ORDER
+    b = [_series_coefficients(e) for e in es]
+    series = _far_series(kinds, t, cuts, b, nodes, panels)
+    for kind, sums, far_sum in zip(kinds, out, series):
+        if kind == "du":
+            far_sum = panels.left_sums[cuts] - far_sum
+        sums += te[kind] * far_sum
     return out
 
 
-def _moments(cuts, m, nodes, panels):
-    # Phi_m(c) for each of the ascending ``cuts`` in turn, one array updated
-    # in place: Phi(0) = 0, and a higher cut c' takes Phi(c') = (t_c/t_c')^m
-    # Phi(c) plus the moments about t_c' of the shared points in [t_c,
-    # t_c'), in chunks of _STREAM_POINTS.  Every factor is at most 1, so
-    # nothing overflows, and what underflows lies below the double range
-    # anyway.
-    # (s/t_c')^m = (s/t_c')^(8q) (s/t_c')^(j+1) for m = 8q + j + 1: Q + 8
-    # exps per point give all M powers.
+def _far_series(kinds, t, cuts, b, nodes, panels):
+    # The far series of each kind, b[i] its coefficients: sum_m b_m (t^m -
+    # 1) X_m for u, sum_m b_m X_m for u'.  A target with cut c reads its
+    # x-moments as X_m = (2^E/t)^m C[c-1, m] from the prefix moments of the
+    # chunk that holds panel c-1 (_prefix_moments).  The ascending targets'
+    # rows C[c-1] are copied, chunk after chunk, into a buffer of _BUDGET // M
+    # rows, on which the series runs.
+    out = [np.zeros(len(t)) for _ in kinds]
+    m = np.arange(1.0, max(len(bk) for bk in b) + 1.0)
+    q = int(np.searchsorted(cuts, 1))  # the first target with far panels
+    if not len(m) or q == len(t):
+        return out
+    x = np.empty((min(max(1, _BUDGET // len(m)), len(t) - q), len(m)))
+    top = np.empty(len(x))  # 2^E of each buffered row
+    k = 0  # rows in the buffer, those of targets q..q+k-1
+    for j0, scale, moments in _prefix_moments(int(cuts[-1]), m, nodes, panels):
+        # the targets whose last far panel c-1 lies in this chunk
+        end = int(np.searchsorted(cuts, j0 + len(moments), side="right"))
+        while q + k < end:
+            r = slice(q + k, min(end, q + len(x)))
+            rows = slice(k, k + r.stop - r.start)
+            np.take(moments, cuts[r] - 1 - j0, axis=0, out=x[rows])
+            top[rows] = scale
+            k = rows.stop
+            if k == len(x):
+                _add_series(out, kinds, b, m, slice(q, q + k), t, x, top)
+                q, k = q + k, 0
+    if k:
+        _add_series(out, kinds, b, m, slice(q, q + k), t, x[:k], top[:k])
+    return out
+
+
+def _add_series(out, kinds, b, m, q, t, x, top):
+    # The far series of the targets t[q] into out, from the rows x of their
+    # moments C[c-1] and the scales top = 2^E; x is overwritten.
+    log_t = np.log(t[q])[:, None]
+    factor = np.log(top / t[q])[:, None] * m
+    x *= np.exp(factor, out=factor)  # X_m = (2^E/t)^m C[c-1, m]
+    # u multiplies its factors t^m - 1 into x in place, so it reads x last
+    for i in sorted(range(len(kinds)), key=lambda i: kinds[i] == "u"):
+        xk = x[:, :len(b[i])]
+        if kinds[i] == "u":
+            factor = log_t * m[:len(b[i])]
+            xk *= np.expm1(factor, out=factor)
+        out[i][q] = xk @ b[i]
+
+
+def _prefix_moments(count, m, nodes, panels):
+    # The prefix moments over the shared panels j = 0..count-1, in chunks of
+    # consecutive panels: for each chunk (j0, 2^E, C), C[i] = sum over the
+    # points of panels 0..j0+i of (s/2^E)^m w g, E the frexp exponent of the
+    # highest panel top of the chunk.  The tops of a chunk span at most
+    # _EXPONENT_SPAN exponents, and its power table holds at most _BUDGET
+    # doubles; C carries over to the next chunk rescaled exactly, by
+    # 2^(-m dE).  Every power s/2^E is below 1, so nothing overflows, and
+    # what underflows lies below the double range once scaled by 2^E/t.
+    # (s/2^E)^m = (s/2^E)^(8q) (s/2^E)^(j+1) for m = 8q + j + 1: Q + 8 exps
+    # per point give all M powers, and a batched matmul a panel's moments.
     m_coarse, m_fine = m[::8] - 1.0, np.arange(1.0, 9.0)
-    s, wg = panels.s.ravel(), panels.wg.ravel()
-    phi, cut = np.zeros(len(m)), 0
-    # Origin points that underflowed to s = 0 add 0 to every moment; the
-    # stream starts past them (log 0 = -inf, and -inf * 0 is NaN).
-    start = np.count_nonzero(s[:GAUSS_ORDER] == 0.0)
-    for new_cut in cuts:
-        if len(m) and new_cut > cut:
-            top, stop = nodes[new_cut], GAUSS_ORDER * new_cut
-            if cut:
-                phi *= np.exp(math.log(nodes[cut] / top) * m)
-            for p0 in range(start, stop, _STREAM_POINTS):
-                p = slice(p0, min(p0 + _STREAM_POINTS, stop))
-                log_r = np.log(s[p] / top)[:, None]
-                coarse = log_r * m_coarse
-                np.exp(coarse, out=coarse)
-                coarse *= wg[p, None]
-                phi += (coarse.T @ np.exp(log_r * m_fine)).ravel()[:len(m)]
-            start, cut = stop, new_cut
-        yield phi
+    exps = np.frexp(nodes[1:count + 1])[1]
+    size = min(max(1, _BUDGET // (GAUSS_ORDER * len(m_coarse))), count)
+    prefix = np.tri(size)  # sums over the panels of a chunk, in order
+    carry, e_prev, j0 = np.zeros(len(m)), 0, 0
+    m_int = m.astype(int)
+    while j0 < count:
+        span = np.searchsorted(exps, exps[j0] + _EXPONENT_SPAN, side="right")
+        j1 = min(j0 + size, int(span))
+        e = int(exps[j1 - 1])
+        carry = np.ldexp(carry, (e_prev - e) * m_int)
+        r = np.ldexp(panels.s[j0:j1], -e)
+        wg = panels.wg[j0:j1]
+        if not j0:
+            # Origin points that underflowed to s = 0 add 0 to every moment
+            # (log 0 = -inf, and -inf * 0 is NaN).
+            zero = r == 0.0
+            r[zero], wg = 1.0, np.where(zero, 0.0, wg)
+        log_r = np.log(r)
+        # tables along a last axis: (panel, point, power)
+        coarse = np.multiply.outer(log_r, m_coarse)
+        fine = np.multiply.outer(log_r, m_fine)
+        np.exp(coarse, out=coarse)
+        np.exp(fine, out=fine)
+        fine *= wg[:, :, None]
+        panel_moments = (coarse.transpose(0, 2, 1) @ fine).reshape(j1 - j0, -1)
+        # taken as C^T = moments^T prefix^T: the product the other way round
+        # raised classify's peak RSS by about 0.25 MB
+        c = (panel_moments[:, :len(m)].T @ prefix[:j1 - j0, :j1 - j0].T).T
+        c += carry
+        yield j0, 2.0**e, c
+        carry, e_prev, j0 = c[-1], e, j1
 
 
 def _split_bound(t, e):
@@ -735,11 +776,19 @@ def _own_sums(kinds, t, te, lo, nodes, m, beta_g, g_regular, alpha, right_sums):
         )
         g = np.split(g_regular(np.concatenate(s)), np.cumsum([len(x) for x in s[:-1]]))
         right[b][inside] += np.sum(right_kw * g[-1], axis=1)
-        # the origin piece has fewer rows
-        for kind, pairs in parts.items():
-            for j, kw in pairs:
-                total[kind][r0:r0 + len(kw)] += np.sum(kw * g[j], axis=1)
+        _add_part_sums(total, r0, parts, g)
+        # free this block's points, g values and weights before the next
+        # block builds its own
+        del s, parts, right_kw, g
     return total, right
+
+
+def _add_part_sums(total, r0, parts, g):
+    # Each kind's sums over the pieces of a block whose first row is r0;
+    # the origin piece has fewer rows.
+    for kind, pairs in parts.items():
+        for j, kw in pairs:
+            total[kind][r0:r0 + len(kw)] += np.sum(kw * g[j], axis=1)
 
 
 def _own_panels(kinds, t, te, lo, nodes, m, beta_g, alpha):

@@ -385,6 +385,31 @@ def test_tiny_margin_exits_4_with_only_the_error_line(tmp_path, capsys, command)
     assert out.exists() == (command == "classify")
 
 
+@pytest.mark.parametrize(
+    "command,alpha,forcing,n",
+    [
+        ("solve", "1.5", "1e308*t^0", "16"),
+        ("classify", "1.5", "1e308*t^0", "16"),
+        ("solve", "1.6", "1e306*t^-1.2", "512"),
+    ],
+)
+def test_overflowing_forcing_exits_4_with_only_the_error_line(
+    tmp_path, capsys, command, alpha, forcing, n
+):
+    # A forcing near the top of the double range overflows inside the
+    # quadrature (t^e times the right sums, the weights times g, the sums
+    # over the panels) and in classify's verdicts.  As for a tiny margin,
+    # that is exit 4 with its message alone on stderr (RuntimeWarnings are
+    # errors here), and classify still writes its CSV.
+    out = tmp_path / "x.csv"
+    code = main([
+        command, "--alpha", alpha, "--forcing", forcing, "--n", n, "--out", str(out),
+    ])
+    assert code == EXIT_NO_CONVERGENCE
+    assert capsys.readouterr().err == "error: the quadrature produced non-finite values\n"
+    assert out.exists() == (command == "classify")
+
+
 @pytest.mark.parametrize("flag", ["--forcing", "--weight"])
 def test_solve_order_just_above_one(tmp_path, flag):
     # At alpha = 1.0005 the exponent alpha - 1 of u lies below 2^-10, where

@@ -333,34 +333,30 @@ def test_array_with_one_bad_target_raises(op, bad):
 )
 def test_tiling_does_not_change_values(monkeypatch, w, alpha):
     # With a budget of 96 * 12 doubles the 160 sorted targets own their
-    # pieces in two blocks of 96 rows, and they form ten sub-blocks of 16.
-    # The targets of a sub-block share one far-field cut, set by the first
-    # of them, where each row's band starts; every sub-block after the
-    # first has far panels, so it resumes the moment stream where the one
-    # before left it, and the later targets have bands.  A budget of 64
-    # doubles gives own-piece blocks of 5 rows, band groups and range-sum
-    # runs of one row where a row's band is wide, and rows whose band
-    # exceeds the budget.  Sub-blocks
-    # and a budget of 4096 rows (4096**2 pairs) put all targets in one
-    # block, one sub-block and one group of the band.
+    # pieces in two blocks of 96 rows, the far field builds its prefix
+    # moments in chunks of a few panels and takes the series on buffers of
+    # a few rows, and each target's band starts at its own cut.  A budget
+    # of 64 doubles gives own-piece blocks of 5 rows, chunks of one panel and
+    # a buffer of one row; 16 doubles give own-piece blocks of one row, band
+    # groups and range-sum runs of one row where a row's band is wide, and
+    # rows whose band exceeds the budget.  A budget of 4096**2 doubles puts
+    # all targets in one block, one buffer and one group of the band, and
+    # the chunks are bounded only by the exponents of their panel tops.
     mesh = build_mesh(64, w, alpha)
     beta_g, reg = w.singular_decomposition()
     rng = np.random.default_rng(5)
     t = np.concatenate((mesh.nodes[1:-1], rng.uniform(mesh.nodes[1], 1.0, 97)))
-    step = quadrature._SUB_BLOCK
     ts = np.sort(t)
-    far = np.searchsorted(mesh.nodes, quadrature.EPS * ts[::step], side="right") - 2
-    far_of_row = np.repeat(np.maximum(far, 0), step)[:len(ts)]
-    band = np.searchsorted(mesh.nodes, ts) - 2 - far_of_row
-    assert len(t) > 96 and np.all(far[1:] > 0) and np.max(band[step:]) > 0
-    assert quadrature.GAUSS_ORDER * np.max(band) > 64
+    cut = np.searchsorted(mesh.nodes, quadrature.EPS * ts, side="right") - 1
+    band = np.searchsorted(mesh.nodes, ts) - 1 - cut
+    assert len(t) > 96 and np.count_nonzero(cut > 0) > 96 and np.max(band) > 0
+    assert quadrature.GAUSS_ORDER * np.max(band) > 16
     ops = (apply_green, apply_green_derivative)
     arms = []
-    for budget in (96 * quadrature.GAUSS_ORDER, 64):
+    for budget in (96 * quadrature.GAUSS_ORDER, 64, 16):
         monkeypatch.setattr(quadrature, "_BUDGET", budget)
         arms.append([op(t, beta_g, reg, alpha, mesh) for op in ops])
     monkeypatch.setattr(quadrature, "_BUDGET", 4096**2)
-    monkeypatch.setattr(quadrature, "_SUB_BLOCK", 4096)
     for i, op in enumerate(ops):
         whole = op(t, beta_g, reg, alpha, mesh)
         bound = 1e-13 * np.abs(whole) + 1e-15 * np.max(np.abs(whole))
@@ -390,7 +386,7 @@ _SINGLE = {"u": apply_green, "du": apply_green_derivative, "dalpha": apply_dalph
 @pytest.mark.parametrize("problem", list(_PARITY_PROBLEMS))
 def test_operators_in_one_pass_match_single_calls(problem, n):
     # The three operators requested at once share the shared panels, g on
-    # the pieces each target owns and the moment stream (as long as the
+    # the pieces each target owns and the far-field moments (as long as the
     # longer of the two series); each must still agree with its own
     # call.  Targets: interior nodes, random points, nodes x (1 +- 1e-12),
     # a point far below t_1 and one next to t = 1.
@@ -563,7 +559,7 @@ def _far_field_targets(mesh, rng):
     # nodes, off-mesh points, points below t_1, targets whose far-field cut
     # falls on one of the first nodes, targets next to t = 1, where the far
     # series of u has the factors t^m - 1, and close clusters in (0.5,
-    # 0.99), whose sub-blocks' bands straddle the split of the two sums
+    # 0.99), whose bands straddle the split of the two sums
     nodes = mesh.nodes
     first_cuts = nodes[1:5] / quadrature.EPS
     t = np.concatenate((
@@ -608,13 +604,10 @@ def _far_field_case(grading, alpha, kind, reg=_POSITIVE, margin=0.2):
     return (mesh, t, *_left_bracket_case(mesh, t, alpha, kind, reg, margin))
 
 
-def _left_bracket_sums(kind, alpha, mesh, panels, t, e, lo, rows):
-    # one call, in sub-blocks of ``rows`` targets
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(quadrature, "_SUB_BLOCK", rows)
-        return quadrature._left_bracket_sums(
-            (kind,), t, {kind: t**e}, lo, alpha, mesh.nodes, panels
-        )[0]
+def _left_bracket_sums(kind, alpha, mesh, panels, t, e, lo):
+    return quadrature._left_bracket_sums(
+        (kind,), t, {kind: t**e}, lo, alpha, mesh.nodes, panels
+    )[0]
 
 
 def _assert_within_bound(got, ref):
@@ -632,7 +625,7 @@ def test_far_field_matches_full_bracket_block(grading, alpha, kind):
     # point) pair.  At alpha = 1.0005 the exponent of u is below 2^-10,
     # where the split's 2^(1/e) would overflow.
     mesh, t, e, lo, panels, ref = _far_field_case(grading, alpha, kind)
-    got = _left_bracket_sums(kind, alpha, mesh, panels, t, e, lo, 24)
+    got = _left_bracket_sums(kind, alpha, mesh, panels, t, e, lo)
     _assert_within_bound(got, ref)
     # g > 0, so no sum cancels: the values stay relatively accurate next to
     # t = 1 too, where those of u are O(1 - t)
@@ -647,7 +640,7 @@ def test_far_field_matches_full_bracket_block_for_signed_g(grading, alpha, kind)
     # As above with a g that changes sign inside the bands of the targets
     # above s = 0.16, so the sums over a band may cancel.
     mesh, t, e, lo, panels, ref = _far_field_case(grading, alpha, kind, _SIGNED)
-    got = _left_bracket_sums(kind, alpha, mesh, panels, t, e, lo, 24)
+    got = _left_bracket_sums(kind, alpha, mesh, panels, t, e, lo)
     _assert_within_bound(got, ref)
 
 
@@ -662,7 +655,7 @@ def test_far_field_matches_full_bracket_block_when_origin_points_underflow(
     # moment, with no NaN and no warning (log 0 = -inf).
     mesh, t, e, lo, panels, ref = _far_field_case(grading, alpha, kind, margin=0.01)
     assert panels.s[0, 0] == 0.0
-    got = _left_bracket_sums(kind, alpha, mesh, panels, t, e, lo, 24)
+    got = _left_bracket_sums(kind, alpha, mesh, panels, t, e, lo)
     _assert_within_bound(got, ref)
 
 
@@ -678,32 +671,54 @@ def test_solve_with_underflowing_origin_points_stays_finite(beta, alpha):
 @pytest.mark.parametrize("kind", ["u", "du"])
 @pytest.mark.parametrize("alpha", [1.05, 1.6, 2.0])
 @pytest.mark.parametrize("grading", [1.0, 5.0, 8.0])
-@pytest.mark.parametrize("rows", [1, 5, 16, None])
-def test_sub_block_partition_does_not_matter(rows, grading, alpha, kind):
-    # The targets of one sub-block share the cut set by the first of them,
-    # so a sub-block of any size gives the same sums: one target per
-    # sub-block (each its own cut), 5 and 16 rows, and all targets in one
-    # sub-block (the first lies below t_1, so there are no far panels and
-    # each band is the whole left part).  With one row per sub-block some
-    # sub-block keeps the cut of the one before it, so the moment stream
-    # does not advance.
+@pytest.mark.parametrize("budget", [1, 1000, None, 4096**2])
+def test_chunking_does_not_matter(monkeypatch, budget, grading, alpha, kind):
+    # The prefix moments are built in chunks of panels and the series taken
+    # on a buffer of rows, so neither size may change the sums: a budget of
+    # 1 double gives chunks of one panel and a buffer of one row; 1,000
+    # gives chunks of two or three panels and buffers of three or four rows
+    # where the series is long (alpha < 2), the last buffer partly filled;
+    # then the default budget, and a whole budget whose chunks are bounded
+    # only by the exponents of their panel tops.
+    # At grading 8 the tops of the first panels lie 2^8 apart, so
+    # consecutive chunks differ by more than one binary exponent.
     mesh, t, e, lo, panels, ref = _far_field_case(grading, alpha, kind)
-    if rows is None:
-        rows = len(t)
-    first = t[::rows]
-    cuts = np.searchsorted(mesh.nodes, quadrature.EPS * first, side="right") - 1
-    assert first[0] < mesh.nodes[1]
-    if rows == 1:
-        assert np.any((cuts[1:] == cuts[:-1]) & (cuts[1:] > 1))
-    got = _left_bracket_sums(kind, alpha, mesh, panels, t, e, lo, rows)
+    if budget is not None:
+        monkeypatch.setattr(quadrature, "_BUDGET", budget)
+    chunks, buffers = [], []
+    prefix_moments, add_series = quadrature._prefix_moments, quadrature._add_series
+
+    def counted_chunks(*args):
+        for j0, scale, moments in prefix_moments(*args):
+            chunks.append((scale, len(moments)))
+            yield j0, scale, moments
+
+    def counted_buffers(out, kinds, b, m, q, t, x, top):
+        buffers.append(len(x))
+        return add_series(out, kinds, b, m, q, t, x, top)
+
+    monkeypatch.setattr(quadrature, "_prefix_moments", counted_chunks)
+    monkeypatch.setattr(quadrature, "_add_series", counted_buffers)
+    got = _left_bracket_sums(kind, alpha, mesh, panels, t, e, lo)
     _assert_within_bound(got, ref)
+    if kind == "du" and alpha == 2.0:  # no series: (1-x)^0 - 1 = 0
+        assert chunks == []
+        return
+    scales, sizes = zip(*chunks)
+    assert len(chunks) > 1 and sum(buffers) == np.count_nonzero(
+        np.searchsorted(mesh.nodes, quadrature.EPS * t, side="right") > 1
+    )
+    if budget == 1:
+        assert set(sizes) == {1} and set(buffers) == {1}
+    if grading == 8.0:
+        assert np.max(np.diff(np.log2(scales))) > 1
 
 
 @pytest.mark.parametrize("reg", [_POSITIVE, _SIGNED], ids=["positive", "signed"])
 @pytest.mark.parametrize("kind", ["u", "du"])
 @pytest.mark.parametrize("alpha", [1.3, 1.6, 2.0])
 def test_two_sums_match_full_bracket_block(monkeypatch, alpha, kind, reg):
-    # Sub-blocks of 16 close targets just above a node of a fine uniform
+    # Clusters of 16 close targets just above a node of a fine uniform
     # mesh: there most of each band lies past the row's split, where the two
     # terms of the bracket differ by a factor of two or more, and is summed
     # term by term; the bands of the targets near t = 0.176 hold the
@@ -723,7 +738,7 @@ def test_two_sums_match_full_bracket_block(monkeypatch, alpha, kind, reg):
         return power_sums(t, e, split, stop, panels)
 
     monkeypatch.setattr(quadrature, "_power_sums", counted)
-    got = _left_bracket_sums(kind, alpha, mesh, panels, t, e, lo, 16)
+    got = _left_bracket_sums(kind, alpha, mesh, panels, t, e, lo)
     if kind == "du" and alpha == 2.0:
         assert count[0] == 0
     else:
@@ -746,12 +761,14 @@ def test_series_reaches_the_binomial_at_the_cut(e):
 
 
 def test_traced_memory_of_a_large_solve_stays_small():
-    # The far field streams its moments; an n x M table of them, or the
-    # series temporaries of all targets at once, would show here.  With
-    # neither, 1.63 MiB is traced at n = 2048, while the pieces of one row
-    # block of 768 targets are built as the previous block's are still
-    # held (1.58 MiB in the far field and the band; 2.53 MiB with the
-    # pieces of all 2,047 targets in one block).
+    # The far field builds its prefix moments chunk by chunk and takes the
+    # series on a buffer of rows; an n x M table of moments (4 MB), or
+    # the series temporaries of all targets at once, would show here.  With
+    # neither, 1.59 MiB is traced at n = 2048, reached in the band; the own
+    # pieces, built one row block of 768 targets at a time once the
+    # previous block's are freed, stay below it (1.63 MiB while the
+    # previous block's pieces were still held, 2.53 MiB with the pieces of
+    # all 2,047 targets in one block).
     tracemalloc.start()
     try:
         solve_linear(WeightSpec(1.2), 1.6, 2048)
@@ -764,10 +781,11 @@ def test_traced_memory_of_a_large_solve_stays_small():
 def test_band_evaluates_few_kernel_elements(monkeypatch):
     # Kernel elements, as broadcast sizes of (t, s), that one solve passes to
     # the bracket kernel: the band columns before each row's split plus the
-    # origin pieces of the targets in the first panel.  23,744 with a split
-    # per row; 71,152 with one split per sub-block of 16 rows, taken only
-    # where it left the two sums half of the band, and 143,640 before the
-    # two sums, when the whole band went through the kernel.
+    # origin pieces of the targets in the first panel.  4,271 with a cut per
+    # target; 23,744 when sub-blocks of 16 targets shared the cut of the
+    # first, 71,152 when they also shared one split, taken only where it
+    # left the two sums half of the band, and 143,640 before the two sums,
+    # when the whole band went through the kernel.
     count = [0]
 
     def counted(t, s, *args, **kwargs):
@@ -776,7 +794,29 @@ def test_band_evaluates_few_kernel_elements(monkeypatch):
 
     monkeypatch.setattr(quadrature, "bracket_values", counted)
     solve_linear(WeightSpec(1.2), 1.6, 512)
-    assert 0 < count[0] <= 1.05 * 23_744
+    assert 0 < count[0] <= 1.05 * 4_271
+
+
+def test_each_target_cuts_the_far_field_at_its_own_node(monkeypatch):
+    # (row, column) pairs of the band, summed over the _band calls of u and
+    # u' for t^-1.2 at alpha = 1.6: each band starts at the target's own
+    # cut, the last node t_c <= EPS t.  When sub-blocks of 16 targets shared
+    # the cut of the first, the same passes took 185,760 (classify), 91,800
+    # (n = 512) and 970,368 (n = 2048).
+    pairs = [0]
+    band = quadrature._band
+
+    def counted(t, te, e, start, stop, *rest):
+        pairs[0] += int(np.sum(stop - start))
+        return band(t, te, e, start, stop, *rest)
+
+    monkeypatch.setattr(quadrature, "_band", counted)
+    regularity.classify(weight_problem(1.2, 1.6))
+    assert pairs == [96_600]
+    for n, count in ((512, 47_172), (2048, 792_192)):
+        pairs[0] = 0
+        solve_linear(WeightSpec(1.2), 1.6, n)
+        assert pairs == [count]
 
 
 def test_band_evaluates_exactly_the_pairs_it_owns(monkeypatch):

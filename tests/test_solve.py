@@ -1,3 +1,4 @@
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -357,15 +358,26 @@ def test_interpolants_reject_bad_data():
         solve.CubicSpline(x[:3], x[:3])  # not-a-knot needs four points
 
 
+def _child_python(code):
+    # -B: the child writes no bytecode into the source tree
+    return [sys.executable, "-B", "-c", code]
+
+
+def _child_env():
+    # the caller's environment, with this checkout's src first on the path
+    src = str(Path(fracbvp.__file__).resolve().parent.parent)
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+
+
 def test_import_loads_no_scipy():
     code = (
         "import sys, fracbvp, fracbvp.cli\n"
         "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
     )
-    src = str(Path(fracbvp.__file__).resolve().parent.parent)
     out = subprocess.run(
-        [sys.executable, "-c", code],
-        env={"PYTHONPATH": src}, capture_output=True, text=True, check=True, timeout=60,
+        _child_python(code), env=_child_env(), capture_output=True, text=True,
+        check=True, timeout=60,
     )
     assert out.stdout.strip() == "[]"
 
@@ -374,9 +386,8 @@ def test_import_loads_no_numpy_polynomial():
     # The Gauss-Legendre rule is built without numpy.polynomial, which
     # numpy imports only on first use.
     code = "import sys, fracbvp.cli\nprint('numpy.polynomial' in sys.modules)"
-    src = str(Path(fracbvp.__file__).resolve().parent.parent)
     out = subprocess.run(
-        [sys.executable, "-c", code],
-        env={"PYTHONPATH": src}, capture_output=True, text=True, check=True, timeout=60,
+        _child_python(code), env=_child_env(), capture_output=True, text=True,
+        check=True, timeout=60,
     )
     assert out.stdout.strip() == "False"
