@@ -39,7 +39,6 @@ from .quadrature import (
     check_condition_h,
 )
 from .regularity import (
-    INCONCLUSIVE,
     NO,
     YES,
     GreenProblem,
@@ -90,7 +89,6 @@ __all__ = [
     "as_weight_spec",
     "build_mesh",
     "check_condition_h",
-    "INCONCLUSIVE",
     "NO",
     "YES",
     "GreenProblem",

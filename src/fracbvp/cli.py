@@ -14,7 +14,8 @@ Nonlinearities: ``const:<c>``, ``linear:<a>``, ``power:<p>``,
 Exit codes are a stable contract: 0 success, 2 condition-(H) violation,
 3 parse/validation error, 4 Picard nonconvergence (CSV still written) or
 non-finite quadrature values: a solution, du or q of ``solve``, or a
-sample, limit or norm of ``classify`` (whose CSV is still written).
+sample, limit, fit residual or norm of ``classify`` (whose CSV is still
+written).
 
 CSV files are UTF-8, comma-separated with a header row, LF line endings and
 17-significant-digit decimals, so reading a file back reproduces the floats
@@ -47,7 +48,7 @@ from .quadrature import (
     apply_operators,
     as_weight_spec,
 )
-from .regularity import INCONCLUSIVE, NO, GreenProblem, classify
+from .regularity import GreenProblem, classify
 from .solve import (
     NonlinearitySpec,
     check_picard_controls,
@@ -308,19 +309,19 @@ def cmd_classify(args) -> int:
     problem = GreenProblem.build(_weight_or_forcing(args), args.alpha, args.n)
     report = classify(problem)
 
-    # a limit is estimated only for the verdict "yes"
-    missing = {NO: "divergent", INCONCLUSIVE: "undetermined"}
-
-    def show(verdict, limit):
-        return missing[verdict] if limit is None else f"{limit:.12g}"
+    def show(limit, residual):
+        # a limit and its fit residual exist only for the verdict "yes"
+        if limit is None:
+            return "divergent fit_residual=None"
+        return f"{limit:.12g} fit_residual={residual:.3e}"
 
     print(
         f"in_E_alpha={report.in_E_alpha}"
-        f" q_limit={show(report.in_E_alpha, report.q_limit_estimate)}"
+        f" q_limit={show(report.q_limit_estimate, report.q_fit_residual)}"
     )
     print(
         f"in_C1_2ma={report.in_C1_2ma}"
-        f" p_limit={show(report.in_C1_2ma, report.p_limit_estimate)}"
+        f" p_limit={show(report.p_limit_estimate, report.p_fit_residual)}"
     )
     print(
         f"e_alpha_norm={report.e_alpha_norm} c1_norm={report.c1_norm}"
@@ -331,6 +332,7 @@ def cmd_classify(args) -> int:
     )
     write_csv(out, ["t", "q", "p"], rows)
     values = [report.q_limit_estimate, report.p_limit_estimate,
+              report.q_fit_residual, report.p_fit_residual,
               report.e_alpha_norm, report.c1_norm]
     require_finite([v for v in values if v is not None], report.samples)
     return EXIT_OK

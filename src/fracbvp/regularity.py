@@ -6,13 +6,24 @@ as t -> 0:
     q(t) = t^(alpha-1) * D^(alpha-1) u(t)      (membership in E_alpha)
     p(t) = t^(2-alpha) * u'(t)                 (membership in C^1_(2-alpha))
 
-Both spaces ask the weighted quantity to extend continuously to [0, 1], so
-the classifier samples geometrically, t_j = t0 * r^j, and inspects the
-successive differences: a power tail x(t) ~ L + c t^sigma produces constant
-difference ratios r^sigma, so ratios bounded away from 1 certify
-stabilization while a strictly growing |x| past a fixed multiple of its
-starting size certifies blow-up.  Near-critical exponents cannot be decided
-numerically and come back as "inconclusive" rather than being forced.
+Both spaces ask the weighted quantity to extend continuously to [0, 1].
+Every forcing is a power sum g = sum_l a_l t^l, so the verdicts follow from
+its exponents l, not from samples.  Near 0 the solution is
+
+    u(t) = C t^(alpha-1) + sum_l A_l t^(l+alpha)
+
+(Diethelm, The Analysis of Fractional Differential Equations, LNM 2004,
+2010), hence q has the exponents {alpha-1} and {l+alpha}, and p has {0}
+and {l+1}.  At l = -1 the forcing resonates with the kernel and u gains a
+t^(alpha-1) log t term: q then gains t^(alpha-1) log t and p gains log t.
+A profile is "yes" when every exponent is >= 0 and its log term, if any,
+has a power > 0, and "no" otherwise.  Condition (H), l > -alpha, keeps
+every exponent of q positive.
+
+The limit of a "yes" profile is the t^0 coefficient of a least-squares fit
+of its samples at the probes t_j = PROBE_T0 * PROBE_RATIO^j on t^0, its
+powers of t and its log term.  The fit's relative residual is reported
+with it: the samples check the exponents rather than decide.
 
 Norms are reported as maxima over a 512-point graded grid joined with the
 probe samples - grid maxima, hence lower bounds of the true suprema.
@@ -29,6 +40,7 @@ import numpy as np
 # q_profile and p_profile, where perfbench's tracer looks the three up.
 from .quadrature import (
     GradedMesh,
+    WeightSpec,
     apply_dalpha_minus_1,
     apply_green,
     apply_green_derivative,
@@ -40,7 +52,6 @@ from .quadrature import (
 __all__ = [
     "YES",
     "NO",
-    "INCONCLUSIVE",
     "GreenProblem",
     "RegularityReport",
     "q_profile",
@@ -50,16 +61,11 @@ __all__ = [
 
 YES = "yes"
 NO = "no"
-INCONCLUSIVE = "inconclusive"
 
-# Stabilization: the last RATIO_TAIL difference ratios must sit below
-# RATIO_BOUND.  Divergence: some |x| beyond DIVERGENCE_FACTOR times
-# max(1, |x(t0)|) with |x| strictly increasing over the last DIVERGENCE_TAIL
-# samples.
-RATIO_BOUND = 0.9
-RATIO_TAIL = 5
-DIVERGENCE_FACTOR = 10.0
-DIVERGENCE_TAIL = 5
+# The probes t_j = PROBE_T0 * PROBE_RATIO^j, j < PROBES.
+PROBE_T0 = 0.25
+PROBE_RATIO = 0.5
+PROBES = 20
 NORM_GRID_PANELS = 512
 
 
@@ -67,7 +73,7 @@ NORM_GRID_PANELS = 512
 class GreenProblem:
     """A linear problem D^alpha u + g = 0 bundled with its quadrature mesh."""
 
-    weight: object  # WeightSpec
+    weight: WeightSpec
     alpha: float
     mesh: GradedMesh
 
@@ -82,15 +88,19 @@ class GreenProblem:
 
 @dataclass(frozen=True)
 class RegularityReport:
-    """Limit estimates, membership verdicts and grid norms for one problem.
+    """Membership verdicts, limits, fit residuals and grid norms for one problem.
 
-    Limit estimates are geometric-tail extrapolations when the profile
-    stabilizes and None otherwise; norms are None when the corresponding
-    membership verdict is "no" (the weighted sup is infinite).
+    A verdict is "yes" or "no", from the forcing's exponents.  For "yes" the
+    limit is the t^0 coefficient of the least-squares fit of the probe
+    samples, and the fit residual is ||A c - x|| / ||x||; both are NaN when
+    a sample is not finite.  For "no" the limit, the residual and the norm
+    are None (the weighted sup is infinite).
     """
 
     q_limit_estimate: Optional[float]
     p_limit_estimate: Optional[float]
+    q_fit_residual: Optional[float]
+    p_fit_residual: Optional[float]
     in_E_alpha: str
     in_C1_2ma: str
     e_alpha_norm: Optional[float]
@@ -116,21 +126,13 @@ def p_profile(problem: GreenProblem, t_list: Sequence[float]) -> list[tuple[floa
     return list(zip(t.tolist(), p.tolist()))
 
 
-def classify(
-    problem: GreenProblem,
-    t0: float = 0.25,
-    r: float = 0.5,
-    J: int = 20,
-) -> RegularityReport:
+def classify(problem: GreenProblem) -> RegularityReport:
     """Classify the solution against E_alpha and C^1_(2-alpha) toward t = 0."""
-    if not 0.0 < t0 < 1.0:
-        raise ValueError(f"t0 must lie in (0, 1), got {t0!r}")
-    if not 0.0 < r < 1.0:
-        raise ValueError(f"ratio must lie in (0, 1), got {r!r}")
-    if J < RATIO_TAIL + 2:
-        raise ValueError(f"need at least {RATIO_TAIL + 2} samples, got {J}")
+    bases = _profile_bases(problem)
+    if any(len(exponents) + (log is not None) >= PROBES for exponents, log in bases):
+        raise ValueError(f"the forcing has too many exponents to fit on {PROBES} probes")
 
-    ts = [t0 * r**j for j in range(J)]
+    ts = [PROBE_T0 * PROBE_RATIO**j for j in range(PROBES)]
     beta_g, regular = problem.decomposition()
     alpha, mesh = problem.alpha, problem.mesh
     grid = GradedMesh.from_grading(NORM_GRID_PANELS, mesh.grading).nodes
@@ -148,10 +150,10 @@ def classify(
     )
     q = pts ** (alpha - 1.0) * dalpha
     p = pts ** (2.0 - alpha) * du
-    qs, ps = q[probes].tolist(), p[probes].tolist()
 
-    verdict_q, q_limit = _stabilization_verdict(qs)
-    verdict_p, p_limit = _stabilization_verdict(ps)
+    (verdict_q, q_limit, q_residual), (verdict_p, p_limit, p_residual) = (
+        _judge(np.array(ts), x[probes], basis) for x, basis in zip((q, p), bases)
+    )
 
     u_max = float(np.max(np.abs(u)))
     q_max = float(np.max(np.abs(q)))
@@ -160,42 +162,44 @@ def classify(
     return RegularityReport(
         q_limit_estimate=q_limit,
         p_limit_estimate=p_limit,
+        q_fit_residual=q_residual,
+        p_fit_residual=p_residual,
         in_E_alpha=verdict_q,
         in_C1_2ma=verdict_p,
-        e_alpha_norm=(u_max + q_max) if verdict_q != NO else None,
-        c1_norm=(u_max + p_max) if verdict_p != NO else None,
-        samples=tuple(zip(ts, qs, ps)),
+        e_alpha_norm=(u_max + q_max) if verdict_q == YES else None,
+        c1_norm=(u_max + p_max) if verdict_p == YES else None,
+        samples=tuple(zip(ts, q[probes].tolist(), p[probes].tolist())),
     )
 
 
-def _stabilization_verdict(xs: Sequence[float]) -> tuple[str, Optional[float]]:
-    x = np.asarray(xs, dtype=float)
-    absx = np.abs(x)
-    threshold = DIVERGENCE_FACTOR * max(1.0, absx[0])
-    tail_increasing = bool(np.all(np.diff(absx[-DIVERGENCE_TAIL:]) > 0.0))
-    if np.any(absx > threshold) and tail_increasing:
-        return NO, None
+def _profile_bases(problem: GreenProblem):
+    """The exponents of q and of p near 0, each with its log term's power.
 
-    diffs = np.abs(np.diff(x))
-    ratios = np.empty(len(diffs) - 1)
-    for j in range(1, len(diffs)):
-        if diffs[j - 1] == 0.0:
-            ratios[j - 1] = 0.0 if diffs[j] == 0.0 else np.inf
-        else:
-            ratios[j - 1] = diffs[j] / diffs[j - 1]
-    if (
-        len(ratios) >= RATIO_TAIL
-        and np.max(ratios[-RATIO_TAIL:]) <= RATIO_BOUND
-        and not np.any(absx > threshold)
-    ):
-        return YES, _geometric_limit(x, diffs)
-    return INCONCLUSIVE, None
+    Each profile is an ascending exponent list, which always holds 0 (the
+    limit's column), and the power of its log term or None.  The forcing's
+    exponents come rounded by PowerSum, so equal exponents merge exactly.
+    """
+    w, alpha = problem.weight, problem.alpha
+    ls = w.regular.times_power(-w.beta).exponents
+    resonant = -1.0 in ls
+    q = sorted({0.0, alpha - 1.0, *(lam + alpha for lam in ls)})
+    p = sorted({0.0, *(lam + 1.0 for lam in ls)})
+    return (q, alpha - 1.0 if resonant else None), (p, 0.0 if resonant else None)
 
 
-def _geometric_limit(x: np.ndarray, diffs: np.ndarray) -> float:
-    # x(t_j) ~ L + c rho^j: sum the geometric tail of the increments.
-    step = x[-1] - x[-2]
-    if diffs[-2] == 0.0 or step == 0.0:
-        return float(x[-1])
-    rho = diffs[-1] / diffs[-2]
-    return float(x[-1] + step * rho / (1.0 - rho))
+def _judge(ts: np.ndarray, xs: np.ndarray, basis):
+    """Verdict, limit and relative fit residual of one profile's samples."""
+    exponents, log = basis
+    if exponents[0] < 0.0 or (log is not None and log <= 0.0):
+        return NO, None, None
+    if not np.all(np.isfinite(xs)):
+        return YES, np.nan, np.nan
+    s = ts / PROBE_T0
+    columns = [s**g for g in exponents]
+    if log is not None:
+        columns.append(s**log * np.log(s))
+    a = np.column_stack(columns)
+    c = np.linalg.lstsq(a, xs, rcond=None)[0]
+    size = np.linalg.norm(xs)
+    residual = np.linalg.norm(a @ c - xs) / size if size else 0.0
+    return YES, float(c[0]), float(residual)

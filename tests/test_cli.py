@@ -454,30 +454,31 @@ def test_classify_command(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "weight,line,label",
+    "weight,line,verdict",
     [
-        # q tends to a limit, which the verdict "yes" prints
-        ("power:1.2", 0, None),
-        # q tends to 0 (exponents 0.6 and 0.1), too slowly to be decided
-        ("power:1.5", 0, "in_E_alpha=inconclusive q_limit=undetermined"),
+        # q tends to 0 (exponents 0.6 and 0.4)
+        ("power:1.2", 0, "in_E_alpha=yes"),
+        # q tends to 0 (exponents 0.6 and 0.1), too slowly for a ratio test
+        ("power:1.5", 0, "in_E_alpha=yes"),
         # p grows without bound
-        ("power:1.2", 1, "in_C1_2ma=no p_limit=divergent"),
+        ("power:1.2", 1, "in_C1_2ma=no"),
     ],
 )
 def test_classify_limit_labels_follow_the_verdict(
-    tmp_path, capsys, weight, line, label
+    tmp_path, capsys, weight, line, verdict
 ):
     code = main([
         "classify", "--alpha", "1.6", "--weight", weight,
         "--out", str(tmp_path / "cls.csv"),
     ])
     assert code == EXIT_OK
-    text = capsys.readouterr().out.splitlines()[line]
-    if label is None:
-        head, limit = text.split(" q_limit=")
-        assert head == "in_E_alpha=yes" and math.isfinite(float(limit))
+    head, limit, residual = capsys.readouterr().out.splitlines()[line].split(" ")
+    assert head == verdict
+    limit, residual = limit.split("=")[1], residual.removeprefix("fit_residual=")
+    if verdict.endswith("=no"):
+        assert (limit, residual) == ("divergent", "None")
     else:
-        assert text == label
+        assert math.isfinite(float(limit)) and 0.0 <= float(residual) <= 1e-9
 
 
 def test_classify_non_finite_report_exits_4(tmp_path, capsys, monkeypatch):
@@ -494,6 +495,20 @@ def test_classify_non_finite_report_exits_4(tmp_path, capsys, monkeypatch):
     ])
     assert code == EXIT_NO_CONVERGENCE
     assert "non-finite" in capsys.readouterr().err
+
+
+def test_classify_nan_samples_exit_4(tmp_path, capsys):
+    # At margin 0.01 the quadrature gives NaN samples.  They are no input
+    # error: the limit is not fitted to them (older numpy's lstsq can raise
+    # LinAlgError, a ValueError, on NaN), so the breakdown is exit 4 with
+    # its message alone on stderr, and the CSV is still written.
+    out = tmp_path / "cls.csv"
+    code = main([
+        "classify", "--alpha", "1.9", "--weight", "power:1.89", "--out", str(out),
+    ])
+    assert code == EXIT_NO_CONVERGENCE
+    assert capsys.readouterr().err == "error: the quadrature produced non-finite values\n"
+    assert out.exists()
 
 
 def test_classify_continuous_weight(tmp_path, capsys):
