@@ -23,16 +23,18 @@ Three constructions replace adaptivity:
 
 * panels follow a graded mesh t_i = (i/n)^grading, refined toward 0;
 * the origin panel [0, t_1], and for a target t <= t_1 the piece [0, t/2],
-  is mapped by s = tau^m, m = ceil(2/(alpha-beta_g)), which turns the
-  leading s^(margin-1)-type behaviour into a smooth power;
+  takes the Gauss-Jacobi rule of the weight s^(1-beta_g) with the integrand
+  kernel/s times g_reg: every left kernel vanishes like s, so kernel/s is
+  smooth, and the rule holds the whole singular power at any margin;
 * the piece of the target's panel that ends at s = t (for u and u', whose
   bracket has a kink or an (t-s)^(alpha-2) blow-up there) is mapped by
   s = t - tau^(1/(alpha-1)), which absorbs the singular factor into the
   Jacobian exactly; elsewhere u and u' use the bracket kernel itself.
 
-Fixed-order Gauss-Legendre (12 points) is used on every transformed panel:
-once the integrands are regularized, panel count - not order - controls the
-error.
+Fixed-order rules of 12 points, both from Golub-Welsch (Math. Comp. 23,
+1969), are used: Gauss-Jacobi at the origin, Gauss-Legendre on every other
+panel and piece.  Once the integrands are regularized, panel count - not
+order - controls the error.
 
 The three operators share one assembly and accept any array of targets in
 one pass, and several operators at one set of targets (apply_operators)
@@ -118,16 +120,24 @@ __all__ = [
 GAUSS_ORDER = 12
 
 
-def _gauss_legendre(order):
-    # Golub-Welsch: the nodes are the eigenvalues of the Jacobi matrix of the
-    # Legendre polynomials, with off-diagonal k / sqrt(4k^2 - 1), and the
-    # weights are 2 v_0^2 from the first components of its unit eigenvectors.
-    k = np.arange(1.0, order)
-    x, v = np.linalg.eigh(np.diag(k / np.sqrt(4.0 * k * k - 1.0), -1))
-    return x, 2.0 * v[0] ** 2
+def _gauss_jacobi(order, b):
+    # Golub-Welsch for the weight (1+x)^b on [-1, 1], b > -1: the nodes are
+    # the eigenvalues of the Jacobi matrix of the polynomials P_n^(0,b), with
+    # diagonal b/(b+2), then b^2 / (k (k+2)), and off-diagonal
+    # 2n (n+b) / (k sqrt((k-1)(k+1))), k = 2n + b, n = 1..order-1; the
+    # weights are 2^(b+1)/(b+1) v_0^2 from the first components of its unit
+    # eigenvectors.  k-1 is formed as 2n-1+b, exact at n = 1 for b near -1.
+    # At b = 0 this is Gauss-Legendre, with off-diagonal n / sqrt(4n^2 - 1)
+    # to the last bit.
+    n = np.arange(1.0, order)
+    k = 2.0 * n + b
+    diag = np.append(b / (b + 2.0), b * b / (k * (k + 2.0)))
+    off = (n + b) * (2.0 * n / k) / np.sqrt((2.0 * n - 1.0 + b) * (2.0 * n + 1.0 + b))
+    x, v = np.linalg.eigh(np.diag(diag) + np.diag(off, -1))
+    return x, 2.0 ** (b + 1.0) / (b + 1.0) * v[0] ** 2
 
 
-_GL_X, _GL_W = _gauss_legendre(GAUSS_ORDER)
+_GL_X, _GL_W = _gauss_jacobi(GAUSS_ORDER, 0.0)
 
 # Unbounded grading collapses the early panels below double-precision node
 # spacing, so the exponent is clamped.
@@ -391,16 +401,6 @@ def _dalpha_bracket(s, alpha):
     return np.expm1((alpha - 1.0) * np.log1p(-s))
 
 
-def _origin_substitution_order(alpha: float, beta_g: float) -> int:
-    margin = alpha - beta_g
-    if margin <= 0.0:
-        raise ConditionHError(
-            f"forcing singularity exponent {beta_g} is not below the order"
-            f" {alpha}; the Green integral diverges"
-        )
-    return max(1, math.ceil(2.0 / margin))
-
-
 def _gauss(a, b):
     # Gauss-Legendre points and weights on the panels [a_i, b_i], one per row.
     half = 0.5 * (b - a)
@@ -427,7 +427,11 @@ def _green_integrals(kinds, t, beta_g, g_regular, alpha, mesh):
     if t.size == 0:
         return tuple(np.empty(0) for _ in kinds)
     beta_g = float(beta_g)
-    m = _origin_substitution_order(alpha, beta_g)
+    if not alpha - beta_g > 0.0:  # NaN fails too
+        raise ConditionHError(
+            f"forcing singularity exponent {beta_g} is not below the order"
+            f" {alpha}; the Green integral diverges"
+        )
     nodes = mesh.nodes
     panels = _SharedPanels.build(nodes, beta_g, g_regular, alpha)
     order = np.argsort(t, kind="stable")
@@ -438,9 +442,7 @@ def _green_integrals(kinds, t, beta_g, g_regular, alpha, mesh):
     }
     # nodes[lo-1] < t <= nodes[lo]: t lies in panel lo-1
     lo = np.searchsorted(nodes, ts, side="left")
-    total, right = _own_sums(
-        kinds, ts, te, lo, nodes, m, beta_g, g_regular, alpha, panels.right_sums
-    )
+    total, right = _own_sums(kinds, ts, te, lo, nodes, beta_g, g_regular, alpha, panels)
     if te:  # the shared left panels
         left = _left_bracket_sums(tuple(te), ts, te, lo, alpha, nodes, panels)
         for kind, sums in zip(te, left):
@@ -458,18 +460,19 @@ def _green_integrals(kinds, t, beta_g, g_regular, alpha, mesh):
 class _SharedPanels:
     """Gauss points of the mesh panels [nodes[j], nodes[j+1]], row j = 0..n-1.
 
-    Row j is panel j; row 0, the origin panel, is mapped by s = tau^m
-    (_origin_panel).  The weights carry s^(-beta_g), and in row 0 the
-    Jacobian as well; points of row 0 that underflow to s = 0 add 0 to
-    every left kernel, which vanishes there.  ``wg`` holds the weights
-    times g; ``log_s``, ``pow_s`` are green.column_terms.  The t-free
-    kernels over these panels reduce to prefix sums, left_sums[k] = sum
+    Row j is panel j.  The weights carry s^(-beta_g); row 0, the origin
+    panel, takes the Gauss-Jacobi rule ``origin`` of the weight s^(1-beta_g),
+    its weights divided by s (_origin_panel), so that it integrates every
+    left kernel, which vanishes like s, as kernel/s times g.  ``wg`` holds
+    the weights times g; ``log_s``, ``pow_s`` are green.column_terms.  The
+    t-free kernels over these panels reduce to prefix sums, left_sums[k] = sum
     over rows < k of ((1-s)^(alpha-1) - 1) w g (the left part of
     D^(alpha-1)u, and a part of u'), and suffix sums, right_sums[k] = sum
     over rows >= k of (1-s)^(alpha-1) w g (the right part of all three
     operators).
     """
 
+    origin: tuple
     s: np.ndarray
     wg: np.ndarray
     log_s: np.ndarray
@@ -480,14 +483,14 @@ class _SharedPanels:
     @classmethod
     def build(cls, nodes, beta_g, g_regular, alpha) -> "_SharedPanels":
         s, w = _gauss(nodes[:-1], nodes[1:])
-        m = _origin_substitution_order(alpha, beta_g)
-        s[:1], w[:1] = _origin_panel(nodes[1:2], m, beta_g)
+        origin = _gauss_jacobi(GAUSS_ORDER, 1.0 - beta_g)
+        s[:1], w[:1] = _origin_panel(nodes[1:2], origin, beta_g)
         w[1:] *= np.power(s[1:], -beta_g)
         wg = w * g_regular(s)
         log_s, pow_s = column_terms(s, alpha)
         left_sums = np.append(0.0, np.cumsum(np.sum(np.expm1(log_s) * wg, axis=1)))
         right_sums = np.append(np.cumsum(np.sum(pow_s * wg, axis=1)[::-1])[::-1], 0.0)
-        return cls(s, wg, log_s, pow_s, left_sums, right_sums)
+        return cls(origin, s, wg, log_s, pow_s, left_sums, right_sums)
 
 
 def _series_coefficients(e: float) -> np.ndarray:
@@ -623,11 +626,6 @@ def _prefix_moments(count, m, nodes, panels):
         carry = np.ldexp(carry, (e_prev - e) * m_int)
         r = np.ldexp(panels.s[j0:j1], -e)
         wg = panels.wg[j0:j1]
-        if not j0:
-            # Origin points that underflowed to s = 0 add 0 to every moment
-            # (log 0 = -inf, and -inf * 0 is NaN).
-            zero = r == 0.0
-            r[zero], wg = 1.0, np.where(zero, 0.0, wg)
         log_r = np.log(r)
         # tables along a last axis: (panel, point, power)
         coarse = np.multiply.outer(log_r, m_coarse)
@@ -741,38 +739,34 @@ def _run_sums(x, runs):
     return sums
 
 
-def _origin_panel(end, m, beta_g):
-    # Points and weights of the origin panels [0, end_i] under s = tau^m; the
-    # Jacobian and the singular power fold into one smooth tau power.
-    # At a tiny margin the tau power overflows (tau^-9999 at m = 20,000).
-    # Such a weight is stored as NaN, which spreads without warnings, so
-    # the caller's finiteness check reports it; inf would raise
-    # invalid-value warnings wherever it meets a zero.
-    tau_hi = end ** (1.0 / m)
-    tau = 0.5 * tau_hi[:, None] * (_GL_X + 1.0)
-    with np.errstate(over="ignore"):
-        w = 0.5 * tau_hi[:, None] * _GL_W * m * np.power(tau, m - 1.0 - m * beta_g)
-    w[np.isinf(w)] = np.nan
-    return tau**m, w
+def _origin_panel(end, origin, beta_g):
+    # Points and weights of the origin panels [0, end_i] under ``origin``, the
+    # Gauss-Jacobi rule (x, w) of the weight (1+x)^(1-beta_g).  With s =
+    # h (1+x), h = end_i/2, s^(-beta_g) ds = h^(1-beta_g) (1+x)^(1-beta_g)
+    # dx / (1+x): the weights are h^(1-beta_g) w / (1+x), the rule's over s,
+    # and the kernels they meet vanish like s.  No node is 0.
+    x, w = origin
+    half = 0.5 * end[:, None]
+    return half * (x + 1.0), half ** (1.0 - beta_g) * (w / (x + 1.0))
 
 
-def _own_sums(kinds, t, te, lo, nodes, m, beta_g, g_regular, alpha, right_sums):
+def _own_sums(kinds, t, te, lo, nodes, beta_g, g_regular, alpha, panels):
     """Each kind's sums over the pieces each target owns, and its right sums.
 
     The ascending targets go in blocks of _BUDGET // GAUSS_ORDER rows, and
     g_regular is evaluated in one call per block at the points of every
     piece its targets own (_own_panels).  Returns ({kind: sums}, right),
-    right being right_sums[lo] plus the right piece of the targets inside
-    their panel, with the right kernel (1-s)^(alpha-1).
+    right being panels.right_sums[lo] plus the right piece of the targets
+    inside their panel, with the right kernel (1-s)^(alpha-1).
     """
     total = {kind: np.zeros(len(t)) for kind in kinds}
-    right = right_sums[lo]
+    right = panels.right_sums[lo]
     rows = _BUDGET // GAUSS_ORDER
     for r0 in range(0, len(t), rows):
         b = slice(r0, r0 + rows)
         s, parts, inside, right_kw = _own_panels(
-            kinds, t[b], {kind: x[b] for kind, x in te.items()}, lo[b], nodes, m,
-            beta_g, alpha,
+            kinds, t[b], {kind: x[b] for kind, x in te.items()}, lo[b], nodes,
+            panels.origin, beta_g, alpha,
         )
         g = np.split(g_regular(np.concatenate(s)), np.cumsum([len(x) for x in s[:-1]]))
         right[b][inside] += np.sum(right_kw * g[-1], axis=1)
@@ -791,7 +785,7 @@ def _add_part_sums(total, r0, parts, g):
             total[kind][r0:r0 + len(kw)] += np.sum(kw * g[j], axis=1)
 
 
-def _own_panels(kinds, t, te, lo, nodes, m, beta_g, alpha):
+def _own_panels(kinds, t, te, lo, nodes, origin, beta_g, alpha):
     """Points of the pieces each target owns, and each kind's weights on them.
 
     A target t with nodes[lo-1] < t <= nodes[lo] owns the two pieces of
@@ -799,8 +793,9 @@ def _own_panels(kinds, t, te, lo, nodes, m, beta_g, alpha):
     right piece [t, nodes[lo]], which only the targets ``inside`` their
     panel (t < nodes[lo]) own; at a node it has zero width.  In the first
     panel (lo = 1; these targets are a prefix of the ascending t) a = t/2,
-    which keeps the map s = tau^m apart from the s = t substitution, and
-    the target also owns the origin piece [0, t/2].
+    which keeps the origin rule apart from the s = t substitution, and the
+    target also owns the origin piece [0, t/2], under the Gauss-Jacobi rule
+    ``origin`` of the shared origin panel (_origin_panel).
 
     Returns (points, parts, inside, right).  ``points`` is a list of (rows,
     GAUSS_ORDER) arrays: first the origin pieces, which all kinds share,
@@ -816,7 +811,7 @@ def _own_panels(kinds, t, te, lo, nodes, m, beta_g, alpha):
     tc = t[:, None]
     k = int(np.count_nonzero(lo == 1))
     a = np.where(lo == 1, 0.5 * t, nodes[lo - 1])
-    s0, w0 = _origin_panel(0.5 * t[:k], m, beta_g)
+    s0, w0 = _origin_panel(0.5 * t[:k], origin, beta_g)
     points, parts = [s0], {}
     if te:
         # The left piece is mapped by s = t - tau^p, p = 1/(alpha-1):

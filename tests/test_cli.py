@@ -11,6 +11,7 @@ from fracbvp import (
     WeightSpec,
     classical_derivative,
     classify,
+    exact_dirichlet_solution,
     frac_derivative,
     solve_linear,
     solve_nonlinear,
@@ -370,19 +371,25 @@ def test_solve_non_finite_quadrature_exits_4(tmp_path, capsys, monkeypatch, flag
 
 
 @pytest.mark.parametrize("command", ["solve", "classify"])
-def test_tiny_margin_exits_4_with_only_the_error_line(tmp_path, capsys, command):
-    # Margin 1e-4 makes the origin substitution s = tau^20000, whose weight
-    # tau^-9999 overflows.  The quadrature breakdown is exit 4 with its
-    # message alone on stderr (RuntimeWarnings are errors here), and
-    # classify still writes its CSV.
+def test_tiny_margin_exits_0_with_an_empty_stderr(tmp_path, capsys, command):
+    # Margin 1e-4: the origin panel's Gauss-Jacobi rule holds the weight
+    # s^(1-beta_g) whole, so nothing overflows (RuntimeWarnings are errors
+    # here), and classify's q_limit matches the closed form.
     out = tmp_path / "x.csv"
     code = main([
         command, "--alpha", "1.5", "--weight", "power:1.4999",
         "--n", "64", "--out", str(out),
     ])
-    assert code == EXIT_NO_CONVERGENCE
-    assert capsys.readouterr().err == "error: the quadrature produced non-finite values\n"
-    assert out.exists() == (command == "classify")
+    assert code == EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert out.exists()
+    if command == "classify":
+        u = exact_dirichlet_solution(PowerSum([(1.0, -1.4999)]), 1.5)
+        q = frac_derivative(u, 0.5).times_power(0.5)
+        q0 = sum(c for c, lam in q if lam == 0.0)
+        q_limit = re.search(r"q_limit=(\S+)", captured.out).group(1)
+        assert float(q_limit) == pytest.approx(q0, abs=1e-9)
 
 
 @pytest.mark.parametrize(
@@ -398,9 +405,9 @@ def test_overflowing_forcing_exits_4_with_only_the_error_line(
 ):
     # A forcing near the top of the double range overflows inside the
     # quadrature (t^e times the right sums, the weights times g, the sums
-    # over the panels) and in classify's verdicts.  As for a tiny margin,
-    # that is exit 4 with its message alone on stderr (RuntimeWarnings are
-    # errors here), and classify still writes its CSV.
+    # over the panels) and in classify's verdicts.  That is exit 4 with its
+    # message alone on stderr (RuntimeWarnings are errors here), and
+    # classify still writes its CSV.
     out = tmp_path / "x.csv"
     code = main([
         command, "--alpha", alpha, "--forcing", forcing, "--n", n, "--out", str(out),
@@ -495,19 +502,18 @@ def test_classify_non_finite_report_exits_4(tmp_path, capsys, monkeypatch):
     ])
     assert code == EXIT_NO_CONVERGENCE
     assert "non-finite" in capsys.readouterr().err
+    assert (tmp_path / "cls.csv").exists()
 
 
-def test_classify_nan_samples_exit_4(tmp_path, capsys):
-    # At margin 0.01 the quadrature gives NaN samples.  They are no input
-    # error: the limit is not fitted to them (older numpy's lstsq can raise
-    # LinAlgError, a ValueError, on NaN), so the breakdown is exit 4 with
-    # its message alone on stderr, and the CSV is still written.
+def test_classify_at_margin_0_01_exits_0(tmp_path, capsys):
+    # The README's margin-0.01 command: finite samples, no warning on
+    # stderr, and the CSV written.
     out = tmp_path / "cls.csv"
     code = main([
         "classify", "--alpha", "1.9", "--weight", "power:1.89", "--out", str(out),
     ])
-    assert code == EXIT_NO_CONVERGENCE
-    assert capsys.readouterr().err == "error: the quadrature produced non-finite values\n"
+    assert code == EXIT_OK
+    assert capsys.readouterr().err == ""
     assert out.exists()
 
 

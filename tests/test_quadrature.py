@@ -516,16 +516,45 @@ def test_row_blocks_fill_the_temporary_budget(monkeypatch):
     assert len(t) == 531 and g.calls == 2 and left_calls == [1]
 
 
-def test_gauss_legendre_rule_matches_leggauss():
+def test_gauss_jacobi_rule_at_b_0_matches_leggauss():
     # Golub-Welsch against numpy's companion-matrix rule with a Newton step,
     # at the order in use and two below it
     from numpy.polynomial.legendre import leggauss
 
     for order in (2, 5, quadrature.GAUSS_ORDER):
-        x, w = quadrature._gauss_legendre(order)
+        x, w = quadrature._gauss_jacobi(order, 0.0)
         ref_x, ref_w = leggauss(order)
         assert np.all(np.abs(x - ref_x) <= 1e-15)
         assert np.all(np.abs(w - ref_w) <= 1e-14 * ref_w)
+
+
+def test_gauss_jacobi_rule_at_b_0_is_the_legendre_rule_bit_for_bit():
+    # the Jacobi matrix of the Legendre polynomials, off-diagonal
+    # k / sqrt(4k^2 - 1), and its weights 2 v_0^2
+    k = np.arange(1.0, quadrature.GAUSS_ORDER)
+    ref_x, v = np.linalg.eigh(np.diag(k / np.sqrt(4.0 * k * k - 1.0), -1))
+    x, w = quadrature._gauss_jacobi(quadrature.GAUSS_ORDER, 0.0)
+    assert np.array_equal(x, ref_x) and np.array_equal(w, 2.0 * v[0] ** 2)
+    assert np.array_equal(x, quadrature._GL_X) and np.array_equal(w, quadrature._GL_W)
+
+
+@pytest.mark.parametrize(
+    "b,rel",
+    [
+        (0.0, 1e-14), (0.5, 1e-14), (-0.2, 1e-14), (-0.59, 1e-14), (1.6, 1e-14),
+        # The node next to -1 lies 1.4e-6 from it and weighs 1e4, so each
+        # unit of 2^-53 in its absolute error, which is eigh's, moves the
+        # k = 1 moment by 5.5e-13 relative; 1.1e-12 here.
+        (-0.9999, 1e-11),
+    ],
+)
+def test_gauss_jacobi_rule_matches_closed_form_moments(b, rel):
+    # int_{-1}^{1} (1+x)^(b+k) dx = 2^(b+k+1)/(b+k+1), exact for k < 24
+    x, w = quadrature._gauss_jacobi(12, b)
+    k = np.arange(24.0)
+    got = np.sum(w[:, None] * (1.0 + x[:, None]) ** k, axis=0)
+    ref = 2.0 ** (b + k + 1.0) / (b + k + 1.0)
+    assert np.all(np.abs(got - ref) <= rel * ref)
 
 
 def _series_by_recurrence(e):
@@ -647,23 +676,18 @@ def test_far_field_matches_full_bracket_block_for_signed_g(grading, alpha, kind)
 @pytest.mark.parametrize("kind", ["u", "du"])
 @pytest.mark.parametrize("alpha", [1.05, 1.3, 1.6])
 @pytest.mark.parametrize("grading", [1.0, 5.0, 8.0])
-def test_far_field_matches_full_bracket_block_when_origin_points_underflow(
-    grading, alpha, kind
-):
-    # At beta_g = alpha - 0.01 the origin panel is mapped by s = tau^200,
-    # and its first points underflow to s = 0.  They must add 0 to every
-    # moment, with no NaN and no warning (log 0 = -inf).
+def test_far_field_matches_full_bracket_block_at_margin_0_01(grading, alpha, kind):
+    # At beta_g = alpha - 0.01 the origin row's Gauss-Jacobi weights, those
+    # of s^(1-beta_g) over s, are largest next to 0; the moments of the
+    # far field must still match the bracket kernel.
     mesh, t, e, lo, panels, ref = _far_field_case(grading, alpha, kind, margin=0.01)
-    assert panels.s[0, 0] == 0.0
     got = _left_bracket_sums(kind, alpha, mesh, panels, t, e, lo)
     _assert_within_bound(got, ref)
 
 
 @pytest.mark.parametrize("beta,alpha", [(1.05, 1.06), (1.49, 1.5)])
-def test_solve_with_underflowing_origin_points_stays_finite(beta, alpha):
-    # Margin 0.01, so the far field streams origin points that underflowed
-    # to s = 0 (RuntimeWarnings are errors here).  Accuracy is not asserted:
-    # the 12-point origin rule is coarse at m = 200.
+def test_solve_at_margin_0_01_stays_finite(beta, alpha):
+    # RuntimeWarnings are errors here.
     sol = solve_linear(WeightSpec(beta), alpha, 512)
     assert np.all(np.isfinite(sol.values))
 
