@@ -249,7 +249,7 @@ def cmd_solve(args) -> int:
 
     if args.forcing is not None:
         # the Picard flags are unused on the linear path, but still checked
-        check_picard_controls(args.tol, args.max_iter, args.damping)
+        check_picard_controls(args.tol, args.max_iter)
         solution = solve_linear(w, alpha, args.n)
         converged, status = True, "direct"
         g_reg = regular
@@ -261,8 +261,7 @@ def cmd_solve(args) -> int:
                 0,
             )
         report = solve_nonlinear(
-            w, f, alpha, args.n,
-            tol=args.tol, max_iter=args.max_iter, damping=args.damping,
+            w, f, alpha, args.n, tol=args.tol, max_iter=args.max_iter
         )
         solution = report.solution
         converged = report.converged
@@ -407,8 +406,6 @@ def _build_parser() -> _Parser:
     solve.add_argument("--tol", type=float, default=1e-8,
                        help="Picard sup-norm stopping tolerance")
     solve.add_argument("--max-iter", type=int, default=200, dest="max_iter")
-    solve.add_argument("--damping", type=float, default=1.0,
-                       help="Picard damping factor in (0, 1]")
     solve.set_defaults(func=cmd_solve)
 
     cla = subs.add_parser("classify", help="regularity verdicts and profiles")

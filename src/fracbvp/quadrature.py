@@ -19,9 +19,15 @@ destroy that product structure.  The left kernels of u and u' are one
 bracket, t^e (1-s)^(a-1) - (t-s)^e with e = a-1 and e = a-2
 (green.bracket_values); that of D^(a-1)u is expm1((a-1) log1p(-s)).
 
-Three constructions replace adaptivity:
+Four constructions replace adaptivity:
 
 * panels follow a graded mesh t_i = (i/n)^grading, refined toward 0;
+* every panel past the origin panel whose ratio t_(j+1)/t_j exceeds 2 is
+  split by geometric nodes into panels of ratio at most 2 (_panel_edges):
+  at grading 8, [t_1, t_2] spans a ratio of 256, across which a forcing
+  s^-1.3 varies by a factor of 1,350.  The split lives inside the
+  quadrature; the mesh and its nodes are the ones asked for, and every
+  mesh node is a panel edge;
 * the origin panel [0, t_1], and for a target t <= t_1 the piece [0, t/2],
   takes the Gauss-Jacobi rule of the weight s^(1-beta_g) with the integrand
   kernel/s times g_reg: every left kernel vanishes like s, so kernel/s is
@@ -39,9 +45,10 @@ order - controls the error.
 The three operators share one assembly and accept any array of targets in
 one pass, and several operators at one set of targets (apply_operators)
 share that pass: the shared panels, the values of g_reg, the pieces each
-target owns and the prefix moments of the far field.  The targets are
-sorted once.  g_reg is evaluated once at each quadrature point: in one
-call on the mesh panels, origin panel included, which all targets share,
+target owns and the prefix moments of the far field.  Below, "panel" and
+"node" mean the split panels and their edges.  The targets are sorted
+once.  g_reg is evaluated once at each quadrature point: in one call on
+the shared panels, origin panel included, which all targets share,
 and on the 12 points of each piece of its panel that a target owns: the
 left piece ending at t (u and u' share its points, D^(alpha-1)u has its
 own), the right piece starting at t, and for t <= t_1 the origin piece
@@ -54,7 +61,7 @@ Over the shared panels the parts that do not depend on t reduce to prefix
 and suffix sums: (1-s)^(alpha-1) in the right parts of all three
 operators, and both kernels of D^(alpha-1)u.  The left brackets of u and
 u' depend on t.  Each target splits its shared left panels at its own
-cut, the last mesh node t_c <= EPS*t (EPS = 0.85).  Below t_c, on the far
+cut, the last node t_c <= EPS*t (EPS = 0.85).  Below t_c, on the far
 panels, x = s/t <= 0.85, and the bracket is t^e times an exact power
 series in x with the binomial coefficients of (1-x)^e, cut at a 2^-60
 tail; no sum in it subtracts two terms of one sign.  The far panels thus
@@ -365,7 +372,7 @@ _BUDGET = 96**2
 # whose rows, hold at most _BUDGET doubles (_far_series).
 
 # Far-field cut.  Each target t sums the shared panels below its own cut,
-# the last mesh node t_c <= EPS*t, from power moments; the shared panels
+# the last node t_c <= EPS*t, from power moments; the shared panels
 # from t_c up to the panel the target lies in, the band, go through the
 # exact bracket kernel or the two sums.  A higher cut shrinks the band
 # (O(n^2)) and lengthens the series (O(n M)); at 0.85, M is at most 268.
@@ -417,12 +424,14 @@ def _green_integrals(kinds, t, beta_g, g_regular, alpha, mesh):
 
     ``kinds`` is a tuple of "u" (Green integral), "du" (u' without its
     factor (alpha-1)/Gamma(alpha)) and "dalpha" (D^(alpha-1)u).  Targets
-    lie in (0, 1]; t = 1 is not admitted for "du".  The mesh panels are
-    shared by all targets (_SharedPanels); each target also owns the two
-    pieces of the panel it lies in (see _own_panels).  The targets are
-    sorted once for all kinds: the pieces they own go in blocks of
-    _BUDGET // GAUSS_ORDER rows (_own_sums), and the far field and the band
-    take all of them in one call (_left_bracket_sums).
+    lie in (0, 1]; t = 1 is not admitted for "du".  The mesh panels, split
+    to ratios of at most 2 (_panel_edges), are shared by all targets
+    (_SharedPanels), and the helpers take their edges as ``nodes``.  Each
+    target also owns the two pieces of the panel it lies in (see
+    _own_panels).  The targets are sorted once for all kinds: the pieces
+    they own go in blocks of _BUDGET // GAUSS_ORDER rows (_own_sums), and
+    the far field and the band take all of them in one call
+    (_left_bracket_sums).
     """
     if t.size == 0:
         return tuple(np.empty(0) for _ in kinds)
@@ -432,7 +441,7 @@ def _green_integrals(kinds, t, beta_g, g_regular, alpha, mesh):
             f"forcing singularity exponent {beta_g} is not below the order"
             f" {alpha}; the Green integral diverges"
         )
-    nodes = mesh.nodes
+    nodes = _panel_edges(mesh.nodes)
     panels = _SharedPanels.build(nodes, beta_g, g_regular, alpha)
     order = np.argsort(t, kind="stable")
     ts = t[order]
@@ -456,9 +465,22 @@ def _green_integrals(kinds, t, beta_g, g_regular, alpha, mesh):
     return out
 
 
+def _panel_edges(nodes):
+    # The mesh nodes, and inside each panel [t_j, t_(j+1)] past the origin
+    # panel whose ratio r = t_(j+1)/t_j exceeds 2, the geometric nodes
+    # t_j r^(i/m), i = 1..m-1, m = ceil(log2 r), which split it into m
+    # panels of ratio r^(1/m) <= 2.  At i = 0 the factor is exactly 1, so
+    # every mesh node is an edge.
+    ratio = nodes[2:] / nodes[1:-1]
+    m = np.ceil(np.log2(ratio)).astype(int)  # ratio > 1: m >= 1
+    i = np.arange(m.sum()) - np.repeat(np.cumsum(m) - m, m)
+    edges = np.repeat(nodes[1:-1], m) * np.repeat(ratio, m) ** (i / np.repeat(m, m))
+    return np.concatenate((nodes[:1], edges, nodes[-1:]))
+
+
 @dataclass(frozen=True)
 class _SharedPanels:
-    """Gauss points of the mesh panels [nodes[j], nodes[j+1]], row j = 0..n-1.
+    """Gauss points of the shared panels [nodes[j], nodes[j+1]], one row each.
 
     Row j is panel j.  The weights carry s^(-beta_g); row 0, the origin
     panel, takes the Gauss-Jacobi rule ``origin`` of the weight s^(1-beta_g),

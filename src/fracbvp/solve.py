@@ -2,16 +2,16 @@
 
 The linear problem D^alpha u + g = 0, u(0) = u(1) = 0 is solved by direct
 quadrature of u(t) = int G(t,s) g(s) ds on a graded mesh.  The nonlinear
-problem D^alpha u + h(t) f(u) = 0 is solved by damped Picard iteration on
+problem D^alpha u + h(t) f(u) = 0 is solved by Picard iteration u <- T u on
 the integral operator (T u)(t) = int G(t,s) h(s) f(u(s)) ds, with f(u(s))
 evaluated through monotone cubic interpolation of the previous iterate (no
 overshoot, so f's argument stays nonnegative).
 
-Since f(0) = 0 makes u = 0 a fixed point of T, the iteration started from
-zero would stall there for the power and linear nonlinearities; in that
-case the iterate is reseeded with the weight profile int G(t,s) h(s) ds
-(the f = 1 solve), the natural positive starting point, and the restart is
-recorded in the report.
+The start is chosen before the first sweep.  When f(0) = 0 < f(1) and the
+weight is nonzero, u = 0 is a fixed point of T that is not the positive
+solution, so the iteration starts from the weight profile int G(t,s) h(s) ds
+(the f = 1 solve), and the report records it as seeded; otherwise it
+starts from zero.
 
 Every solution is cross-checked by an independent discretization: the
 Gruenwald-Letnikov backward sum
@@ -286,7 +286,10 @@ class ResidualStats:
 
 @dataclass(frozen=True)
 class SolveReport:
-    """Outcome of a Picard solve, convergent or not."""
+    """Outcome of a Picard solve, convergent or not.
+
+    ``seeded`` is true when the iteration started from the weight profile.
+    """
 
     solution: GridFunction
     picard_iterations: int
@@ -322,14 +325,12 @@ def solve_linear(g, alpha: float, n: int = 512) -> GridFunction:
     return GridFunction(mesh, values, alpha)
 
 
-def check_picard_controls(tol: float, max_iter: int, damping: float) -> None:
-    """ValueError unless the Picard stopping tolerance, sweep limit and damping are valid."""
+def check_picard_controls(tol: float, max_iter: int) -> None:
+    """ValueError unless the Picard stopping tolerance and sweep limit are valid."""
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter!r}")
-    if not 0.0 < damping <= 1.0:
-        raise ValueError(f"damping must lie in (0, 1], got {damping!r}")
 
 
 def solve_nonlinear(
@@ -339,23 +340,28 @@ def solve_nonlinear(
     n: int = 512,
     tol: float = 1e-8,
     max_iter: int = 200,
-    damping: float = 1.0,
 ) -> SolveReport:
-    """Damped Picard iteration for D^alpha u + h f(u) = 0 from u = 0.
+    """Picard iteration u <- T u for D^alpha u + h f(u) = 0.
 
-    Stops when the sup-norm update drops to ``tol`` or after ``max_iter``
-    sweeps; nonconvergence is reported, not raised.  FloatingPointError is
-    raised if the quadrature maps a finite iterate to non-finite values.
+    Starts from the weight profile when f(0) = 0 < f(1) and the weight is
+    nonzero (``seeded`` in the report), from u = 0 otherwise.  Stops when
+    the sup-norm update drops to ``tol`` or after ``max_iter`` sweeps;
+    nonconvergence is reported, not raised.  FloatingPointError is raised
+    if the quadrature maps a finite iterate to non-finite values.
     """
-    check_picard_controls(tol, max_iter, damping)
+    check_picard_controls(tol, max_iter)
     w = as_weight_spec(w)
     mesh = build_mesh(n, w, alpha)
     beta_g, regular = w.singular_decomposition()
 
-    u = np.zeros(mesh.n + 1)
+    seeded = f.value_at_zero == 0.0 and f(1.0) > 0.0 and not regular.is_zero
+    if seeded:
+        u = apply_green(mesh.nodes, beta_g, regular, alpha, mesh)
+        require_finite(u)
+    else:
+        u = np.zeros(mesh.n + 1)
     updates: list[float] = []
     converged = False
-    seeded = False
     for _ in range(max_iter):
         interp = PchipInterpolator(mesh.nodes, u)
 
@@ -367,26 +373,11 @@ def solve_nonlinear(
             # a non-finite image of a finite f(u) is a quadrature breakdown;
             # an f(u) that overflows is Picard divergence, stopped below
             require_finite(tu)
-        new = (1.0 - damping) * u + damping * tu
-        update = float(np.max(np.abs(new - u)))
-        if (
-            not updates
-            and update == 0.0
-            and f.value_at_zero == 0.0
-            and f(1.0) > 0.0
-            and not regular.is_zero
-        ):
-            # u = 0 is a fixed point of T but f is nontrivial: restart from
-            # the weight profile (the f = 1 solve).
-            u = apply_green(mesh.nodes, beta_g, regular, alpha, mesh)
-            require_finite(u)
-            updates.append(float(np.max(np.abs(u))))
-            seeded = True
-            continue
+        update = float(np.max(np.abs(tu - u)))
         updates.append(update)
         if not math.isfinite(update) or update > DIVERGENCE_CAP:
             break
-        u = new
+        u = tu
         if update <= tol:
             converged = True
             break
@@ -399,7 +390,7 @@ def solve_nonlinear(
     return SolveReport(
         solution=solution,
         picard_iterations=len(updates),
-        final_update_sup_norm=updates[-1] if updates else 0.0,
+        final_update_sup_norm=updates[-1],
         residual_median_rel=stats.median_rel,
         converged=converged,
         update_history=tuple(updates),

@@ -142,6 +142,14 @@ def test_parse_nonlinearity_errors_carry_positions(text, pos):
         # and --f is not read as an abbreviation of --forcing
         (["classify", "--alpha", "1.6", "--f", "power:1.2"],
          "unrecognized arguments: --f power:1.2"),
+        # Picard takes no damping: every supported f is nondecreasing, so
+        # under-relaxation cannot turn divergence into convergence
+        pytest.param(
+            ["solve", "--alpha", "1.6", "--weight", "power:1.2", "--f", "power:0.5",
+             "--damping", "0.5"],
+            "unrecognized arguments: --damping 0.5",
+            id="damping",
+        ),
     ],
 )
 def test_usage_errors_exit_3_and_write_nothing(tmp_path, capsys, monkeypatch, argv, fragment):
@@ -260,8 +268,6 @@ def test_solve_du_and_q_columns_match_calculus(tmp_path):
     [
         pytest.param("--tol", "nan", id="nan"),
         pytest.param("--tol", "inf", id="inf"),
-        pytest.param("--damping", "nan", id="damping-nan"),
-        pytest.param("--damping", "inf", id="damping-inf"),
         pytest.param("--alpha", "nan", id="alpha-nan"),
         pytest.param("--alpha", "inf", id="alpha-inf"),
     ],
@@ -277,7 +283,7 @@ def test_solve_rejects_non_finite_tol(tmp_path, flag, value):
 
 @pytest.mark.parametrize(
     "flag,value",
-    [("--tol", "nan"), ("--damping", "7"), ("--max-iter", "-3")],
+    [("--tol", "nan"), ("--max-iter", "-3")],
 )
 def test_solve_forcing_checks_the_picard_flags(tmp_path, capsys, flag, value):
     # The linear path does not iterate, but a bad Picard flag is still the

@@ -440,30 +440,34 @@ class _CountedPoints:
 
 
 def _g_points(kinds, t, mesh):
-    # 12 points on each mesh panel, on each piece a target owns (left and
-    # right of t; D^(alpha-1)u has its own left piece, so a call that mixes
-    # it with u or u' owns three; a node target owns no right piece) and
-    # on the origin piece of each target in the first panel
+    # 12 points on each shared panel (the mesh panels, split to ratios of at
+    # most 2), on each piece a target owns (left and right of t;
+    # D^(alpha-1)u has its own left piece, so a call that mixes it with u
+    # or u' owns three; a target on a panel edge owns no right piece) and on
+    # the origin piece of each target in the first panel
+    edges = quadrature._panel_edges(mesh.nodes)
     t = t[(t > 0.0) & (t < 1.0)]
     pieces = 3 if "dalpha" in kinds and len(kinds) > 1 else 2
     first = np.count_nonzero(t <= mesh.nodes[1])
-    at_nodes = np.count_nonzero(np.isin(t, mesh.nodes))
-    return quadrature.GAUSS_ORDER * (mesh.n + pieces * len(t) + first - at_nodes)
+    at_edges = np.count_nonzero(np.isin(t, edges))
+    return quadrature.GAUSS_ORDER * (len(edges) - 1 + pieces * len(t) + first - at_edges)
 
 
 def test_g_is_evaluated_once_per_quadrature_point(monkeypatch):
-    # The origin panel is a shared mesh panel, so a target owns only the
-    # pieces of the panel it lies in, and a node target only the left one:
-    # at the nodes of an n = 512 mesh g is taken at 12,288 points (18,420
-    # with a zero-width right piece at each node, 24,528 when every target
-    # also owned an origin panel), and in classify's pass at 25,272 less 12
-    # per node target (37,992 with own origin panels).
+    # The origin panel is a shared panel, so a target owns only the pieces
+    # of the panel it lies in, and a node target only the left one.  At
+    # grading 5 the split to ratios of at most 2 adds 11 shared panels to
+    # an n = 512 mesh: at its nodes g is taken at 12,420 points (12,288
+    # unsplit, 18,420 with a zero-width right piece at each node, 24,528
+    # when every target also owned an origin panel), and in classify's pass
+    # at 25,404 less 12 per node target (25,272 unsplit, 37,992 with own
+    # origin panels).
     w, alpha = WeightSpec(1.2), 1.6
     beta_g, reg = w.singular_decomposition()
     mesh = build_mesh(512, w, alpha)
     g = _CountedPoints(reg)
     apply_operators(("u",), mesh.nodes, beta_g, g, alpha, mesh)
-    assert g.points == _g_points(("u",), mesh.nodes, mesh) == 12_288
+    assert g.points == _g_points(("u",), mesh.nodes, mesh) == 12_420
 
     calls = []
 
@@ -477,7 +481,7 @@ def test_g_is_evaluated_once_per_quadrature_point(monkeypatch):
     [(kinds, t, g)] = calls
     at_nodes = np.count_nonzero(np.isin(t[t < 1.0], problem.mesh.nodes))
     assert at_nodes > 0
-    assert g.points == _g_points(kinds, t, problem.mesh) == 25_272 - 12 * at_nodes
+    assert g.points == _g_points(kinds, t, problem.mesh) == 25_404 - 12 * at_nodes
 
 
 def test_row_blocks_fill_the_temporary_budget(monkeypatch):
@@ -894,6 +898,28 @@ def test_mesh_refinement_errors_shrink_monotonically(name):
     errors = [sup_node_error(name, n) for n in (32, 64, 128, 256, 512)]
     for coarse, fine in zip(errors, errors[1:]):
         assert fine <= 1.1 * coarse
+
+
+@pytest.mark.parametrize("n,max_err", [(32, 5.2e-6), (128, 8.4e-7), (512, 1.2e-7)])
+def test_wide_panels_are_split_to_ratio_2(n, max_err):
+    # At margin 0.2 the grading is 8, and [t_1, t_2] spans a ratio of 256.
+    # The quadrature splits every panel past the origin panel to ratios of
+    # at most 2; the mesh and its nodes stay the ones asked for.  Unsplit,
+    # the README pair was off by 6.7e-2 relative at t_1 at every n, and the
+    # alpha = 1.9 pair by 1.8e-2.
+    u = PAIRS["u3"]
+    sol = solve_linear(forcing("u3"), ALPHA_PAIRS, n)
+    t = sol.mesh.nodes
+    assert sol.mesh.n == n
+    assert np.array_equal(t, GradedMesh.from_grading(n, 8.0).nodes)
+    edges = quadrature._panel_edges(t)
+    assert np.max(edges[2:] / edges[1:-1]) <= 2.0
+    assert abs(sol.values[1] - u(t[1])) <= 1e-7 * u(t[1])
+    assert np.max(np.abs(sol.values - u(t))) <= 1.5 * max_err
+    u = PowerSum([(1.0, 0.3), (-1.0, 1.3)])
+    sol = solve_linear(-frac_derivative(u, 1.9), 1.9, n)
+    t1 = sol.mesh.nodes[1]
+    assert abs(sol.values[1] - u(t1)) <= 1e-4 * u(t1)
 
 
 def test_green_operator_preserves_sign():

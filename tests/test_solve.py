@@ -163,7 +163,8 @@ def test_overflowing_nonlinearity_is_divergence_not_breakdown():
 
 
 def _apply_green_nan_from(call, monkeypatch):
-    # the solvers' apply_green, returning NaN from its call number ``call`` on
+    # the solvers' apply_green, returning NaN from its call number ``call``
+    # on; returns the count of calls
     real, count = solve.apply_green, [0]
 
     def patched(*args):
@@ -172,6 +173,7 @@ def _apply_green_nan_from(call, monkeypatch):
         return values if count[0] < call else np.full_like(values, np.nan)
 
     monkeypatch.setattr(solve, "apply_green", patched)
+    return count
 
 
 @pytest.mark.parametrize(
@@ -179,8 +181,9 @@ def _apply_green_nan_from(call, monkeypatch):
     [
         (None, 1),  # solve_linear
         (NonlinearitySpec.constant(1.0), 1),  # the first sweep
-        (NonlinearitySpec.linear(1.0), 2),  # the seed after u = 0 stalls
+        (NonlinearitySpec.linear(1.0), 2),  # the first sweep after the seed
         (NonlinearitySpec.power(0.5), 3),  # a later sweep
+        (NonlinearitySpec.linear(1.0), 1),  # the seed
     ],
 )
 def test_non_finite_operator_values_raise(monkeypatch, f, call):
@@ -190,6 +193,31 @@ def test_non_finite_operator_values_raise(monkeypatch, f, call):
             solve_linear(WeightSpec(1.2), 1.6, 64)
         else:
             solve_nonlinear(WeightSpec(1.2), f, 1.6, 64)
+
+
+@pytest.mark.parametrize(
+    "f,seeded",
+    [
+        (NonlinearitySpec.power(0.5), True),
+        (NonlinearitySpec.linear(0.5), True),
+        (NonlinearitySpec.constant(1.0), False),
+        (NonlinearitySpec.affine(0.5, 1.0), False),
+    ],
+)
+def test_the_start_is_chosen_before_the_first_sweep(monkeypatch, f, seeded):
+    # f(0) = 0 < f(1): u = 0 is a fixed point of T, so the iteration starts
+    # from the weight profile, one apply_green pass before the first sweep;
+    # otherwise from zero.  Every pass after it is one sweep u <- T u, the
+    # first one included.
+    w = WeightSpec(1.2)
+    count = _apply_green_nan_from(np.inf, monkeypatch)  # counts, no NaN
+    rep = solve_nonlinear(w, f, 1.6, 64)
+    assert rep.converged and rep.seeded == seeded
+    assert count[0] == rep.picard_iterations + seeded
+    assert len(rep.update_history) == rep.picard_iterations
+    first = solve_nonlinear(w, f, 1.6, 64, max_iter=1)
+    start = solve_linear(w, 1.6, 64).values if seeded else 0.0
+    assert first.update_history == (np.max(np.abs(first.solution.values - start)),)
 
 
 def test_positivity_invariant():
@@ -206,7 +234,7 @@ def test_positivity_invariant():
 
 
 def test_picard_iterates_are_monotone_from_zero():
-    # nondecreasing f with f(0) > 0, undamped: iterates rise nodewise
+    # nondecreasing f with f(0) > 0: iterates rise nodewise
     w = WeightSpec(0.6)
     f = NonlinearitySpec.affine(0.8, 1.0)
     alpha = 1.5
@@ -222,13 +250,6 @@ def test_picard_iterates_are_monotone_from_zero():
     assert mesh_nodes is not None
 
 
-def test_damping_between_zero_and_one_still_converges():
-    rep = solve_nonlinear(
-        WeightSpec(0.0), NonlinearitySpec.affine(0.5, 1.0), 1.5, 64, damping=0.5
-    )
-    assert rep.converged
-
-
 def test_parameter_validation():
     w = WeightSpec(0.0)
     f = NonlinearitySpec.constant(1.0)
@@ -237,8 +258,8 @@ def test_parameter_validation():
             solve_nonlinear(w, f, 1.5, 64, tol=tol)
     with pytest.raises(ValueError):
         solve_nonlinear(w, f, 1.5, 64, max_iter=0)
-    with pytest.raises(ValueError):
-        solve_nonlinear(w, f, 1.5, 64, damping=1.5)
+    with pytest.raises(TypeError):
+        solve_nonlinear(w, f, 1.5, 64, damping=0.5)
 
 
 # --- Gruenwald-Letnikov residual ------------------------------------------------
