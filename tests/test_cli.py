@@ -268,6 +268,9 @@ def test_solve_du_and_q_columns_match_calculus(tmp_path):
     [
         pytest.param("--tol", "nan", id="nan"),
         pytest.param("--tol", "inf", id="inf"),
+        # --damping is no longer a flag: any value is a usage error, exit 3
+        pytest.param("--damping", "nan", id="damping-nan"),
+        pytest.param("--damping", "inf", id="damping-inf"),
         pytest.param("--alpha", "nan", id="alpha-nan"),
         pytest.param("--alpha", "inf", id="alpha-inf"),
     ],
@@ -283,7 +286,8 @@ def test_solve_rejects_non_finite_tol(tmp_path, flag, value):
 
 @pytest.mark.parametrize(
     "flag,value",
-    [("--tol", "nan"), ("--max-iter", "-3")],
+    # --damping is no longer a flag, so it fails as a usage error on both paths
+    [("--tol", "nan"), ("--damping", "7"), ("--max-iter", "-3")],
 )
 def test_solve_forcing_checks_the_picard_flags(tmp_path, capsys, flag, value):
     # The linear path does not iterate, but a bad Picard flag is still the
