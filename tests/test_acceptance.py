@@ -90,12 +90,13 @@ def test_criterion_3_singular_round_trip(name, tol):
     start = time.perf_counter()
     errors = [sup_node_error(name, n) for n in (32, 64, 128, 256, 512)]
     ok = errors[-1] <= tol
-    monotone = all(b <= 1.1 * a for a, b in zip(errors, errors[1:]))
+    # the rules hold the kernel's singular powers, so every n is at round-off
+    at_round_off = max(errors) <= 1e-13
     detail = (
         f"{name}: sup error {errors[-1]:.2e} <= {tol:g} at n=512;"
-        f" errors over n=32..512: {['%.2e' % e for e in errors]}"
+        f" errors over n=32..512, each <= 1e-13: {['%.2e' % e for e in errors]}"
     )
-    _report(3, ok and monotone, time.perf_counter() - start, 10.0, detail)
+    _report(3, ok and at_round_off, time.perf_counter() - start, 10.0, detail)
 
 
 def test_criterion_4_residual_identity():

@@ -17,6 +17,8 @@ from fracbvp import (
     as_weight_spec,
     build_mesh,
     check_condition_h,
+    classical_derivative,
+    exact_dirichlet_solution,
     frac_derivative,
     solve_linear,
 )
@@ -441,33 +443,33 @@ class _CountedPoints:
 
 def _g_points(kinds, t, mesh):
     # 12 points on each shared panel (the mesh panels, split to ratios of at
-    # most 2), on each piece a target owns (left and right of t;
-    # D^(alpha-1)u has its own left piece, so a call that mixes it with u
-    # or u' owns three; a target on a panel edge owns no right piece) and on
-    # the origin piece of each target in the first panel
+    # most 2) and on each piece a target owns: the Gauss-Jacobi left piece
+    # [a, t], which u and u' share, and the Gauss-Legendre left piece of
+    # D^(alpha-1)u and of every target in the first panel, which also owns
+    # the origin piece [0, t/2] and, below t_1, the right piece [t, t_1]
     edges = quadrature._panel_edges(mesh.nodes)
-    t = t[(t > 0.0) & (t < 1.0)]
-    pieces = 3 if "dalpha" in kinds and len(kinds) > 1 else 2
+    t = t[(t > 0.0) & ((t < 1.0) | ("dalpha" in kinds))]
     first = np.count_nonzero(t <= mesh.nodes[1])
-    at_edges = np.count_nonzero(np.isin(t, edges))
-    return quadrature.GAUSS_ORDER * (len(edges) - 1 + pieces * len(t) + first - at_edges)
+    jacobi = len(t) if {"u", "du"} & set(kinds) else 0
+    legendre = len(t) if "dalpha" in kinds else first
+    right = np.count_nonzero(t < mesh.nodes[1])
+    return quadrature.GAUSS_ORDER * (len(edges) - 1 + jacobi + legendre + first + right)
 
 
 def test_g_is_evaluated_once_per_quadrature_point(monkeypatch):
-    # The origin panel is a shared panel, so a target owns only the pieces
-    # of the panel it lies in, and a node target only the left one.  At
-    # grading 5 the split to ratios of at most 2 adds 11 shared panels to
-    # an n = 512 mesh: at its nodes g is taken at 12,420 points (12,288
-    # unsplit, 18,420 with a zero-width right piece at each node, 24,528
-    # when every target also owned an origin panel), and in classify's pass
-    # at 25,404 less 12 per node target (25,272 unsplit, 37,992 with own
-    # origin panels).
+    # The origin panel is a shared panel, and past the first panel a target
+    # owns only its left piece [a, t]: at grading 5 the split to ratios of
+    # at most 2 adds 11 shared panels to an n = 512 mesh, and at its nodes g
+    # is taken at 12,432 points (12,420 when t_1 owned no Gauss-Legendre
+    # piece), and in classify's pass at 19,032: u and u' share a
+    # Gauss-Jacobi piece, D^(alpha-1)u owns a Gauss-Legendre one (19,272
+    # when each target inside its panel also owned a right piece).
     w, alpha = WeightSpec(1.2), 1.6
     beta_g, reg = w.singular_decomposition()
     mesh = build_mesh(512, w, alpha)
     g = _CountedPoints(reg)
     apply_operators(("u",), mesh.nodes, beta_g, g, alpha, mesh)
-    assert g.points == _g_points(("u",), mesh.nodes, mesh) == 12_420
+    assert g.points == _g_points(("u",), mesh.nodes, mesh) == 12_432
 
     calls = []
 
@@ -479,9 +481,7 @@ def test_g_is_evaluated_once_per_quadrature_point(monkeypatch):
     problem = weight_problem(1.2, alpha)
     regularity.classify(problem)
     [(kinds, t, g)] = calls
-    at_nodes = np.count_nonzero(np.isin(t[t < 1.0], problem.mesh.nodes))
-    assert at_nodes > 0
-    assert g.points == _g_points(kinds, t, problem.mesh) == 25_404 - 12 * at_nodes
+    assert g.points == _g_points(kinds, t, problem.mesh) == 19_032
 
 
 def test_row_blocks_fill_the_temporary_budget(monkeypatch):
@@ -546,6 +546,8 @@ def test_gauss_jacobi_rule_at_b_0_is_the_legendre_rule_bit_for_bit():
     "b,rel",
     [
         (0.0, 1e-14), (0.5, 1e-14), (-0.2, 1e-14), (-0.59, 1e-14), (1.6, 1e-14),
+        # the rule at s = 1 at alpha = 2, and the rule at s = t at alpha = 1.05
+        (1.0, 1e-14), (-0.95, 1e-14),
         # The node next to -1 lies 1.4e-6 from it and weighs 1e4, so each
         # unit of 2^-53 in its absolute error, which is eigh's, moves the
         # k = 1 moment by 5.5e-13 relative; 1.1e-12 here.
@@ -894,10 +896,80 @@ def test_run_sums_skip_empty_runs():
 
 
 @pytest.mark.parametrize("name", ["u1", "u2", "u3"])
-def test_mesh_refinement_errors_shrink_monotonically(name):
+def test_mesh_refinement_errors_stay_at_round_off(name):
+    # the rules hold the kernel's singular powers, so every n is at
+    # round-off, not only the finest: 7.8e-16 at most
     errors = [sup_node_error(name, n) for n in (32, 64, 128, 256, 512)]
-    for coarse, fine in zip(errors, errors[1:]):
-        assert fine <= 1.1 * coarse
+    assert max(errors) <= 1e-13
+
+
+# The pairs of ROADMAP item 2, (u, alpha) with -D^alpha u as the forcing.
+_ITEM2_PAIRS = [
+    (PowerSum([(1.0, 0.2), (-1.0, 1.2)]), 1.5),
+    (PowerSum([(1.0, 0.7), (-1.0, 1.7)]), 1.6),
+    (PowerSum([(1.0, 0.5), (-1.0, 1.5)]), 1.3),
+    (PowerSum([(1.0, 0.3), (-1.0, 1.3)]), 1.9),
+    (PowerSum([(1.0, 0.6), (-1.0, 1.6)]), 1.05),
+]
+
+
+def _pair_case(u, alpha):
+    return -frac_derivative(u, alpha), u, alpha
+
+
+def _weight_case(beta, alpha):
+    g = PowerSum.monomial(1.0, -beta)
+    return g, exact_dirichlet_solution(g, alpha), alpha
+
+
+@pytest.mark.parametrize(
+    "g,u,alpha",
+    [_pair_case(u, alpha) for u, alpha in _ITEM2_PAIRS]
+    # margins 0.01 and 1e-4
+    + [_weight_case(1.89, 1.9), _weight_case(1.4999, 1.5)],
+    ids=[f"pair-{alpha}" for _, alpha in _ITEM2_PAIRS] + ["t^-1.89-1.9", "t^-1.4999-1.5"],
+)
+@pytest.mark.parametrize("n", [32, 64, 128, 256, 512])
+def test_linear_solve_is_at_round_off_from_n_32(g, u, alpha, n):
+    # Gauss-Jacobi rules at s = 0, s = t and s = 1: max nodal error 1.1e-14
+    # at most, and relative error at t_1 1.1e-13 at most but for alpha =
+    # 1.05, whose u(t_1) lies near the round-off of its far larger terms
+    # (8.8e-11 at n = 512).
+    sol = solve_linear(g, alpha, n)
+    t = sol.mesh.nodes
+    assert np.max(np.abs(sol.values - u(t))) <= 1e-13
+    assert abs(sol.values[1] - u(t[1])) <= 1e-10 * abs(u(t[1]))
+
+
+@pytest.mark.parametrize(
+    "u,alpha", _ITEM2_PAIRS[1:3] + _ITEM2_PAIRS[4:], ids=["1.6", "1.3", "1.05"]
+)
+def test_off_mesh_targets_near_one_and_at_half(u, alpha):
+    # At 1 - 1e-9 the target's left piece runs up to s = t under the rule of
+    # (t-s)^(alpha-2), and the last panel takes the rule of (1-s)^(alpha-1):
+    # u' and D^(alpha-1)u within 7.1e-15 relative, u within 1.2e-7, as
+    # u(1 - 1e-9) is about 1e-9 of the terms it sums.
+    g = -frac_derivative(u, alpha)
+    w = as_weight_spec(g)
+    beta_g, reg = w.singular_decomposition()
+    mesh = build_mesh(128, w, alpha)
+    t = np.array([1.0 - 1e-9, 0.5])
+    got = apply_operators(("u", "du", "dalpha"), t, beta_g, reg, alpha, mesh)
+    exact = (u, classical_derivative(u), frac_derivative(u, alpha - 1.0))
+    for value, f, rel in zip(got, exact, (1e-6, 1e-12, 1e-12)):
+        assert np.all(np.abs(value - f(t)) <= rel * np.abs(f(t)))
+
+
+@pytest.mark.parametrize("alpha", [1.05, 1.6, 2.0])
+def test_last_panel_holds_the_weight_of_s_equals_1(alpha):
+    # The panel ending at 1 takes the Gauss-Jacobi rule of (1-s)^(alpha-1):
+    # for g = 1 its right sum is int (1-s)^(alpha-1) ds = h^alpha / alpha,
+    # h its width.
+    mesh = build_mesh(64, WeightSpec(0.0), alpha)
+    nodes = quadrature._panel_edges(mesh.nodes)
+    panels = quadrature._SharedPanels.build(nodes, 0.0, ONE, alpha)
+    want = (1.0 - nodes[-2]) ** alpha / alpha
+    assert panels.right_sums[-2] == pytest.approx(want, rel=1e-14, abs=0.0)
 
 
 @pytest.mark.parametrize("n,max_err", [(32, 5.2e-6), (128, 8.4e-7), (512, 1.2e-7)])
