@@ -32,8 +32,8 @@ log1p(-s) and log1p(-s/t) would agree to many digits.  For e = alpha-2,
     d = (alpha-1)*log1p(-s) - e*log1p(-s/t),
     (t-s)^e = t^e * exp(e*log1p(-s/t)),
 
-whose two terms of d have one sign.  With t^e per row and log1p(-s),
-(1-s)^(alpha-1) per column, an element costs one log1p, one expm1 and
+whose two terms of d have one sign.  Given t^e, an element costs the
+t-free terms log1p(-s) and (1-s)^(alpha-1), one more log1p, one expm1 and
 one power or exp.  Where |d| >= ln 2 the two terms differ by at least a
 factor of two and there is nothing to cancel; there the direct difference
 t^e (1-s)^(alpha-1) - (t-s)^e is taken with the exact t - s, which keeps
@@ -62,19 +62,17 @@ def column_terms(s, alpha: float):
     return (alpha - 1.0) * np.log1p(-s), np.power(1.0 - s, alpha - 1.0)
 
 
-def bracket_values(t, s, alpha: float, e: float, t_e=None, s_terms=None):
+def bracket_values(t, s, alpha: float, e: float, t_e=None):
     """B_e(t, s) = t^e (1-s)^(alpha-1) - (t-s)^e, cancellation-safe.
 
     Internal helper shared with the quadrature module.  ``t`` and ``s``
     broadcast against each other with 0 < t <= 1 and 0 <= s < t
-    elementwise; ``e`` is alpha-1 or alpha-2.  ``t_e = t**e`` and
-    ``s_terms = column_terms(s, alpha)`` may be passed when the caller
-    already holds them; its log1p term is read only for e = alpha-2, and
-    may be None for e = alpha-1.
+    elementwise; ``e`` is alpha-1 or alpha-2.  ``t_e = t**e`` may be
+    passed when the caller already holds it.
     """
     if t_e is None:
         t_e = np.power(t, e)
-    log_s, pow_s = column_terms(s, alpha) if s_terms is None else s_terms
+    log_s, pow_s = column_terms(s, alpha)
     if e > 0.0:  # e = alpha-1
         x = np.subtract(t, s)
         d = np.multiply(s, np.subtract(1.0, t))

@@ -28,16 +28,17 @@ Five constructions replace adaptivity:
   s^-1.3 varies by a factor of 1,350.  The split lives inside the
   quadrature; the mesh and its nodes are the ones asked for, and every
   mesh node is a panel edge;
-* the origin panel [0, t_1], and for a target t <= t_1 the piece [0, t/2],
-  takes the Gauss-Jacobi rule of the weight s^(1-beta_g) with the integrand
-  kernel/s times g_reg: every left kernel vanishes like s, so kernel/s is
-  smooth, and the rule holds the whole singular power at any margin;
-* the piece [a, t] of the target's panel that ends at s = t takes, for u
-  and u', the Gauss-Jacobi rule of the weight (t-s)^(alpha-2), which
-  holds their whole term -(t-s)^e: u' has e = alpha-2 (the blow-up), and
-  u, e = alpha-1 (the kink), takes the exact distance t - s as integrand.
-  Their term t^e (1-s)^(alpha-1) does not see s = t and joins the right
-  part, so on that piece no kernel is evaluated;
+* the origin panel [0, t_1], and for a target without a far field (below)
+  the piece [0, t/2], takes the Gauss-Jacobi rule of the weight
+  s^(1-beta_g) with the integrand kernel/s times g_reg: every left kernel
+  vanishes like s, so kernel/s is smooth, and the rule holds the whole
+  singular power at any margin;
+* for u and u', the piece of each target that ends at s = t takes the
+  Gauss-Jacobi rule of the weight (t-s)^(alpha-2), which holds their whole
+  term -(t-s)^e: u' has e = alpha-2 (the blow-up), and u, e = alpha-1
+  (the kink), takes the exact distance t - s as integrand.  Their term
+  t^e (1-s)^(alpha-1) does not see s = t and joins the right part, so on
+  that piece no kernel is evaluated;
 * the last panel [t_(P-1), 1] takes the Gauss-Jacobi rule of the weight
   (1-s)^(alpha-1), which holds the right kernel whole.
 
@@ -46,7 +47,8 @@ Fixed-order rules of 12 points, all from Golub-Welsch (Math. Comp. 23,
 every other panel and piece.  With every algebraic singularity of the
 kernel in a rule's weight, the closed-form round trips are at round-off
 from n = 32: max nodal error 1.1e-14 at most, for alpha from 1.05 to 1.9
-and margins down to 1e-4.
+and margins down to 1e-4.  Off the mesh, next to a node, u and u' of
+the closed-form pairs are within 3.7e-12 relative at n = 128.
 
 The three operators share one assembly and accept any array of targets in
 one pass, and several operators at one set of targets (apply_operators)
@@ -54,59 +56,48 @@ share that pass: the shared panels, the values of g_reg, the pieces each
 target owns and the prefix moments of the far field.  Below, "panel" and
 "node" mean the split panels and their edges.  The targets are sorted
 once.  g_reg is evaluated once at each quadrature point: in one call on
-the shared panels, origin panel included, which all targets share,
-and on the 12 points of each piece of its panel that a target owns: the
-left piece [a, t] under the rule at s = t, which u and u' share, and
-under Gauss-Legendre for D^(alpha-1)u, which subtracts the integral of g
-over it from its prefix and suffix sums.  A target past the first panel
-owns nothing else: the right parts of all kinds, and the t-free term of u
-and u' over [a, t], are the suffix sum from a.  A target t <= t_1 has a =
-t/2 and also owns the origin piece [0, t/2], which all kinds share, and
-the Gauss-Legendre pieces [t/2, t] and [t, t_1] of the t-free term, as
-the origin row's weights serve only kernels that vanish like s.  Only
-these own pieces go in row blocks, of 768 targets with one g_reg call
-each, so that each (row, Gauss point) array of a block, 768 x 12 doubles,
-stays within a temporary budget of 72 KiB (_BUDGET).  The far field and
-the band take all targets in one call, each in pieces that keep its
-temporaries within the same budget.
+the shared panels, origin panel included, which all targets share, and on
+the 12 points of each piece a target owns.
+
+Each target t has its cut, the last node t_c <= EPS*t (EPS = 0.85).  For
+u and u' it owns the piece [t_c, t] under the rule at s = t.  Every panel
+past the origin panel has a ratio of at most 2, so t_c > 0.425 t once
+c >= 1, and the piece spans a ratio of at most 2.35: the rest of its
+integrand, s^(-beta_g) g_reg, is singular only at s = 0, far enough away
+for 12 points to reach round-off, and no shared panel lies closer to t
+than 0.15 t.  The t-free term over the piece and the right part are the
+suffix sum from t_c.  D^(alpha-1)u, whose left kernel does not depend on
+t, owns instead the left piece [a, t] of the panel t lies in, a its lower
+node, under Gauss-Legendre, and subtracts the integral of g over it from
+its prefix and suffix sums from a.  A target with cut 0 (t < t_1/EPS) has
+no far field: for u and u' it owns the origin piece [0, t/2], the piece
+[t/2, t] under the rule at s = t, and the Gauss-Legendre pieces [t/2, t]
+and, below the next node, [t, t_(lo)] of the t-free term, as the origin
+row's weights serve only kernels that vanish like s; D^(alpha-1)u owns the
+same pieces in the first panel, where a = t/2.  Only these own pieces go
+in row blocks, of 768 targets with one g_reg call each, so that each
+(row, Gauss point) array of a block, 768 x 12 doubles, stays within a
+temporary budget of 72 KiB (_BUDGET).  The far field takes all targets in
+one call, in pieces that keep its temporaries within the same budget.
+
 Over the shared panels the parts that do not depend on t reduce to prefix
 and suffix sums: (1-s)^(alpha-1) in the right parts of all three
 operators, and both kernels of D^(alpha-1)u.  The left brackets of u and
-u' depend on t.  Each target splits its shared left panels at its own
-cut, the last node t_c <= EPS*t (EPS = 0.85).  Below t_c, on the far
-panels, x = s/t <= 0.85, and the bracket is t^e times an exact power
-series in x with the binomial coefficients of (1-x)^e, cut at a 2^-60
-tail; no sum in it subtracts two terms of one sign.  The far panels thus
-reduce to the target's x-moments, sum (s/t)^m w g over s < t_c, read off
-running prefix sums over the panels of the power moments (s/2^E)^m w g.
-These are built once up the mesh, in chunks of panels whose tops lie
-within a factor of 8 below 2^E, so that (2^E/t)^m stays in range; between
-chunks they are rescaled exactly by a power of two.  The M powers of a
-point (M of about 190 to 270) are products of two short tables, M/8 + 8
-exps, a batched matmul gives each panel's moments, and a matmul with a
-triangle of ones their prefix sums.  The moments do not depend on e, so u
-and u' read one set, as long as the longer of their series (one set of
-moments for several target kernels, the economy of the multipole method:
-Greengard and Rokhlin, J. Comput. Phys. 73, 1987).  The band, from t_c up
-to the panel each target lies in, holds about 3% of the lower triangle at
-grading 5 (n = 512 and 2048) and 15% at grading 1.  Each row sums its own
-band columns and splits them at its own column, the first with s at or
-above a closed-form bound in t: from there on the two terms of the
-bracket differ by a factor of two or more, so their
-difference has condition number at most 3 (Higham, Accuracy and Stability
-of Numerical Algorithms, 2002, sec. 1.7) and they are summed apart:
-t^e times the sum of (1-s)^(alpha-1) w g over the row's columns, in order,
-minus sum (t-s)^e w g with (t-s)^e a power of the exact t - s.  An element
-past the split costs two gathers, one subtraction, one power and its share
-of a reduceat.  The
-columns before the split go through the bracket kernel, and so do all of
-them for u' at alpha = 2, where the bracket is -s.  Both take flat gathers
-of the (t, s) pairs each row owns, so no element is evaluated and then
-masked.  The kernel is given t^e and log1p(-s), (1-s)^(alpha-1) gathered,
-so an element costs one log1p, one expm1 and one power (u) or exp (u'),
-plus for u' a power where the two terms of the bracket differ by a factor
-of two or more.  For t^-1.2 at alpha = 1.6 the kernel gets 8% of the
-band's elements at n = 2048 and 9% at n = 512.
+u' depend on t.  Below t_c, on the far panels, x = s/t <= 0.85, and the
+bracket is t^e times an exact power series in x with the binomial
+coefficients of (1-x)^e, cut at a 2^-60 tail; no sum in it subtracts two
+terms of one sign.  The far panels thus reduce to the target's x-moments,
+sum (s/t)^m w g over s < t_c, read off running prefix sums over the
+panels of the power moments (s/2^E)^m w g.  These are built once up the
+mesh, in chunks of panels whose tops lie within a factor of 8 below 2^E,
+so that (2^E/t)^m stays in range; between chunks they are rescaled
+exactly by a power of two.  The M powers of a point (M of about 190 to
+270) are products of two short tables, M/8 + 8 exps, a batched matmul
+gives each panel's moments, and a matmul with a triangle of ones their
+prefix sums.  The moments do not depend on e, so u and u' read one set,
+as long as the longer of their series (one set of moments for several
+target kernels, the economy of the multipole method: Greengard and
+Rokhlin, J. Comput. Phys. 73, 1987).
 """
 
 from __future__ import annotations
@@ -311,8 +302,8 @@ def apply_operators(kinds, t, g_singular_exponent, g_regular, alpha, mesh):
     with one value per kind is returned, in the order of ``kinds``, each as
     the named function returns it; ``t`` must lie in the interval of every
     kind requested.  The kinds share one assembly pass: the shared panels,
-    one evaluation of g_regular per quadrature point, the pieces of its
-    panel each target owns and, for u and u', the far-field moments.
+    one evaluation of g_regular per quadrature point, the pieces each
+    target owns and, for u and u', the far-field moments.
     """
     alpha = checked_alpha(alpha)
     t = np.asarray(t, dtype=float)
@@ -371,8 +362,8 @@ def apply_dalpha_minus_1(t, g_singular_exponent, g_regular, alpha, mesh):
 
 # Temporary budget: 96**2 doubles, 72 KiB.  glibc mmaps blocks of 128 KiB
 # (its default mmap threshold; 128**2 doubles exactly) and trims the heap
-# top once 128 KiB lie free there; with band temporaries of 128**2 doubles,
-# and in some heap layouts from 104**2 up, every temporary faulted in fresh
+# top once 128 KiB lie free there; with temporaries of 128**2 doubles, and
+# in some heap layouts from 104**2 up, every temporary faulted in fresh
 # pages: about 70k-80k minor faults per n = 2048 solve, against about 1.3k
 # at 96**2.
 _BUDGET = 96**2
@@ -382,20 +373,16 @@ _BUDGET = 96**2
 # g_regular takes the points of all of a block's pieces in one call.  Blocks
 # of 96 rows took 6 g_regular calls for classify's 531 targets and 22 for an
 # n = 2048 solve, where 768 rows take 1 and 3: classify ran 0.79x as long
-# and an n = 2048 solve 0.83x.  The far field and the band take all targets
-# in one call.  The band gathers the (row, column) pairs of groups of
-# consecutive rows that hold at most _BUDGET pairs, and takes the range sums
-# of its rows in runs whose columns span at most _BUDGET (_row_groups), so
-# none of its temporaries holds more than _BUDGET doubles unless one row's
-# band does.  The far field builds its prefix moments in chunks of panels
-# whose power tables, and copies its targets' moment rows into a buffer
-# whose rows, hold at most _BUDGET doubles (_far_series).
+# and an n = 2048 solve 0.83x.  The far field takes all targets in one
+# call: it builds its prefix moments in chunks of panels whose power
+# tables, and copies its targets' moment rows into a buffer whose rows,
+# hold at most _BUDGET doubles (_far_series).
 
-# Far-field cut.  Each target t sums the shared panels below its own cut,
-# the last node t_c <= EPS*t, from power moments; the shared panels
-# from t_c up to the panel the target lies in, the band, go through the
-# exact bracket kernel or the two sums.  A higher cut shrinks the band
-# (O(n^2)) and lengthens the series (O(n M)); at 0.85, M is at most 268.
+# The cut.  Each target t sums the shared panels below its cut, the last
+# edge t_c <= EPS*t, from power moments, and for u and u' owns the
+# Gauss-Jacobi piece [t_c, t].  A higher cut shortens that piece and
+# lengthens the series (O(n M)); at 0.85, M is at most 268, and the piece
+# spans a ratio t/t_c of at most 2/EPS.
 EPS = 0.85
 # The series in s/t keeps the terms before the first index M whose tail
 # bound |b_M| EPS^M / (1 - EPS) is below this.
@@ -447,11 +434,14 @@ def _green_integrals(kinds, t, beta_g, g_regular, alpha, mesh):
     lie in (0, 1]; t = 1 is not admitted for "du".  The mesh panels, split
     to ratios of at most 2 (_panel_edges), are shared by all targets
     (_SharedPanels), and the helpers take their edges as ``nodes``.  Each
-    target also owns the left piece [a, t] of the panel it lies in, and in
-    the first panel a few more (see _own_panels).  The targets are sorted
-    once for all kinds: the pieces they own go in blocks of _BUDGET //
-    GAUSS_ORDER rows (_own_sums), and the far field and the band take all
-    of them in one call (_left_bracket_sums).
+    target t has its cut c, the last edge t_c <= EPS*t.  For u and u' it
+    sums the shared panels below t_c from the far field (_far_series) and
+    owns the piece [t_c, t]; D^(alpha-1)u owns the left piece [a, t] of
+    the panel t lies in, a = nodes[lo-1].  Targets without a far field (c =
+    0) own a few more pieces, see _own_panels.  The targets are sorted once
+    for all kinds: the pieces they own go in blocks of _BUDGET //
+    GAUSS_ORDER rows (_own_sums), and the far field takes all of them in
+    one call.
     """
     if t.size == 0:
         return tuple(np.empty(0) for _ in kinds)
@@ -471,15 +461,25 @@ def _green_integrals(kinds, t, beta_g, g_regular, alpha, mesh):
     }
     # nodes[lo-1] < t <= nodes[lo]: t lies in panel lo-1
     lo = np.searchsorted(nodes, ts, side="left")
-    total, right = _own_sums(kinds, ts, te, lo, nodes, beta_g, g_regular, alpha, panels)
-    if te:  # the shared left panels
-        left = _left_bracket_sums(tuple(te), ts, te, lo, alpha, nodes, panels)
-        for kind, sums in zip(te, left):
-            total[kind] += sums
+    # the cut c, the last edge t_c <= EPS*t
+    cut = np.searchsorted(nodes, EPS * ts, side="right") - 1
+    total = _own_sums(kinds, ts, te, lo, cut, nodes, beta_g, g_regular, alpha, panels)
+    # the right kernel over the Gauss-Legendre pieces [t/2, t] and [t, nodes[lo]]
+    pieces = total.pop("right")
+    if te:  # the far field, the shared panels below the cut
+        b = [_series_coefficients(_bracket_exponent(kind, alpha)) for kind in te]
+        for kind, far_sum in zip(te, _far_series(tuple(te), ts, cut, b, nodes, panels)):
+            if kind == "du":
+                far_sum = panels.left_sums[cut] - far_sum
+            total[kind] += te[kind] * far_sum
+        right = pieces + panels.right_sums[np.where(cut == 0, lo, cut)]
     out = tuple(np.empty(len(t)) for _ in kinds)
     for kind, values in zip(kinds, out):
         if kind == "dalpha":  # shared left panels j = 0..lo-2
-            values[order] = total[kind] + panels.left_sums[lo - 1] + right
+            # past the first panel the pieces at t/2 are those of u and u'
+            right_d = np.where(lo == 1, pieces, 0.0)
+            right_d += panels.right_sums[np.maximum(lo - 1, 1)]
+            values[order] = total[kind] + panels.left_sums[lo - 1] + right_d
         else:
             values[order] = total[kind] + te[kind] * right
     return out
@@ -508,23 +508,20 @@ class _SharedPanels:
     left kernel, which vanishes like s, as kernel/s times g.  The last row,
     the panel ending at 1, takes the Gauss-Jacobi rule of the weight
     (1-s)^(alpha-1), whose weights hold that whole factor; only right_sums
-    reads that row, so its pow_s is 1 and its log_s 0.  ``own`` is the
-    Gauss-Jacobi rule of the weight (1+x)^(alpha-2), which the targets'
-    left pieces take (_own_panels); the three rules are built once per
-    pass.  ``wg`` holds the weights times g; ``log_s``, ``pow_s`` are
-    green.column_terms.  The t-free kernels over these panels reduce to
-    prefix sums, left_sums[k] = sum over rows < k of ((1-s)^(alpha-1) - 1)
-    w g (the left part of D^(alpha-1)u, and a part of u'), and suffix sums,
-    right_sums[k] = sum over rows >= k of (1-s)^(alpha-1) w g (the right
-    part of all three operators).
+    reads that row.  ``own`` is the Gauss-Jacobi rule of the weight
+    (1+x)^(alpha-2), which the targets' pieces up to t take (_own_panels);
+    the three rules are built once per pass.  ``wg`` holds the weights
+    times g.  The t-free kernels over these panels reduce to prefix sums,
+    left_sums[k] = sum over rows < k of ((1-s)^(alpha-1) - 1) w g (the
+    left part of D^(alpha-1)u, and a part of the far field of u'), and
+    suffix sums, right_sums[k] = sum over rows >= k of (1-s)^(alpha-1) w g
+    (the right part of all three operators).
     """
 
     origin: tuple
     own: tuple
     s: np.ndarray
     wg: np.ndarray
-    log_s: np.ndarray
-    pow_s: np.ndarray
     left_sums: np.ndarray
     right_sums: np.ndarray
 
@@ -538,11 +535,12 @@ class _SharedPanels:
         s[-1:], w[-1:], _ = _jacobi_pieces(nodes[-2:-1], nodes[-1:], alpha - 1.0, last)
         w[1:] *= np.power(s[1:], -beta_g)
         wg = w * g_regular(s)
+        # the last row's weights hold (1-s)^(alpha-1) already
         log_s, pow_s = column_terms(s, alpha)
         log_s[-1], pow_s[-1] = 0.0, 1.0
         left_sums = np.append(0.0, np.cumsum(np.sum(np.expm1(log_s) * wg, axis=1)))
         right_sums = np.append(np.cumsum(np.sum(pow_s * wg, axis=1)[::-1])[::-1], 0.0)
-        return cls(origin, own, s, wg, log_s, pow_s, left_sums, right_sums)
+        return cls(origin, own, s, wg, left_sums, right_sums)
 
 
 def _series_coefficients(e: float) -> np.ndarray:
@@ -559,52 +557,6 @@ def _series_coefficients(e: float) -> np.ndarray:
     b = np.cumprod((m - 1.0 - e) / m)
     below = np.abs(b) * EPS**m / (1.0 - EPS) < _SERIES_TAIL
     return b[:int(np.argmax(below))]
-
-
-def _left_bracket_sums(kinds, t, te, lo, alpha, nodes, panels: _SharedPanels):
-    """Sums of the left brackets of u and u' over the shared panels left of t.
-
-    ``kinds`` holds "u", "du" or both, ``t`` the ascending targets, ``te``
-    maps each kind to t^e, and a target t with nodes[lo-1] < t <= nodes[lo]
-    sums B_e(t, s) w(s) g(s) over the shared panels j = 0..lo-2 (row j is
-    panel j, the origin panel row 0).  Each target has its own cut, the
-    last node t_c <= EPS*t; below it, j < c, lie its far panels, where
-    x = s/t <= EPS.  With (1-x)^e - 1 = sum_m b_m x^m (_series_coefficients)
-
-        u  (e = alpha-1):  B_e = t^e ((1-s)^e - (1-x)^e)
-                               = t^e sum_m b_m (t^m - 1) x^m,
-        u' (e = alpha-2):  B_e = t^e [((1-s)^(alpha-1) - 1) - sum_m b_m x^m],
-
-    where no sum subtracts two terms of one sign.  The far panels thus need
-    only the target's x-moments X_m = sum (s/t)^m w g over the shared points
-    s < t_c, which are read from running prefix sums over the panels, built
-    once up the mesh in chunks of panels (_far_series, _prefix_moments).
-    The band of a target, the columns of panels c..lo-2,
-    goes through the bracket kernel up to the target's own column split;
-    from there on the two terms of B_e differ by a factor of two or more,
-    so they are summed apart and subtracted once per row (_band).
-
-    The x-moments do not depend on e, so the kinds share one set of them,
-    as long as the longer of their series; each kind has its own band.
-    Sums come back in the order of ``kinds``.
-    """
-    # Each band starts at the first column of the target's cut c, the last
-    # node t_c <= EPS * t.  The cuts are read back from there once the bands
-    # are summed, so that one array of n indices fewer is held meanwhile.
-    start = GAUSS_ORDER * (np.searchsorted(nodes, EPS * t, side="right") - 1)
-    stop = GAUSS_ORDER * (lo - 1)
-    es = [_bracket_exponent(kind, alpha) for kind in kinds]
-    out = [
-        _band(t, te[kind], e, start, stop, alpha, panels) for kind, e in zip(kinds, es)
-    ]
-    cuts = start // GAUSS_ORDER
-    b = [_series_coefficients(e) for e in es]
-    series = _far_series(kinds, t, cuts, b, nodes, panels)
-    for kind, sums, far_sum in zip(kinds, out, series):
-        if kind == "du":
-            far_sum = panels.left_sums[cuts] - far_sum
-        sums += te[kind] * far_sum
-    return out
 
 
 def _far_series(kinds, t, cuts, b, nodes, panels):
@@ -694,103 +646,6 @@ def _prefix_moments(count, m, nodes, panels):
         carry, e_prev, j0 = c[-1], e, j1
 
 
-def _split_bound(t, e):
-    # From s = this bound on, the two terms of B_e at t differ by a factor
-    # of two or more: t^e (1-s)^(alpha-1) >= 2 (t-s)^e for u once s >= K t /
-    # (1 + K - t), K = 2^(1/e) - 1, and (t-s)^e >= 2 t^e >= 2 t^e
-    # (1-s)^(alpha-1) for u' once s >= t (1 - 2^(1/e)).  ``t`` is an array
-    # of targets, one bound each.  Both bounds increase with t, so the
-    # splits of ascending rows ascend.  For e = 0 (u' at alpha = 2, B = -s)
-    # the terms are 1 - s and 1 and never split; for 0 < e <= 2^-10 (u at
-    # alpha up to 1 + 2^-10) K overflows, and the bound would lie within
-    # t (1-t)/K of t, closer than any double below t, so no column splits
-    # either.
-    if e < 0.0:
-        return (1.0 - 2.0 ** (1.0 / e)) * t
-    if e > 2.0**-10:
-        k = 2.0 ** (1.0 / e) - 1.0
-        return k * t / (1.0 + k - t)
-    return math.inf
-
-
-def _band(t, te, e, start, stop, alpha, panels):
-    # The bracket over the shared columns start_r..stop_r-1 of each row r.
-    # From its column split_r on, the two terms differ by a factor of two or
-    # more (condition number at most 3) and are summed apart; the columns
-    # before it go through the bracket kernel.
-    s, wg, log_s, pow_s = (
-        x.ravel() for x in (panels.s, panels.wg, panels.log_s, panels.pow_s)
-    )
-    split = np.clip(s.searchsorted(_split_bound(t, e)), start, stop)
-    # t^e sum (1-s)^(alpha-1) w g, each row's range summed in order, in runs
-    # of rows whose columns span at most _BUDGET; the even entries of
-    # reduceat are the ranges split_r..stop_r-1, and an empty one returns
-    # the element at its start
-    past = np.empty(len(t))
-    for g in _row_groups(split, stop + 1):
-        c0, c1 = split[g.start], stop[g.stop - 1] + 1
-        bounds = np.column_stack((split[g], stop[g])).ravel() - c0
-        past[g] = np.add.reduceat(pow_s[c0:c1] * wg[c0:c1], bounds)[::2]
-    total = np.where(split < stop, te * past, 0.0)
-    # groups of rows whose pairs, flat and row by row, number at most _BUDGET
-    ends = np.cumsum(stop - start)
-    for g in _row_groups(ends - (stop - start), ends):
-        tr, cols, runs = _gather(t[g], start[g], split[g])
-        if cols.size:
-            # log1p(-s) is read only by the kernel of u' (e <= 0)
-            kern = bracket_values(
-                tr, s[cols], alpha, e, np.repeat(te[g], runs),
-                (log_s[cols] if e <= 0.0 else None, pow_s[cols]),
-            )
-            kern *= wg[cols]
-            total[g] += _run_sums(kern, runs)
-        total[g] -= _power_sums(t[g], e, split[g], stop[g], panels)
-    return total
-
-
-def _power_sums(t, e, split, stop, panels):
-    # sum (t-s)^e w g over the shared columns split_r..stop_r-1 of each row
-    # r, (t-s)^e a power of the exact t - s
-    x, cols, runs = _gather(t, split, stop)
-    if not cols.size:
-        return 0.0
-    x -= panels.s.ravel()[cols]
-    np.power(x, e, out=x)
-    x *= panels.wg.ravel()[cols]
-    return _run_sums(x, runs)
-
-
-def _row_groups(begin, end):
-    # Slices of consecutive rows whose elements, from begin_r of the first
-    # row to end_r of the last, span at most _BUDGET, one row at least;
-    # ``end`` ascends.
-    r0 = 0
-    while r0 < len(begin):
-        r1 = np.searchsorted(end, begin[r0] + _BUDGET, side="right")
-        r1 = max(int(r1), r0 + 1)
-        yield slice(r0, r1)
-        r0 = r1
-
-
-def _gather(t, begin, end):
-    # The pairs (t_r, column c), begin_r <= c < end_r, flat and row by row:
-    # t_r repeated, the columns, and the number of pairs of each row.
-    runs = end - begin
-    cols = np.arange(int(runs.sum()))
-    cols += np.repeat(begin - (np.cumsum(runs) - runs), runs)
-    return np.repeat(t, runs), cols, runs
-
-
-def _run_sums(x, runs):
-    # The sums of x over consecutive runs of runs_r elements, each in order.
-    # reduceat takes only the nonempty runs: it returns the element at an
-    # empty run's start, and no index may reach the end of x.
-    sums = np.zeros(len(runs))
-    full = runs > 0
-    sums[full] = np.add.reduceat(x, (np.cumsum(runs) - runs)[full])
-    return sums
-
-
 def _origin_panel(end, origin, beta_g):
     # Points and weights of the origin panels [0, end_i] under ``origin``, the
     # Gauss-Jacobi rule (x, w) of the weight (1+x)^(1-beta_g).  With s =
@@ -815,97 +670,112 @@ def _jacobi_pieces(a, c, e, rule):
     return c[:, None] - d, half ** (e + 1.0) * w, d
 
 
-def _own_sums(kinds, t, te, lo, nodes, beta_g, g_regular, alpha, panels):
-    """Each kind's sums over the pieces each target owns, and its right sums.
+def _own_sums(kinds, t, te, lo, cut, nodes, beta_g, g_regular, alpha, panels):
+    """Each kind's sums over the pieces each target owns.
 
     The ascending targets go in blocks of _BUDGET // GAUSS_ORDER rows, and
     g_regular is evaluated in one call per block at the points of every
-    piece its targets own (_own_panels).  Returns ({kind: sums}, right),
-    right being the sum of the right kernel (1-s)^(alpha-1) w g over
-    [a, 1], a the start of the target's left piece: panels.right_sums[lo-1]
-    past the first panel, and in it the target's Gauss-Legendre pieces
-    [t/2, t] and [t, t_1] plus panels.right_sums[1].
+    piece its targets own (_own_panels).  Returns {kind: sums}, with
+    "right" the sum of the right kernel (1-s)^(alpha-1) w g over the
+    Gauss-Legendre pieces [t/2, t] and [t, nodes[lo]] of the targets that
+    own them, 0 elsewhere.
     """
     total = {kind: np.zeros(len(t)) for kind in (*kinds, "right")}
     rows = _BUDGET // GAUSS_ORDER
     for r0 in range(0, len(t), rows):
         b = slice(r0, r0 + rows)
         s, parts = _own_panels(
-            kinds, t[b], {kind: x[b] for kind, x in te.items()}, lo[b], nodes,
-            beta_g, alpha, panels,
+            kinds, t[b], {kind: x[b] for kind, x in te.items()}, lo[b], cut[b],
+            nodes, beta_g, alpha, panels,
         )
         g = np.split(g_regular(np.concatenate(s)), np.cumsum([len(x) for x in s[:-1]]))
         _add_part_sums(total, r0, parts, g)
         # free this block's points, g values and weights before the next
         # block builds its own
         del s, parts, g
-    right = total.pop("right") + panels.right_sums[np.maximum(lo - 1, 1)]
-    return total, right
+    return total
 
 
 def _add_part_sums(total, r0, parts, g):
-    # Each kind's sums over the pieces of a block whose first row is r0;
-    # a weight array may cover only the first rows of its piece.
+    # Each kind's sums over the pieces of a block whose first row is r0; a
+    # weight array sits on the block rows ``rows`` and the first rows of
+    # its piece.
     for kind, pairs in parts.items():
-        for j, kw in pairs:
-            total[kind][r0:r0 + len(kw)] += np.sum(kw * g[j][:len(kw)], axis=1)
+        for j, rows, kw in pairs:
+            total[kind][r0:][rows] += np.sum(kw * g[j][:len(kw)], axis=1)
 
 
-def _own_panels(kinds, t, te, lo, nodes, beta_g, alpha, panels):
+def _own_panels(kinds, t, te, lo, cut, nodes, beta_g, alpha, panels):
     """Points of the pieces each target owns, and each kind's weights on them.
 
-    A target t with nodes[lo-1] < t <= nodes[lo] owns the left piece
-    [a, t] of the panel it lies in, a = nodes[lo-1], under the Gauss-Jacobi
-    rule ``panels.own`` of the weight (t-s)^(alpha-2) (_jacobi_pieces).  It
+    For u and u' a target t with its cut c >= 1, the last edge t_c <=
+    EPS*t, owns the piece [t_c, t] under the Gauss-Jacobi rule
+    ``panels.own`` of the weight (t-s)^(alpha-2) (_jacobi_pieces).  It
     holds the whole term -(t-s)^e of u' (e = alpha-2), and of u (e =
     alpha-1) with the exact distance t - s as integrand, so u and u' share
     its points and the piece evaluates no kernel.  Their t-free term
-    t^e (1-s)^(alpha-1) over [a, t], and the right part of all three kinds,
-    is panels.right_sums[lo-1]; D^(alpha-1)u subtracts the integral of g
-    over [a, t], under Gauss-Legendre, from panels.left_sums[lo-1] plus
-    that right part.  In the first panel
-    (lo = 1; these targets are a prefix of the ascending t) a = t/2, which
-    keeps the origin rule apart from the rules at s = t, and the target
-    also owns the origin piece [0, t/2], under the Gauss-Jacobi rule of the
-    shared origin panel (_origin_panel), and its t-free term over [t/2, t]
-    and, if t < t_1, over [t, t_1], both under Gauss-Legendre: the origin
-    row's weights serve only kernels that vanish like s.
+    t^e (1-s)^(alpha-1) over [t_c, t], and their right part, is
+    panels.right_sums[c].  A target with c = 0 (t < t_1/EPS) has no far
+    field: it owns the origin piece [0, t/2], under the Gauss-Jacobi rule
+    of the shared origin panel (_origin_panel), and the piece [t/2, t]
+    under ``panels.own``, which keeps the origin rule apart from the rules
+    at s = t.  Its t-free term takes Gauss-Legendre over [t/2, t] and, if
+    t < nodes[lo], over [t, nodes[lo]], then panels.right_sums[lo]: the
+    origin row's weights serve only kernels that vanish like s.
+
+    D^(alpha-1)u subtracts the integral of g over the left piece [a, t] of
+    the panel t lies in, a = nodes[lo-1], under Gauss-Legendre, from
+    panels.left_sums[lo-1] + panels.right_sums[lo-1].  In the first panel
+    (lo = 1) a = t/2, and the target owns the origin piece and the right
+    pieces above, then panels.right_sums[1].
 
     Returns (points, parts).  ``points`` is a list of (rows, GAUSS_ORDER)
-    arrays: the origin pieces, the Gauss-Legendre pieces [a, t] (of the
-    first-panel targets only, unless D^(alpha-1)u is asked for), the right
-    pieces [t, t_1], and, if u or u' is asked for, their Gauss-Jacobi
-    pieces.  ``parts`` maps each kind, and "right" for the right kernel, to
-    its (index into points, kernel times weight) pairs, whose rows are a
-    prefix of the block.  The weights carry s^(-beta_g); ``te`` maps each
-    of u and u' that is asked for to t^e, e the exponent of its left
+    arrays: the origin pieces, the Gauss-Legendre pieces [t/2, t] and
+    [t, nodes[lo]], the Gauss-Legendre left pieces of D^(alpha-1)u past
+    the first panel, if it is asked for, and the Gauss-Jacobi pieces of u
+    and u', if one of them is.  ``parts`` maps each kind, and "right" for
+    the right kernel, to its (index into points, block rows, kernel times
+    weight) triples.  The targets that own the pieces at t/2 are a prefix
+    of the ascending block.  The weights carry s^(-beta_g); ``te`` maps
+    each of u and u' that is asked for to t^e, e the exponent of its left
     bracket.
     """
     a1 = alpha - 1.0
-    k = int(np.count_nonzero(lo == 1))
-    a = np.where(lo == 1, 0.5 * t, nodes[lo - 1])
-    s0, w0 = _origin_panel(0.5 * t[:k], panels.origin, beta_g)
-    m = len(t) if "dalpha" in kinds else k
-    s1, w1 = _gauss(a[:m], t[:m])
+    k = int(np.count_nonzero(lo == 1))  # the targets in the first panel
+    # the targets with pieces at t/2: for u and u' those with cut 0
+    m = int(np.count_nonzero(cut == 0)) if te else k
+    s0, w0 = _origin_panel(0.5 * t[:m], panels.origin, beta_g)
+    s1, w1 = _gauss(0.5 * t[:m], t[:m])
     w1 *= np.power(s1, -beta_g)
-    inside = int(np.count_nonzero(t[:k] < nodes[1]))
-    s2, w2 = _gauss(t[:inside], np.full(inside, nodes[1]))
+    inside = np.flatnonzero(t[:m] < nodes[lo[:m]])
+    s2, w2 = _gauss(t[inside], nodes[lo[inside]])
     w2 *= np.power(s2, -beta_g)
     points = [s0, s1, s2]
     parts = {
         "right": [
-            (1, np.power(1.0 - s1[:k], a1) * w1[:k]),
-            (2, np.power(1.0 - s2, a1) * w2),
+            (1, slice(0, m), np.power(1.0 - s1, a1) * w1),
+            (2, inside, np.power(1.0 - s2, a1) * w2),
         ]
     }
     if "dalpha" in kinds:
-        parts["dalpha"] = [(0, _dalpha_bracket(s0, alpha) * w0), (1, -w1)]
-    if te:
-        s3, w3, d3 = _jacobi_pieces(a, t, alpha - 2.0, panels.own)
-        w3 *= -np.power(s3, -beta_g)
+        s3, w3 = _gauss(nodes[lo[k:] - 1], t[k:])
+        w3 *= np.power(s3, -beta_g)
         points.append(s3)
+        parts["dalpha"] = [
+            (0, slice(0, k), _dalpha_bracket(s0[:k], alpha) * w0[:k]),
+            (1, slice(0, k), -w1[:k]),
+            (3, slice(k, len(t)), -w3),
+        ]
+    if te:
+        a = np.where(cut == 0, 0.5 * t, nodes[cut])
+        s4, w4, d4 = _jacobi_pieces(a, t, alpha - 2.0, panels.own)
+        w4 *= -np.power(s4, -beta_g)
+        points.append(s4)
     for kind in te:
         e = _bracket_exponent(kind, alpha)
-        k0 = bracket_values(t[:k, None], s0, alpha, e, te[kind][:k, None])
-        parts[kind] = [(0, k0 * w0), (3, w3 * d3 if kind == "u" else w3)]
+        k0 = bracket_values(t[:m, None], s0, alpha, e, te[kind][:m, None])
+        parts[kind] = [
+            (0, slice(0, m), k0 * w0),
+            (len(points) - 1, slice(0, len(t)), w4 * d4 if kind == "u" else w4),
+        ]
     return points, parts

@@ -430,7 +430,8 @@ def test_overflowing_forcing_exits_4_with_only_the_error_line(
 @pytest.mark.parametrize("flag", ["--forcing", "--weight"])
 def test_solve_order_just_above_one(tmp_path, flag):
     # At alpha = 1.0005 the exponent alpha - 1 of u lies below 2^-10, where
-    # the band's split bound 2^(1/(alpha-1)) overflows a double.
+    # 2^(1/(alpha-1)) overflows a double, and the rule at s = t has the
+    # weight (t-s)^-0.9995.
     out = tmp_path / "x.csv"
     code = main([
         "solve", "--alpha", "1.0005", flag, "power:0.5",

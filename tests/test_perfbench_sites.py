@@ -31,11 +31,12 @@ def test_every_tracer_site_resolves():
 def test_bracket_kernel_points_are_broadcast_sizes(monkeypatch):
     # The tracer books the size of the kernel's ``s`` argument as the span's
     # points.  Every caller passes an ``s`` as large as its broadcast against
-    # ``t`` (the band passes flat gathers), so the points are the kernel's
-    # element counts.
+    # ``t``, so the points are the kernel's element counts.  The kernel
+    # takes the origin pieces of the targets without a far field, one call
+    # per kind: here u and u' at targets one of which lies below t_1.
     import numpy as np
 
-    from fracbvp import WeightSpec, quadrature, solve
+    from fracbvp import WeightSpec, build_mesh, quadrature
     from fracbvp.green import bracket_values
 
     sizes = []
@@ -45,10 +46,13 @@ def test_bracket_kernel_points_are_broadcast_sizes(monkeypatch):
         return bracket_values(t, s, *args, **kwargs)
 
     monkeypatch.setattr(quadrature, "bracket_values", counted)
+    w, alpha = WeightSpec(1.2), 1.6
+    mesh = build_mesh(512, w, alpha)
+    t = np.append(0.5 * mesh.nodes[1], mesh.nodes[1:-1])
     tracer = _load_tracer().Tracer()
     try:
         tracer.install()
-        solve.solve_linear(WeightSpec(1.2), 1.6, 512)
+        quadrature.apply_operators(("u", "du"), t, 1.2, w.regular, alpha, mesh)
     finally:
         tracer.uninstall()
     kernel = tracer.names.index("green.bracket_values")

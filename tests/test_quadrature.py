@@ -335,24 +335,19 @@ def test_array_with_one_bad_target_raises(op, bad):
 )
 def test_tiling_does_not_change_values(monkeypatch, w, alpha):
     # With a budget of 96 * 12 doubles the 160 sorted targets own their
-    # pieces in two blocks of 96 rows, the far field builds its prefix
+    # pieces in two blocks of 96 rows, and the far field builds its prefix
     # moments in chunks of a few panels and takes the series on buffers of
-    # a few rows, and each target's band starts at its own cut.  A budget
-    # of 64 doubles gives own-piece blocks of 5 rows, chunks of one panel and
-    # a buffer of one row; 16 doubles give own-piece blocks of one row, band
-    # groups and range-sum runs of one row where a row's band is wide, and
-    # rows whose band exceeds the budget.  A budget of 4096**2 doubles puts
-    # all targets in one block, one buffer and one group of the band, and
-    # the chunks are bounded only by the exponents of their panel tops.
+    # a few rows.  A budget of 64 doubles gives own-piece blocks of 5 rows,
+    # chunks of one panel and a buffer of one row; 16 doubles give
+    # own-piece blocks of one row.  A budget of 4096**2 doubles puts all
+    # targets in one block and one buffer, and the chunks are bounded only
+    # by the exponents of their panel tops.
     mesh = build_mesh(64, w, alpha)
     beta_g, reg = w.singular_decomposition()
     rng = np.random.default_rng(5)
     t = np.concatenate((mesh.nodes[1:-1], rng.uniform(mesh.nodes[1], 1.0, 97)))
-    ts = np.sort(t)
-    cut = np.searchsorted(mesh.nodes, quadrature.EPS * ts, side="right") - 1
-    band = np.searchsorted(mesh.nodes, ts) - 1 - cut
-    assert len(t) > 96 and np.count_nonzero(cut > 0) > 96 and np.max(band) > 0
-    assert quadrature.GAUSS_ORDER * np.max(band) > 16
+    cut = np.searchsorted(mesh.nodes, quadrature.EPS * t, side="right") - 1
+    assert len(t) > 96 and np.count_nonzero(cut > 0) > 96
     ops = (apply_green, apply_green_derivative)
     arms = []
     for budget in (96 * quadrature.GAUSS_ORDER, 64, 16):
@@ -443,27 +438,36 @@ class _CountedPoints:
 
 def _g_points(kinds, t, mesh):
     # 12 points on each shared panel (the mesh panels, split to ratios of at
-    # most 2) and on each piece a target owns: the Gauss-Jacobi left piece
-    # [a, t], which u and u' share, and the Gauss-Legendre left piece of
-    # D^(alpha-1)u and of every target in the first panel, which also owns
-    # the origin piece [0, t/2] and, below t_1, the right piece [t, t_1]
+    # most 2) and on each piece a target owns: the Gauss-Jacobi piece up to
+    # t, which u and u' share, the Gauss-Legendre left piece of
+    # D^(alpha-1)u past the first panel, and for every target with cut 0
+    # (for D^(alpha-1)u alone, every target in the first panel) the origin
+    # piece [0, t/2], the Gauss-Legendre piece [t/2, t] and, below the next
+    # edge, [t, nodes[lo]]
     edges = quadrature._panel_edges(mesh.nodes)
     t = t[(t > 0.0) & ((t < 1.0) | ("dalpha" in kinds))]
-    first = np.count_nonzero(t <= mesh.nodes[1])
-    jacobi = len(t) if {"u", "du"} & set(kinds) else 0
-    legendre = len(t) if "dalpha" in kinds else first
-    right = np.count_nonzero(t < mesh.nodes[1])
-    return quadrature.GAUSS_ORDER * (len(edges) - 1 + jacobi + legendre + first + right)
+    lo = np.searchsorted(edges, t)
+    bracket = bool({"u", "du"} & set(kinds))
+    if bracket:
+        near = np.searchsorted(edges, quadrature.EPS * t, side="right") == 1
+    else:
+        near = lo == 1
+    jacobi = len(t) if bracket else 0
+    legendre = np.count_nonzero(lo > 1) if "dalpha" in kinds else 0
+    right = np.count_nonzero(near & (t < edges[lo]))
+    pieces = jacobi + legendre + 2 * np.count_nonzero(near) + right
+    return quadrature.GAUSS_ORDER * (len(edges) - 1 + pieces)
 
 
 def test_g_is_evaluated_once_per_quadrature_point(monkeypatch):
-    # The origin panel is a shared panel, and past the first panel a target
-    # owns only its left piece [a, t]: at grading 5 the split to ratios of
+    # The origin panel is a shared panel, and a target with a far field
+    # owns one or two pieces up to t: at grading 5 the split to ratios of
     # at most 2 adds 11 shared panels to an n = 512 mesh, and at its nodes g
     # is taken at 12,432 points (12,420 when t_1 owned no Gauss-Legendre
     # piece), and in classify's pass at 19,032: u and u' share a
     # Gauss-Jacobi piece, D^(alpha-1)u owns a Gauss-Legendre one (19,272
-    # when each target inside its panel also owned a right piece).
+    # when each target inside its panel also owned a right piece).  No
+    # target owns a piece of width 0 at t = t_1.
     w, alpha = WeightSpec(1.2), 1.6
     beta_g, reg = w.singular_decomposition()
     mesh = build_mesh(512, w, alpha)
@@ -489,22 +493,22 @@ def test_row_blocks_fill_the_temporary_budget(monkeypatch):
     # = 768 rows, and g is evaluated in one call on the shared panels and
     # one per row block: 4 calls at the 2,047 interior nodes of an n = 2048
     # mesh and 2 in classify's pass at its 531 points (23 and 7 in blocks of
-    # 96 rows).  The far field and the band take all targets of a pass in
-    # one call (3 at n = 2048 when they went in row blocks as well).
+    # 96 rows).  The far field takes all targets of a pass in one call (3
+    # at n = 2048 when it went in row blocks as well).
     w, alpha = WeightSpec(1.2), 1.6
     beta_g, reg = w.singular_decomposition()
     mesh = build_mesh(2048, w, alpha)
-    left_calls = [0]
-    left_bracket_sums = quadrature._left_bracket_sums
+    far_calls = [0]
+    far_series = quadrature._far_series
 
-    def counted_left(*args):
-        left_calls[0] += 1
-        return left_bracket_sums(*args)
+    def counted_far(*args):
+        far_calls[0] += 1
+        return far_series(*args)
 
-    monkeypatch.setattr(quadrature, "_left_bracket_sums", counted_left)
+    monkeypatch.setattr(quadrature, "_far_series", counted_far)
     g = _CountedPoints(reg)
     apply_green(mesh.nodes, beta_g, g, alpha, mesh)
-    assert g.calls == 4 and left_calls == [1]
+    assert g.calls == 4 and far_calls == [1]
 
     calls = []
 
@@ -514,10 +518,10 @@ def test_row_blocks_fill_the_temporary_budget(monkeypatch):
 
     monkeypatch.setattr(regularity, "apply_operators", counted)
     problem = weight_problem(1.2, alpha)
-    left_calls[0] = 0
+    far_calls[0] = 0
     regularity.classify(problem)
     [(t, g)] = calls
-    assert len(t) == 531 and g.calls == 2 and left_calls == [1]
+    assert len(t) == 531 and g.calls == 2 and far_calls == [1]
 
 
 def test_gauss_jacobi_rule_at_b_0_matches_leggauss():
@@ -594,7 +598,7 @@ def _far_field_targets(mesh, rng):
     # nodes, off-mesh points, points below t_1, targets whose far-field cut
     # falls on one of the first nodes, targets next to t = 1, where the far
     # series of u has the factors t^m - 1, and close clusters in (0.5,
-    # 0.99), whose bands straddle the split of the two sums
+    # 0.99), whose cuts fall on neighbouring nodes
     nodes = mesh.nodes
     first_cuts = nodes[1:5] / quadrature.EPS
     t = np.concatenate((
@@ -608,13 +612,13 @@ def _far_field_targets(mesh, rng):
     return np.sort(t[(t > 0.0) & (t < 1.0)])
 
 
-def _full_bracket_block(t, lo, panels, alpha, e):
-    # the bracket kernel over every (target, shared Gauss point) pair left
-    # of the panel each target lies in (j = 0..lo-2)
+def _full_bracket_block(t, cut, panels, alpha, e):
+    # the bracket kernel over every (target, shared Gauss point) pair below
+    # the target's cut (j = 0..c-1)
     s = panels.s.ravel()
     with np.errstate(invalid="ignore", divide="ignore"):
         kern = bracket_values(t[:, None], s[None, :], alpha, e)
-    mine = np.arange(s.size) < quadrature.GAUSS_ORDER * (lo - 1)[:, None]
+    mine = np.arange(s.size) < quadrature.GAUSS_ORDER * cut[:, None]
     return np.where(mine, kern, 0.0) @ panels.wg.ravel()
 
 
@@ -624,25 +628,27 @@ _POSITIVE = PowerSum([(1.0, 0.0), (-0.7, 0.5)])
 _SIGNED = PowerSum([(1.0, 0.0), (-2.5, 0.5)])
 
 
-def _left_bracket_case(mesh, t, alpha, kind, reg=_POSITIVE, margin=0.2):
-    beta_g = max(alpha - margin, 0.0)
-    e = alpha - 1.0 if kind == "u" else alpha - 2.0
-    lo = np.searchsorted(mesh.nodes, t)
-    panels = quadrature._SharedPanels.build(mesh.nodes, beta_g, reg, alpha)
-    ref = _full_bracket_block(t, lo, panels, alpha, e)
-    return e, lo, panels, ref
-
-
 def _far_field_case(grading, alpha, kind, reg=_POSITIVE, margin=0.2):
     mesh = GradedMesh.from_grading(48, grading)
     t = _far_field_targets(mesh, np.random.default_rng(int(10 * grading)))
-    return (mesh, t, *_left_bracket_case(mesh, t, alpha, kind, reg, margin))
+    beta_g = max(alpha - margin, 0.0)
+    e = alpha - 1.0 if kind == "u" else alpha - 2.0
+    # the cut c, the last node t_c <= EPS t
+    cut = np.searchsorted(mesh.nodes, quadrature.EPS * t, side="right") - 1
+    panels = quadrature._SharedPanels.build(mesh.nodes, beta_g, reg, alpha)
+    ref = _full_bracket_block(t, cut, panels, alpha, e)
+    return mesh, t, e, cut, panels, ref
 
 
-def _left_bracket_sums(kind, alpha, mesh, panels, t, e, lo):
-    return quadrature._left_bracket_sums(
-        (kind,), t, {kind: t**e}, lo, alpha, mesh.nodes, panels
-    )[0]
+def _far_field(kind, mesh, panels, t, e, cut):
+    # the left bracket below each target's cut as _green_integrals sums it:
+    # t^e times the far series of u, and for u' t^e times left_sums[c] less
+    # its far series
+    b = [quadrature._series_coefficients(e)]
+    [series] = quadrature._far_series((kind,), t, cut, b, mesh.nodes, panels)
+    if kind == "du":
+        series = panels.left_sums[cut] - series
+    return t**e * series
 
 
 def _assert_within_bound(got, ref):
@@ -654,13 +660,12 @@ def _assert_within_bound(got, ref):
 @pytest.mark.parametrize("alpha", [1.0005, 1.05, 1.3, 1.6, 2.0])
 @pytest.mark.parametrize("grading", [1.0, 2.0, 5.0, 8.0])
 def test_far_field_matches_full_bracket_block(grading, alpha, kind):
-    # The left bracket over the shared panels left of each target (j = 0..
-    # lo-2), far panels from moments and the band from the kernel and the
-    # two sums, against the bracket kernel over every (target, shared Gauss
-    # point) pair.  At alpha = 1.0005 the exponent of u is below 2^-10,
-    # where the split's 2^(1/e) would overflow.
-    mesh, t, e, lo, panels, ref = _far_field_case(grading, alpha, kind)
-    got = _left_bracket_sums(kind, alpha, mesh, panels, t, e, lo)
+    # The left bracket over the shared panels below each target's cut (j =
+    # 0..c-1), from moments, against the bracket kernel over every (target,
+    # shared Gauss point) pair there.  At alpha = 1.0005 no coefficient of
+    # the series of u exceeds 5e-4.
+    mesh, t, e, cut, panels, ref = _far_field_case(grading, alpha, kind)
+    got = _far_field(kind, mesh, panels, t, e, cut)
     _assert_within_bound(got, ref)
     # g > 0, so no sum cancels: the values stay relatively accurate next to
     # t = 1 too, where those of u are O(1 - t)
@@ -672,10 +677,10 @@ def test_far_field_matches_full_bracket_block(grading, alpha, kind):
 @pytest.mark.parametrize("alpha", [1.0005, 1.05, 1.3, 1.6, 2.0])
 @pytest.mark.parametrize("grading", [1.0, 2.0, 5.0, 8.0])
 def test_far_field_matches_full_bracket_block_for_signed_g(grading, alpha, kind):
-    # As above with a g that changes sign inside the bands of the targets
-    # above s = 0.16, so the sums over a band may cancel.
-    mesh, t, e, lo, panels, ref = _far_field_case(grading, alpha, kind, _SIGNED)
-    got = _left_bracket_sums(kind, alpha, mesh, panels, t, e, lo)
+    # As above with a g that changes sign at s = 0.16, below the cuts of the
+    # targets from t = 0.19 on, so their far sums may cancel.
+    mesh, t, e, cut, panels, ref = _far_field_case(grading, alpha, kind, _SIGNED)
+    got = _far_field(kind, mesh, panels, t, e, cut)
     _assert_within_bound(got, ref)
 
 
@@ -686,8 +691,8 @@ def test_far_field_matches_full_bracket_block_at_margin_0_01(grading, alpha, kin
     # At beta_g = alpha - 0.01 the origin row's Gauss-Jacobi weights, those
     # of s^(1-beta_g) over s, are largest next to 0; the moments of the
     # far field must still match the bracket kernel.
-    mesh, t, e, lo, panels, ref = _far_field_case(grading, alpha, kind, margin=0.01)
-    got = _left_bracket_sums(kind, alpha, mesh, panels, t, e, lo)
+    mesh, t, e, cut, panels, ref = _far_field_case(grading, alpha, kind, margin=0.01)
+    got = _far_field(kind, mesh, panels, t, e, cut)
     _assert_within_bound(got, ref)
 
 
@@ -712,7 +717,7 @@ def test_chunking_does_not_matter(monkeypatch, budget, grading, alpha, kind):
     # only by the exponents of their panel tops.
     # At grading 8 the tops of the first panels lie 2^8 apart, so
     # consecutive chunks differ by more than one binary exponent.
-    mesh, t, e, lo, panels, ref = _far_field_case(grading, alpha, kind)
+    mesh, t, e, cut, panels, ref = _far_field_case(grading, alpha, kind)
     if budget is not None:
         monkeypatch.setattr(quadrature, "_BUDGET", budget)
     chunks, buffers = [], []
@@ -729,51 +734,17 @@ def test_chunking_does_not_matter(monkeypatch, budget, grading, alpha, kind):
 
     monkeypatch.setattr(quadrature, "_prefix_moments", counted_chunks)
     monkeypatch.setattr(quadrature, "_add_series", counted_buffers)
-    got = _left_bracket_sums(kind, alpha, mesh, panels, t, e, lo)
+    got = _far_field(kind, mesh, panels, t, e, cut)
     _assert_within_bound(got, ref)
     if kind == "du" and alpha == 2.0:  # no series: (1-x)^0 - 1 = 0
         assert chunks == []
         return
     scales, sizes = zip(*chunks)
-    assert len(chunks) > 1 and sum(buffers) == np.count_nonzero(
-        np.searchsorted(mesh.nodes, quadrature.EPS * t, side="right") > 1
-    )
+    assert len(chunks) > 1 and sum(buffers) == np.count_nonzero(cut > 0)
     if budget == 1:
         assert set(sizes) == {1} and set(buffers) == {1}
     if grading == 8.0:
         assert np.max(np.diff(np.log2(scales))) > 1
-
-
-@pytest.mark.parametrize("reg", [_POSITIVE, _SIGNED], ids=["positive", "signed"])
-@pytest.mark.parametrize("kind", ["u", "du"])
-@pytest.mark.parametrize("alpha", [1.3, 1.6, 2.0])
-def test_two_sums_match_full_bracket_block(monkeypatch, alpha, kind, reg):
-    # Clusters of 16 close targets just above a node of a fine uniform
-    # mesh: there most of each band lies past the row's split, where the two
-    # terms of the bracket differ by a factor of two or more, and is summed
-    # term by term; the bands of the targets near t = 0.176 hold the
-    # sign change of the signed g.  For u' at alpha = 2 the terms are 1 - s
-    # and 1, which never split, so the whole band stays on the kernel.
-    mesh = GradedMesh.from_grading(512, 1.0)
-    t = np.concatenate([
-        mesh.nodes[k] * (1.0 + np.linspace(1e-6, 1e-3, 16)) for k in (30, 90, 300)
-    ])
-    e, lo, panels, ref = _left_bracket_case(mesh, t, alpha, kind, reg)
-    # (row, column) pairs summed term by term
-    count = [0]
-    power_sums = quadrature._power_sums
-
-    def counted(t, e, split, stop, panels):
-        count[0] += int(np.sum(stop - split))
-        return power_sums(t, e, split, stop, panels)
-
-    monkeypatch.setattr(quadrature, "_power_sums", counted)
-    got = _left_bracket_sums(kind, alpha, mesh, panels, t, e, lo)
-    if kind == "du" and alpha == 2.0:
-        assert count[0] == 0
-    else:
-        assert count[0] > 0
-    _assert_within_bound(got, ref)
 
 
 @pytest.mark.parametrize("e", [0.4, -0.4, 0.05, 0.95, -0.95])
@@ -794,11 +765,10 @@ def test_traced_memory_of_a_large_solve_stays_small():
     # The far field builds its prefix moments chunk by chunk and takes the
     # series on a buffer of rows; an n x M table of moments (4 MB), or
     # the series temporaries of all targets at once, would show here.  With
-    # neither, 1.59 MiB is traced at n = 2048, reached in the band; the own
-    # pieces, built one row block of 768 targets at a time once the
-    # previous block's are freed, stay below it (1.63 MiB while the
-    # previous block's pieces were still held, 2.53 MiB with the pieces of
-    # all 2,047 targets in one block).
+    # neither, 1.51 MiB is traced at n = 2048, reached in the far field; the
+    # own pieces, built one row block of 768 targets at a time once the
+    # previous block's are freed, stay below it at 1.37 MiB (2.53 MiB with
+    # the pieces of all 2,047 targets in one block).
     tracemalloc.start()
     try:
         solve_linear(WeightSpec(1.2), 1.6, 2048)
@@ -810,12 +780,12 @@ def test_traced_memory_of_a_large_solve_stays_small():
 
 def test_band_evaluates_few_kernel_elements(monkeypatch):
     # Kernel elements, as broadcast sizes of (t, s), that one solve passes to
-    # the bracket kernel: the band columns before each row's split plus the
-    # origin pieces of the targets in the first panel.  4,271 with a cut per
-    # target; 23,744 when sub-blocks of 16 targets shared the cut of the
-    # first, 71,152 when they also shared one split, taken only where it
-    # left the two sums half of the band, and 143,640 before the two sums,
-    # when the whole band went through the kernel.
+    # the bracket kernel: only the origin pieces of the targets with cut 0,
+    # here t_1 alone.  The pieces up to t hold their (t-s)^e in the weights
+    # of their rule, and the far field sums a series.  4,271 when the shared
+    # panels from the cut up to the target's panel went through a band, whose
+    # columns before each row's split took the kernel; 143,640 when the whole
+    # band did.
     count = [0]
 
     def counted(t, s, *args, **kwargs):
@@ -824,72 +794,7 @@ def test_band_evaluates_few_kernel_elements(monkeypatch):
 
     monkeypatch.setattr(quadrature, "bracket_values", counted)
     solve_linear(WeightSpec(1.2), 1.6, 512)
-    assert 0 < count[0] <= 1.05 * 4_271
-
-
-def test_each_target_cuts_the_far_field_at_its_own_node(monkeypatch):
-    # (row, column) pairs of the band, summed over the _band calls of u and
-    # u' for t^-1.2 at alpha = 1.6: each band starts at the target's own
-    # cut, the last node t_c <= EPS t.  When sub-blocks of 16 targets shared
-    # the cut of the first, the same passes took 185,760 (classify), 91,800
-    # (n = 512) and 970,368 (n = 2048).
-    pairs = [0]
-    band = quadrature._band
-
-    def counted(t, te, e, start, stop, *rest):
-        pairs[0] += int(np.sum(stop - start))
-        return band(t, te, e, start, stop, *rest)
-
-    monkeypatch.setattr(quadrature, "_band", counted)
-    regularity.classify(weight_problem(1.2, 1.6))
-    assert pairs == [96_600]
-    for n, count in ((512, 47_172), (2048, 792_192)):
-        pairs[0] = 0
-        solve_linear(WeightSpec(1.2), 1.6, n)
-        assert pairs == [count]
-
-
-def test_band_evaluates_exactly_the_pairs_it_owns(monkeypatch):
-    # Each row's band is its own columns start_r..stop_r-1, each either on
-    # the kernel or summed term by term: none is evaluated and then masked.
-    owned, kernel, term_by_term, in_band = [0], [0], [0], [False]
-    band = quadrature._band
-    power_sums = quadrature._power_sums
-
-    def counted_band(t, te, e, start, stop, *rest):
-        owned[0] += int(np.sum(stop - start))
-        in_band[0] = True
-        try:
-            return band(t, te, e, start, stop, *rest)
-        finally:
-            in_band[0] = False
-
-    def counted_kernel(t, s, *args, **kwargs):
-        if in_band[0]:
-            kernel[0] += np.broadcast(t, s).size
-        return bracket_values(t, s, *args, **kwargs)
-
-    def counted_power_sums(t, e, split, stop, panels):
-        term_by_term[0] += int(np.sum(stop - split))
-        return power_sums(t, e, split, stop, panels)
-
-    monkeypatch.setattr(quadrature, "_band", counted_band)
-    monkeypatch.setattr(quadrature, "_power_sums", counted_power_sums)
-    monkeypatch.setattr(quadrature, "bracket_values", counted_kernel)
-    solve_linear(WeightSpec(1.2), 1.6, 512)
-    assert kernel[0] > 0 and term_by_term[0] > 0
-    assert kernel[0] + term_by_term[0] == owned[0]
-
-
-def test_run_sums_skip_empty_runs():
-    # reduceat returns the element at an empty run's start and rejects an
-    # index at the end of the array; empty runs first, between and last
-    x = np.arange(1.0, 8.0)
-    runs = np.array([0, 2, 0, 0, 4, 1, 0])
-    got = quadrature._run_sums(x, runs)
-    assert np.array_equal(got, [0.0, 3.0, 0.0, 0.0, 18.0, 7.0, 0.0])
-    empty = quadrature._run_sums(np.empty(0), np.zeros(3, dtype=int))
-    assert np.array_equal(empty, np.zeros(3))
+    assert count == [quadrature.GAUSS_ORDER]
 
 
 # --- convergence and sign --------------------------------------------------------
@@ -958,6 +863,68 @@ def test_off_mesh_targets_near_one_and_at_half(u, alpha):
     exact = (u, classical_derivative(u), frac_derivative(u, alpha - 1.0))
     for value, f, rel in zip(got, exact, (1e-6, 1e-12, 1e-12)):
         assert np.all(np.abs(value - f(t)) <= rel * np.abs(f(t)))
+
+
+def _pair_operators(u, alpha, t, kinds):
+    # the operators of the pair's forcing -D^alpha u at t, n = 128, and
+    # their closed forms
+    g = -frac_derivative(u, alpha)
+    w = as_weight_spec(g)
+    beta_g, reg = w.singular_decomposition()
+    mesh = build_mesh(128, w, alpha)
+    if callable(t):
+        t = t(mesh.nodes)
+    got = apply_operators(kinds, t, beta_g, reg, alpha, mesh)
+    exact = {
+        "u": u, "du": classical_derivative(u), "dalpha": frac_derivative(u, alpha - 1.0),
+    }
+    return t, got, [exact[kind](t) for kind in kinds]
+
+
+@pytest.mark.parametrize(
+    "u,alpha", _ITEM2_PAIRS[1:3] + _ITEM2_PAIRS[4:], ids=["1.6", "1.3", "1.05"]
+)
+def test_off_mesh_targets_next_to_nodes(u, alpha):
+    # Each target's Gauss-Jacobi piece runs from its cut t_c <= EPS t up to
+    # t, so no shared panel lies closer to t than 0.15 t.  Just past the
+    # interior nodes, just either side of them, and in clusters just past
+    # three nodes, u and u' are within 3.7e-12 relative.  When the shared
+    # panel below a target just past a node went through Gauss-Legendre, u'
+    # was off by up to 3.3 there and u by up to 1.2e-4.
+    def targets(nodes):
+        inner = nodes[1:-1]
+        return np.concatenate((
+            inner + 1e-9 * np.diff(nodes)[1:], inner * (1.0 + 1e-12),
+            inner * (1.0 - 1e-12),
+            *(nodes[k] * (1.0 + np.linspace(1e-6, 1e-3, 16)) for k in (10, 40, 100)),
+        ))
+
+    _, got, exact = _pair_operators(u, alpha, targets, ("u", "du"))
+    for value, want in zip(got, exact):
+        assert np.all(np.abs(value - want) <= 1e-11 * np.abs(want))
+
+
+@pytest.mark.parametrize(
+    "u,alpha", _ITEM2_PAIRS[1:3] + _ITEM2_PAIRS[4:], ids=["1.6", "1.3", "1.05"]
+)
+def test_targets_past_t_1_without_a_far_field(u, alpha):
+    # A target in (t_1, t_1/EPS] has cut 0 and lies in the panel past t_1;
+    # no mesh node falls there, as the next edge lies at 1.41 t_1 or above.
+    # It owns the origin piece [0, t/2] and the pieces [t/2, t] and [t,
+    # nodes[2]], like a target below t_1: u, u' and D^(alpha-1)u within
+    # 3.7e-12 relative, where u' was off by up to 0.45 and u by up to
+    # 7.7e-5.
+    def targets(nodes):
+        edges = quadrature._panel_edges(nodes)
+        assert edges[2] >= 1.41 * nodes[1]
+        t = nodes[1] * np.append(1.0 + 1e-12, np.geomspace(1.001, 0.999 / quadrature.EPS, 6))
+        assert np.all(np.searchsorted(edges, quadrature.EPS * t, side="right") == 1)
+        assert np.all(np.searchsorted(edges, t) == 2)
+        return t
+
+    _, got, exact = _pair_operators(u, alpha, targets, ("u", "du", "dalpha"))
+    for value, want in zip(got, exact):
+        assert np.all(np.abs(value - want) <= 1e-9 * np.abs(want))
 
 
 @pytest.mark.parametrize("alpha", [1.05, 1.6, 2.0])
