@@ -160,20 +160,17 @@ class PowerSum:
         :class:`SingularEvaluationError`.
         """
         if isinstance(t, np.ndarray):
-            if t.size and float(np.min(t)) < 0.0:
+            low = float(np.min(t)) if t.size else 1.0
+            if low < 0.0:
                 raise ValueError("PowerSum evaluation needs t >= 0")
-            if (
-                t.size
-                and float(np.min(t)) == 0.0
-                and self._terms
-                and self.min_exponent < 0.0
-            ):
+            if low == 0.0 and self._terms and self.min_exponent < 0.0:
                 raise SingularEvaluationError(
                     "negative exponent present, cannot evaluate at t = 0"
                 )
             out = np.zeros_like(t, dtype=float)
             for c, lam in self._terms:
-                out += c * np.power(t, lam)
+                # t^0 = 1 for every t, 0 included: c * t^0 is c to the bit
+                out += c if lam == 0.0 else c * np.power(t, lam)
             return out
         t = float(t)
         if t < 0.0:

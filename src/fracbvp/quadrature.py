@@ -38,7 +38,9 @@ Five constructions replace adaptivity:
   term -(t-s)^e: u' has e = alpha-2 (the blow-up), and u, e = alpha-1
   (the kink), takes the exact distance t - s as integrand.  Their term
   t^e (1-s)^(alpha-1) does not see s = t and joins the right part, so on
-  that piece no kernel is evaluated;
+  that piece no kernel is evaluated.  The piece spans at most 1 - t, and
+  Gauss-Legendre pieces graded away from t take the rest of the term
+  (below);
 * the last panel [t_(P-1), 1] takes the Gauss-Jacobi rule of the weight
   (1-s)^(alpha-1), which holds the right kernel whole.
 
@@ -59,23 +61,28 @@ once.  g_reg is evaluated once at each quadrature point: in one call on
 the shared panels, origin panel included, which all targets share, and on
 the 12 points of each piece a target owns.
 
-Each target t has its cut, the last node t_c <= EPS*t (EPS = 0.85).  For
+Each target t has its cut, the last node t_c <= EPS*t (EPS = 0.7).  For
 u and u' it owns the piece [t_c, t] under the rule at s = t.  Every panel
-past the origin panel has a ratio of at most 2, so t_c > 0.425 t once
-c >= 1, and the piece spans a ratio of at most 2.35: the rest of its
-integrand, s^(-beta_g) g_reg, is singular only at s = 0, far enough away
-for 12 points to reach round-off, and no shared panel lies closer to t
-than 0.15 t.  The t-free term over the piece and the right part are the
-suffix sum from t_c.  D^(alpha-1)u, whose left kernel does not depend on
-t, owns instead the left piece [a, t] of the panel t lies in, a its lower
-node, under Gauss-Legendre, and subtracts the integral of g over it from
-its prefix and suffix sums from a.  A target with cut 0 (t < t_1/EPS) has
-no far field: for u and u' it owns the origin piece [0, t/2], the piece
-[t/2, t] under the rule at s = t, and the Gauss-Legendre pieces [t/2, t]
-and, below the next node, [t, t_(lo)] of the t-free term, as the origin
-row's weights serve only kernels that vanish like s; D^(alpha-1)u owns the
-same pieces in the first panel, where a = t/2.  Only these own pieces go
-in row blocks, of 768 targets with one g_reg call each, so that each
+past the origin panel has a ratio of at most 2, so t_c > 0.35 t once c >=
+1, and the piece spans a ratio of at most 2.86: s^(-beta_g) is singular
+only at s = 0, far enough away for 12 points to reach round-off, and no
+shared panel lies closer to t than 0.3 t.  Where t - t_c > 1 - t, the rule
+at s = t takes only [t - d, t], d = 1 - t, and Gauss-Legendre pieces [t -
+2^k d, t - 2^(k-1) d], k = 1, 2, ..., the last one clipped at t_c, take
+the rest: each lies as far from t, and farther from s = 1, as it is long,
+so a g_reg singular at s = 1, as (1-s)^p in f(u) is, stays out of every
+rule's reach (a single piece from t_c left u' off by 2.3e-3 relative at
+t = 1 - 1e-9 for g_reg = sqrt(1-s)).  The t-free term over the pieces
+and the right part are the suffix sum from t_c.  D^(alpha-1)u, whose left
+kernel does not depend on t, owns instead the left piece [a, t] of the
+panel t lies in, a its lower node, under Gauss-Legendre, and subtracts the
+integral of g over it from its prefix and suffix sums from a.  A target
+with cut 0 (t < t_1/EPS) has no far field: for u and u' it owns the
+origin piece [0, t/2], the piece [t/2, t] under the rule at s = t, and the
+Gauss-Legendre pieces [t/2, t] and, below the next node, [t, t_(lo)] of
+the t-free term, as the origin row's weights serve only kernels that
+vanish like s; D^(alpha-1)u owns the same pieces in the first panel,
+where a = t/2.  Only these own pieces go in row blocks, of 768 targets with one g_reg call each, so that each
 (row, Gauss point) array of a block, 768 x 12 doubles, stays within a
 temporary budget of 72 KiB (_BUDGET).  The far field takes all targets in
 one call, in pieces that keep its temporaries within the same budget.
@@ -83,7 +90,7 @@ one call, in pieces that keep its temporaries within the same budget.
 Over the shared panels the parts that do not depend on t reduce to prefix
 and suffix sums: (1-s)^(alpha-1) in the right parts of all three
 operators, and both kernels of D^(alpha-1)u.  The left brackets of u and
-u' depend on t.  Below t_c, on the far panels, x = s/t <= 0.85, and the
+u' depend on t.  Below t_c, on the far panels, x = s/t <= 0.7, and the
 bracket is t^e times an exact power series in x with the binomial
 coefficients of (1-x)^e, cut at a 2^-60 tail; no sum in it subtracts two
 terms of one sign.  The far panels thus reduce to the target's x-moments,
@@ -91,8 +98,8 @@ sum (s/t)^m w g over s < t_c, read off running prefix sums over the
 panels of the power moments (s/2^E)^m w g.  These are built once up the
 mesh, in chunks of panels whose tops lie within a factor of 8 below 2^E,
 so that (2^E/t)^m stays in range; between chunks they are rescaled
-exactly by a power of two.  The M powers of a point (M of about 190 to
-270) are products of two short tables, M/8 + 8 exps, a batched matmul
+exactly by a power of two.  The M powers of a point (M of about 90 to
+120) are products of two short tables, M/8 + 8 exps, a batched matmul
 gives each panel's moments, and a matmul with a triangle of ones their
 prefix sums.  The moments do not depend on e, so u and u' read one set,
 as long as the longer of their series (one set of moments for several
@@ -381,18 +388,21 @@ _BUDGET = 96**2
 # The cut.  Each target t sums the shared panels below its cut, the last
 # edge t_c <= EPS*t, from power moments, and for u and u' owns the
 # Gauss-Jacobi piece [t_c, t].  A higher cut shortens that piece and
-# lengthens the series (O(n M)); at 0.85, M is at most 268, and the piece
-# spans a ratio t/t_c of at most 2/EPS.
-EPS = 0.85
+# lengthens the series (O(n M)); at 0.7, M is at most 120 (268 at 0.85),
+# and the piece spans a ratio t/t_c of at most 2/EPS.  perfbench's
+# linear-large (n = 2048) took 15.5 / 11.4 / 9.8 / 9.5 / 9.3 ms at EPS
+# 0.85 / 0.75 / 0.7 / 0.65 / 0.6 (one 2.0 GHz Xeon vCPU, median of 3); at
+# 0.6 the margin-0.01 weight leaves round-off (1.1e-13 max nodal error).
+EPS = 0.7
 # The series in s/t keeps the terms before the first index M whose tail
 # bound |b_M| EPS^M / (1 - EPS) is below this.
 _SERIES_TAIL = 2.0**-60
-# |b_m| <= 1, so the tail test holds by index 268 at EPS = 0.85 for every e.
+# |b_m| <= 1, so the tail test holds by index 120 at EPS = 0.7 for every e.
 _SERIES_CAP = math.ceil(math.log(_SERIES_TAIL * (1.0 - EPS)) / math.log(EPS))
 # The panel tops of one chunk of prefix moments have binary exponents
 # (frexp) within this many of each other.  With 2^E above the highest, each
 # target's cut t_c >= 2^(E-3), so 2^E/t <= 8 EPS and no factor (2^E/t)^m
-# exceeds (8 EPS)^268 < 1e224.
+# exceeds (8 EPS)^120, about 1e90.
 _EXPONENT_SPAN = 2
 
 
@@ -699,10 +709,11 @@ def _own_sums(kinds, t, te, lo, cut, nodes, beta_g, g_regular, alpha, panels):
 def _add_part_sums(total, r0, parts, g):
     # Each kind's sums over the pieces of a block whose first row is r0; a
     # weight array sits on the block rows ``rows`` and the first rows of
-    # its piece.
+    # its piece.  A row repeats where a target owns several graded pieces,
+    # and np.add.at adds each of them.
     for kind, pairs in parts.items():
         for j, rows, kw in pairs:
-            total[kind][r0:][rows] += np.sum(kw * g[j][:len(kw)], axis=1)
+            np.add.at(total[kind][r0:], rows, np.sum(kw * g[j][:len(kw)], axis=1))
 
 
 def _own_panels(kinds, t, te, lo, cut, nodes, beta_g, alpha, panels):
@@ -713,7 +724,10 @@ def _own_panels(kinds, t, te, lo, cut, nodes, beta_g, alpha, panels):
     ``panels.own`` of the weight (t-s)^(alpha-2) (_jacobi_pieces).  It
     holds the whole term -(t-s)^e of u' (e = alpha-2), and of u (e =
     alpha-1) with the exact distance t - s as integrand, so u and u' share
-    its points and the piece evaluates no kernel.  Their t-free term
+    its points and the piece evaluates no kernel.  Where t - t_c > 1 - t,
+    that piece is [t - d, t], d = 1 - t, and the term -(t-s)^e over [t_c,
+    t - d] takes Gauss-Legendre pieces that double away from t
+    (_graded_pieces), so that none reaches s = 1.  Their t-free term
     t^e (1-s)^(alpha-1) over [t_c, t], and their right part, is
     panels.right_sums[c].  A target with c = 0 (t < t_1/EPS) has no far
     field: it owns the origin piece [0, t/2], under the Gauss-Jacobi rule
@@ -732,11 +746,12 @@ def _own_panels(kinds, t, te, lo, cut, nodes, beta_g, alpha, panels):
     Returns (points, parts).  ``points`` is a list of (rows, GAUSS_ORDER)
     arrays: the origin pieces, the Gauss-Legendre pieces [t/2, t] and
     [t, nodes[lo]], the Gauss-Legendre left pieces of D^(alpha-1)u past
-    the first panel, if it is asked for, and the Gauss-Jacobi pieces of u
-    and u', if one of them is.  ``parts`` maps each kind, and "right" for
-    the right kernel, to its (index into points, block rows, kernel times
-    weight) triples.  The targets that own the pieces at t/2 are a prefix
-    of the ascending block.  The weights carry s^(-beta_g); ``te`` maps
+    the first panel, if it is asked for, and the Gauss-Jacobi and graded
+    pieces of u and u', if one of them is.  ``parts`` maps each kind, and
+    "right" for the right kernel, to its (index into points, block rows,
+    kernel times weight) triples; the graded pieces' rows repeat.  The
+    targets that own the pieces at t/2 are a prefix of the ascending
+    block.  The weights carry s^(-beta_g); ``te`` maps
     each of u and u' that is asked for to t^e, e the exponent of its left
     bracket.
     """
@@ -767,15 +782,40 @@ def _own_panels(kinds, t, te, lo, cut, nodes, beta_g, alpha, panels):
             (3, slice(k, len(t)), -w3),
         ]
     if te:
+        # the piece at s = t spans d = min(t - a, 1 - t) (t = 1, where u is
+        # 0, keeps t - a), and the graded pieces the rest of [a, t]
         a = np.where(cut == 0, 0.5 * t, nodes[cut])
-        s4, w4, d4 = _jacobi_pieces(a, t, alpha - 2.0, panels.own)
+        d = np.where(t < 1.0, np.minimum(t - a, 1.0 - t), t - a)
+        s4, w4, d4 = _jacobi_pieces(t - d, t, alpha - 2.0, panels.own)
         w4 *= -np.power(s4, -beta_g)
-        points.append(s4)
+        # t - (t - d) is the width _jacobi_pieces gives that piece, so the
+        # graded pieces abut it
+        s5, w5, d5, rows5 = _graded_pieces(t, t - (t - d), t - a)
+        w5 *= -np.power(s5, -beta_g) * np.power(d5, alpha - 2.0)
+        points += [s4, s5]
     for kind in te:
         e = _bracket_exponent(kind, alpha)
         k0 = bracket_values(t[:m, None], s0, alpha, e, te[kind][:m, None])
         parts[kind] = [
             (0, slice(0, m), k0 * w0),
-            (len(points) - 1, slice(0, len(t)), w4 * d4 if kind == "u" else w4),
+            (len(points) - 2, slice(0, len(t)), w4 * d4 if kind == "u" else w4),
+            (len(points) - 1, rows5, w5 * d5 if kind == "u" else w5),
         ]
     return points, parts
+
+
+def _graded_pieces(t, near, span):
+    # Points, weights, distances t - s and rows of the Gauss-Legendre pieces
+    # that cover the distances [near_i, span_i] from t_i: [2^k near_i,
+    # 2^(k+1) near_i], k = 0, 1, ..., the last one ending at span_i.  Each
+    # piece is as long as its distance to t, or shorter, and lies at least
+    # that far from s = 1 when near_i <= 1 - t_i.  The distances, formed
+    # from the piece and the rule's x, keep the digits that t - s loses.
+    # A row with span_i <= near_i has no piece; the rows ascend.
+    count = np.ceil(np.log2(span / near)).astype(int).clip(0)
+    rows = np.repeat(np.arange(len(t)), count)
+    k = np.arange(len(rows)) - np.repeat(np.cumsum(count) - count, count)
+    lo = np.ldexp(near[rows], k)
+    hi = np.where(k == count[rows] - 1, span[rows], 2.0 * lo)
+    dist, w = _gauss(lo, hi)
+    return t[rows, None] - dist, w, dist, rows

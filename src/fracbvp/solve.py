@@ -4,8 +4,9 @@ The linear problem D^alpha u + g = 0, u(0) = u(1) = 0 is solved by direct
 quadrature of u(t) = int G(t,s) g(s) ds on a graded mesh.  The nonlinear
 problem D^alpha u + h(t) f(u) = 0 is solved by Picard iteration u <- T u on
 the integral operator (T u)(t) = int G(t,s) h(s) f(u(s)) ds, with f(u(s))
-evaluated through monotone cubic interpolation of the previous iterate (no
-overshoot, so f's argument stays nonnegative).
+evaluated through the not-a-knot cubic spline of the previous iterate in
+the mesh coordinate x = t^(1/grading), in which the graded nodes are
+uniform (f reads an undershoot below 0 as 0).
 
 The start is chosen before the first sweep.  When f(0) = 0 < f(1) and the
 weight is nonzero, u = 0 is a fixed point of T that is not the positive
@@ -23,11 +24,12 @@ over the window t in [0.1, 0.9] (near 0 a uniform-step scheme is
 meaningless for non-integrable weights; this is a diagnostic limitation).
 
 The two interpolants are small numpy classes with scipy's formulas, so that
-importing the package needs numpy alone: PCHIP (Fritsch & Carlson, SIAM J.
-Numer. Anal. 17, 1980) with weighted-harmonic-mean interior slopes and
-three-point end slopes, and the not-a-knot cubic spline (de Boor, A
-Practical Guide to Splines), whose tridiagonal slope system is solved by
-one Thomas sweep.  Both evaluate in cubic Hermite form.
+importing the package needs numpy alone: the not-a-knot cubic spline (de
+Boor, A Practical Guide to Splines), whose tridiagonal slope system is
+solved by one Thomas sweep, for the iterate and the solution, and PCHIP
+(Fritsch & Carlson, SIAM J. Numer. Anal. 17, 1980) with
+weighted-harmonic-mean interior slopes and three-point end slopes, for the
+residual's forcing samples.  Both evaluate in cubic Hermite form.
 """
 
 from __future__ import annotations
@@ -180,6 +182,18 @@ class CubicSpline(CubicHermiteSpline):
         super().__init__(x, y, np.array(s))
 
 
+def mesh_spline(mesh: GradedMesh, values):
+    """The not-a-knot cubic spline of node values in x = t^(1/grading).
+
+    Returns a function of t (scalar or array).  In x the graded nodes are
+    uniform; a spline in t oscillates on a coarse, strongly graded mesh,
+    and at grading 1 the two are one.
+    """
+    root = 1.0 / mesh.grading
+    spline = CubicSpline(mesh.nodes**root, values)
+    return lambda t: spline(np.asarray(t, dtype=float) ** root)
+
+
 @dataclass(eq=False)
 class GridFunction:
     """Solution samples on a graded mesh; Dirichlet values pinned to zero."""
@@ -196,10 +210,10 @@ class GridFunction:
             raise ValueError("grid values must be finite")
         self._interp = None
 
-    def interpolator(self) -> PchipInterpolator:
-        """Monotone cubic interpolant of the node values (cached)."""
+    def interpolator(self):
+        """Interpolant of the node values, mesh_spline's (cached)."""
         if self._interp is None:
-            self._interp = PchipInterpolator(self.mesh.nodes, self.values)
+            self._interp = mesh_spline(self.mesh, self.values)
         return self._interp
 
     def __call__(self, t):
@@ -363,7 +377,7 @@ def solve_nonlinear(
     updates: list[float] = []
     converged = False
     for _ in range(max_iter):
-        interp = PchipInterpolator(mesh.nodes, u)
+        interp = mesh_spline(mesh, u)
 
         def g_reg(s):
             return regular(s) * f(interp(s))
@@ -411,23 +425,20 @@ def gl_weights(alpha: float, count: int) -> np.ndarray:
 def gl_residual(u: GridFunction, g_values, alpha: float, m: int = 1024) -> ResidualStats:
     """Relative residual of D^alpha u + g = 0 by the Gruenwald-Letnikov sum.
 
-    ``u`` is re-interpolated onto the uniform grid of step 1/m by a cubic
-    spline in the mesh coordinate x = t^(1/grading), in which the graded
-    nodes are uniform (a spline in t oscillates on a coarse, strongly
-    graded mesh; at grading 1, exactness on polynomials keeps the
-    classical alpha = 2 case clean); ``g_values`` are forcing samples at
-    the mesh nodes, of which non-finite entries and those below t = 0.02
-    are ignored.  Residuals are evaluated at the uniform points inside
-    [0.1, 0.9] and summarized by their median.  Diagnostic only: never
-    raises on a bad solution.
+    ``u`` is re-interpolated onto the uniform grid of step 1/m by its
+    spline in the mesh coordinate (mesh_spline; at grading 1, exactness on
+    polynomials keeps the classical alpha = 2 case clean); ``g_values``
+    are forcing samples at the mesh nodes, of which non-finite entries and
+    those below t = 0.02 are ignored.  Residuals are evaluated at the
+    uniform points inside [0.1, 0.9] and summarized by their median.
+    Diagnostic only: never raises on a bad solution.
     """
     if m < 256:
         raise ValueError(f"need at least 256 uniform steps, got {m}")
     alpha = float(alpha)
     delta = 1.0 / m
     grid = np.linspace(0.0, 1.0, m + 1)
-    root = 1.0 / u.mesh.grading
-    uu = CubicSpline(u.mesh.nodes**root, u.values)(grid**root)
+    uu = u(grid)
     dal = np.convolve(uu, gl_weights(alpha, m + 1))[: m + 1] * delta**-alpha
 
     g_values = np.asarray(g_values, dtype=float)

@@ -89,6 +89,20 @@ def test_eval_vectorized_matches_scalar():
     assert out == pytest.approx([u(float(x)) for x in t], rel=1e-15)
 
 
+@pytest.mark.parametrize(
+    "u", [ONE, PowerSum([(2.5, 0.0), (-0.7, 0.5), (1.3, 2.0)]), ZERO], ids=["one", "mixed", "zero"]
+)
+def test_eval_on_arrays_matches_the_term_loop_bit_for_bit(u):
+    # a zero exponent adds its coefficient without a power, as c * t^0 = c
+    # for every t, 0 included
+    rng = np.random.default_rng(7)
+    for t in (rng.uniform(0.0, 1.0, 1000), np.array([0.0, 0.25, 0.0, 1.0]), np.empty(0)):
+        ref = np.zeros_like(t)
+        for c, lam in u.terms:
+            ref += c * np.power(t, lam)
+        assert np.array_equal(u(t), ref)
+
+
 # --- fractional derivative -----------------------------------------------------
 
 

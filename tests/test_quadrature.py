@@ -439,23 +439,27 @@ class _CountedPoints:
 def _g_points(kinds, t, mesh):
     # 12 points on each shared panel (the mesh panels, split to ratios of at
     # most 2) and on each piece a target owns: the Gauss-Jacobi piece up to
-    # t, which u and u' share, the Gauss-Legendre left piece of
-    # D^(alpha-1)u past the first panel, and for every target with cut 0
-    # (for D^(alpha-1)u alone, every target in the first panel) the origin
-    # piece [0, t/2], the Gauss-Legendre piece [t/2, t] and, below the next
-    # edge, [t, nodes[lo]]
+    # t, which u and u' share, with the Gauss-Legendre pieces that double
+    # away from it down to the cut when it stops at 1 - t from t, the
+    # Gauss-Legendre left piece of D^(alpha-1)u past the first panel, and
+    # for every target with cut 0 (for D^(alpha-1)u alone, every target in
+    # the first panel) the origin piece [0, t/2], the Gauss-Legendre piece
+    # [t/2, t] and, below the next edge, [t, nodes[lo]]
     edges = quadrature._panel_edges(mesh.nodes)
     t = t[(t > 0.0) & ((t < 1.0) | ("dalpha" in kinds))]
     lo = np.searchsorted(edges, t)
     bracket = bool({"u", "du"} & set(kinds))
-    if bracket:
-        near = np.searchsorted(edges, quadrature.EPS * t, side="right") == 1
-    else:
-        near = lo == 1
+    cut = np.searchsorted(edges, quadrature.EPS * t, side="right") - 1
+    near = cut == 0 if bracket else lo == 1
     jacobi = len(t) if bracket else 0
+    # the graded pieces: one per k >= 0 with 2^k d below t - t_c, d the
+    # width of the Gauss-Jacobi piece
+    span = t - np.where(cut == 0, 0.5 * t, edges[cut])
+    d = np.where(t < 1.0, np.minimum(span, 1.0 - t), span)
+    graded = sum(np.count_nonzero(2.0**k * d < span) for k in range(60)) if bracket else 0
     legendre = np.count_nonzero(lo > 1) if "dalpha" in kinds else 0
     right = np.count_nonzero(near & (t < edges[lo]))
-    pieces = jacobi + legendre + 2 * np.count_nonzero(near) + right
+    pieces = jacobi + graded + legendre + 2 * np.count_nonzero(near) + right
     return quadrature.GAUSS_ORDER * (len(edges) - 1 + pieces)
 
 
@@ -463,17 +467,20 @@ def test_g_is_evaluated_once_per_quadrature_point(monkeypatch):
     # The origin panel is a shared panel, and a target with a far field
     # owns one or two pieces up to t: at grading 5 the split to ratios of
     # at most 2 adds 11 shared panels to an n = 512 mesh, and at its nodes g
-    # is taken at 12,432 points (12,420 when t_1 owned no Gauss-Legendre
-    # piece), and in classify's pass at 19,032: u and u' share a
-    # Gauss-Jacobi piece, D^(alpha-1)u owns a Gauss-Legendre one (19,272
-    # when each target inside its panel also owned a right piece).  No
-    # target owns a piece of width 0 at t = t_1.
+    # is taken at 13,044 points, and in classify's pass at 19,644: u and u'
+    # share a Gauss-Jacobi piece, D^(alpha-1)u owns a Gauss-Legendre one.
+    # The Gauss-Jacobi pieces that stop at 1 - t from t add 51 graded
+    # pieces at the nodes and as many in classify's pass (12,432 and 19,032
+    # when each target's piece ran from its cut to t; 12,420 when t_1 owned
+    # no Gauss-Legendre piece, 19,272 when each target inside its panel
+    # also owned a right piece).  No target owns a piece of width 0 at t =
+    # t_1.
     w, alpha = WeightSpec(1.2), 1.6
     beta_g, reg = w.singular_decomposition()
     mesh = build_mesh(512, w, alpha)
     g = _CountedPoints(reg)
     apply_operators(("u",), mesh.nodes, beta_g, g, alpha, mesh)
-    assert g.points == _g_points(("u",), mesh.nodes, mesh) == 12_432
+    assert g.points == _g_points(("u",), mesh.nodes, mesh) == 13_044
 
     calls = []
 
@@ -485,7 +492,7 @@ def test_g_is_evaluated_once_per_quadrature_point(monkeypatch):
     problem = weight_problem(1.2, alpha)
     regularity.classify(problem)
     [(kinds, t, g)] = calls
-    assert g.points == _g_points(kinds, t, problem.mesh) == 19_032
+    assert g.points == _g_points(kinds, t, problem.mesh) == 19_644
 
 
 def test_row_blocks_fill_the_temporary_budget(monkeypatch):
@@ -925,6 +932,59 @@ def test_targets_past_t_1_without_a_far_field(u, alpha):
     _, got, exact = _pair_operators(u, alpha, targets, ("u", "du", "dalpha"))
     for value, want in zip(got, exact):
         assert np.all(np.abs(value - want) <= 1e-9 * np.abs(want))
+
+
+@pytest.mark.parametrize("n,u_rel", [(128, 1e-11), (512, 1e-10)])
+@pytest.mark.parametrize(
+    "u,alpha", _ITEM2_PAIRS[1:3] + _ITEM2_PAIRS[4:], ids=["1.6", "1.3", "1.05"]
+)
+def test_targets_just_past_the_first_cut(u, alpha, n, u_rel):
+    # Past t_1/EPS a target sums the origin panel [0, t_1] from its 12-point
+    # rule, and s = t lies at least (1/EPS - 1) t_1 = 0.43 t_1 past its end;
+    # below t_1/EPS it owns the cut-0 pieces.  u' within 2.8e-13 relative
+    # at n = 128 and 6.7e-12 at n = 512, u within 3.4e-12 and 8.1e-11: at
+    # n = 512 and alpha = 1.05, u(t_1) lies near the round-off of its far
+    # larger terms, as at t_1 itself.  At EPS = 0.85, with s = t only
+    # 0.18 t_1 past the panel, u' was off by up to 2.0e-10.
+    g = -frac_derivative(u, alpha)
+    w = as_weight_spec(g)
+    beta_g, reg = w.singular_decomposition()
+    mesh = build_mesh(n, w, alpha)
+    t = mesh.nodes[1] * np.array([1.0 / 0.85, 1.0 / quadrature.EPS, 1.2, 1.3])
+    got = apply_operators(("u", "du"), t, beta_g, reg, alpha, mesh)
+    for value, f, rel in zip(got, (u, classical_derivative(u)), (u_rel, 1e-11)):
+        assert np.all(np.abs(value - f(t)) <= rel * np.abs(f(t)))
+
+
+@pytest.mark.parametrize("alpha", [1.3, 1.6, 1.9])
+def test_targets_next_to_1_with_a_forcing_singular_there(alpha):
+    # g = sqrt(1-s): the piece at s = t spans at most 1 - t, and Gauss-
+    # Legendre pieces as long as their distance to t cover the rest down to
+    # the cut, so s = 1 lies at least a piece's length from every piece.
+    # With one 12-point piece from the cut up to t, running into s = 1, u
+    # was off by up to 1.9e-6 max|u| and u' by 2.3e-3 relative, at n = 128
+    # and 512; now 1.2e-9 and 4.3e-10 at most, the last panel's rule of
+    # (1-s)^(alpha-1), which does not hold sqrt(1-s), setting them.
+    mpmath = pytest.importorskip("mpmath")
+    a = mpmath.mpf(alpha)
+
+    def exact(t):
+        t = mpmath.mpf(t)
+        u = t ** (a - 1) / (a + 0.5) - t**a / a * mpmath.hyp2f1(-0.5, 1, a + 1, t)
+        du = (a - 1) * (
+            t ** (a - 2) / (a + 0.5) - t ** (a - 1) / (a - 1) * mpmath.hyp2f1(-0.5, 1, a, t)
+        )
+        return float(u / mpmath.gamma(a)), float(du / mpmath.gamma(a))
+
+    mesh = build_mesh(512, WeightSpec(0.0), alpha)
+    t = np.concatenate((1.0 - 10.0 ** -np.arange(1.0, 10.0), mesh.nodes[-6:-1]))
+    u, du = apply_operators(("u", "du"), t, 0.0, lambda s: np.sqrt(1.0 - s), alpha, mesh)
+    with mpmath.workdps(30):
+        want_u, want_du = np.array([exact(x) for x in t]).T
+        # max|u|, on a grid across [0, 1]
+        top = max(exact(x)[0] for x in np.linspace(0.05, 0.95, 19))
+    assert np.all(np.abs(u - want_u) <= 1e-8 * top)
+    assert np.all(np.abs(du - want_du) <= 1e-8 * np.abs(want_du))
 
 
 @pytest.mark.parametrize("alpha", [1.05, 1.6, 2.0])

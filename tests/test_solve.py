@@ -135,6 +135,30 @@ def test_power_nonlinearity_finds_the_positive_solution():
     assert rep.residual_median_rel <= 0.05
 
 
+@pytest.mark.parametrize(
+    "f,errors",
+    [
+        (NonlinearitySpec.power(0.5), (8.4e-7, 9.1e-8, 9.9e-9)),
+        (NonlinearitySpec.affine(0.5, 1.0), (2.2e-8, 1.4e-9, 8.9e-11)),
+    ],
+    ids=["power:0.5", "affine:0.5,1"],
+)
+def test_picard_error_falls_at_the_spline_order(f, errors):
+    # t^-1.2 at alpha = 1.6 to tol 1e-15, against the n = 1024 solve, whose
+    # nodes include those of n = 64, 128 and 256 (one grading): order 4 for
+    # affine:0.5,1, and about 3.2 for power:0.5, where f(u) = u^0.5 meets
+    # u ~ (1-t)^(alpha-1) at t = 1.  The iterate is interpolated by the
+    # spline in the mesh coordinate; by PCHIP the errors were 2.1e-6,
+    # 2.2e-7, 2.5e-8 and 1.2e-6, 9.9e-8, 1.1e-8.
+    w = WeightSpec(1.2)
+    fine = solve_nonlinear(w, f, 1.6, 1024, tol=1e-15)
+    assert fine.converged
+    for n, want in zip((64, 128, 256), errors):
+        rep = solve_nonlinear(w, f, 1.6, n, tol=1e-15)
+        err = np.max(np.abs(rep.solution.values - fine.solution.values[:: 1024 // n]))
+        assert rep.converged and want / 2.0 <= err <= 2.0 * want, (n, err)
+
+
 def test_trivial_nonlinearity_stays_at_zero():
     rep = solve_nonlinear(WeightSpec(0.0), NonlinearitySpec.constant(0.0), 1.5, 64)
     assert rep.converged
