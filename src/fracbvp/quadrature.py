@@ -82,10 +82,12 @@ origin piece [0, t/2], the piece [t/2, t] under the rule at s = t, and the
 Gauss-Legendre pieces [t/2, t] and, below the next node, [t, t_(lo)] of
 the t-free term, as the origin row's weights serve only kernels that
 vanish like s; D^(alpha-1)u owns the same pieces in the first panel,
-where a = t/2.  Only these own pieces go in row blocks, of 768 targets with one g_reg call each, so that each
-(row, Gauss point) array of a block, 768 x 12 doubles, stays within a
-temporary budget of 72 KiB (_BUDGET).  The far field takes all targets in
-one call, in pieces that keep its temporaries within the same budget.
+where a = t/2.  Only these own pieces go in row blocks, of 768 targets
+with one g_reg call each, and the graded pieces of a block in runs of at
+most 768, so that each (row, Gauss point) array of a block, 768 x 12
+doubles, stays within a temporary budget of 72 KiB (_BUDGET).  The far
+field takes all targets in one call, in pieces that keep its temporaries
+within the same budget.
 
 Over the shared panels the parts that do not depend on t reduce to prefix
 and suffix sums: (1-s)^(alpha-1) in the right parts of all three
@@ -101,21 +103,27 @@ so that (2^E/t)^m stays in range; between chunks they are rescaled
 exactly by a power of two.  The M powers of a point (M of about 90 to
 120) are products of two short tables, M/8 + 8 exps, a batched matmul
 gives each panel's moments, and a matmul with a triangle of ones their
-prefix sums.  The moments do not depend on e, so u and u' read one set,
-as long as the longer of their series (one set of moments for several
-target kernels, the economy of the multipole method: Greengard and
-Rokhlin, J. Comput. Phys. 73, 1987).
+prefix sums.  The chunks are still cut by that exponent span, and each
+keeps its own 2^E, triangle product and carry; but the tables and the
+batched matmul are formed for a run of consecutive chunks at once, as
+many panels as one chunk may hold, so that the small chunks near the
+origin share the fixed cost of those numpy calls.  The moments do not
+depend on e, so u and u' read one set, as long as the longer of their
+series (one set of moments for several target kernels, the economy of
+the multipole method: Greengard and Rokhlin, J. Comput. Phys. 73,
+1987).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .gammafn import gamma
-from .green import bracket_values, checked_alpha, column_terms
+from .green import bracket_values, checked_alpha
 from .powersum import ONE, PowerSum
 
 __all__ = [
@@ -375,14 +383,15 @@ def apply_dalpha_minus_1(t, g_singular_exponent, g_regular, alpha, mesh):
 # at 96**2.
 _BUDGET = 96**2
 # Only the pieces the targets own go in row blocks: _own_sums takes the
-# sorted targets in blocks of _BUDGET // GAUSS_ORDER = 768 rows, so each
+# sorted targets in blocks of _BUDGET // GAUSS_ORDER = 768 rows, and
+# _graded_pieces gives a block's graded pieces in runs of as many, so each
 # (row, Gauss point) array of a block holds at most _BUDGET doubles, and
 # g_regular takes the points of all of a block's pieces in one call.  Blocks
 # of 96 rows took 6 g_regular calls for classify's 531 targets and 22 for an
 # n = 2048 solve, where 768 rows take 1 and 3: classify ran 0.79x as long
 # and an n = 2048 solve 0.83x.  The far field takes all targets in one
-# call: it builds its prefix moments in chunks of panels whose power
-# tables, and copies its targets' moment rows into a buffer whose rows,
+# call: it builds its prefix moments in runs of chunks of panels whose
+# power tables, and copies its targets' moment rows into a buffer whose rows,
 # hold at most _BUDGET doubles (_far_series).
 
 # The cut.  Each target t sums the shared panels below its cut, the last
@@ -461,6 +470,8 @@ def _green_integrals(kinds, t, beta_g, g_regular, alpha, mesh):
             f"forcing singularity exponent {beta_g} is not below the order"
             f" {alpha}; the Green integral diverges"
         )
+    if not kinds:
+        return ()
     nodes = _panel_edges(mesh.nodes)
     panels = _SharedPanels.build(nodes, beta_g, g_regular, alpha)
     order = np.argsort(t, kind="stable")
@@ -520,39 +531,63 @@ class _SharedPanels:
     (1-s)^(alpha-1), whose weights hold that whole factor; only right_sums
     reads that row.  ``own`` is the Gauss-Jacobi rule of the weight
     (1+x)^(alpha-2), which the targets' pieces up to t take (_own_panels);
-    the three rules are built once per pass.  ``wg`` holds the weights
-    times g.  The t-free kernels over these panels reduce to prefix sums,
-    left_sums[k] = sum over rows < k of ((1-s)^(alpha-1) - 1) w g (the
-    left part of D^(alpha-1)u, and a part of the far field of u'), and
-    suffix sums, right_sums[k] = sum over rows >= k of (1-s)^(alpha-1) w g
-    (the right part of all three operators).
+    the three rules are built once per (beta_g, alpha) (_rules).  ``wg``
+    holds the weights times g.  The t-free kernels over these panels
+    reduce to suffix sums, right_sums[k] = sum over rows >= k of
+    (1-s)^(alpha-1) w g (the right part of all three operators), and prefix
+    sums, left_sums[k] = sum over rows < k of ((1-s)^(alpha-1) - 1) w g
+    (the left part of D^(alpha-1)u, and a part of the far field of u'),
+    formed on first use, so only for u' and D^(alpha-1)u.
     """
 
     origin: tuple
     own: tuple
+    alpha: float
     s: np.ndarray
     wg: np.ndarray
-    left_sums: np.ndarray
     right_sums: np.ndarray
 
     @classmethod
     def build(cls, nodes, beta_g, g_regular, alpha) -> "_SharedPanels":
         s, w = _gauss(nodes[:-1], nodes[1:])
-        origin, last, own = zip(
-            *_gauss_jacobi(GAUSS_ORDER, (1.0 - beta_g, alpha - 1.0, alpha - 2.0))
-        )
+        origin, last, own = _rules(beta_g, alpha)
         s[:1], w[:1] = _origin_panel(nodes[1:2], origin, beta_g)
         s[-1:], w[-1:], _ = _jacobi_pieces(nodes[-2:-1], nodes[-1:], alpha - 1.0, last)
         w[1:] *= np.power(s[1:], -beta_g)
         wg = w * g_regular(s)
         # the last row's weights hold (1-s)^(alpha-1) already
-        log_s, pow_s = column_terms(s, alpha)
-        log_s[-1], pow_s[-1] = 0.0, 1.0
-        left_sums = np.append(0.0, np.cumsum(np.sum(np.expm1(log_s) * wg, axis=1)))
+        pow_s = np.power(1.0 - s, alpha - 1.0)
+        pow_s[-1] = 1.0
         right_sums = np.append(np.cumsum(np.sum(pow_s * wg, axis=1)[::-1])[::-1], 0.0)
-        return cls(origin, own, s, wg, left_sums, right_sums)
+        return cls(origin, own, alpha, s, wg, right_sums)
+
+    @cached_property
+    def left_sums(self) -> np.ndarray:
+        log_s = (self.alpha - 1.0) * np.log1p(-self.s)
+        log_s[-1] = 0.0
+        return np.append(0.0, np.cumsum(np.sum(np.expm1(log_s) * self.wg, axis=1)))
 
 
+# Entries kept by each cache of rules and series coefficients below; one
+# pass reads one entry of the rules and at most two of the coefficients.
+_CACHE_SIZE = 64
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _rules(beta_g: float, alpha: float) -> tuple:
+    """The Gauss-Jacobi rules (x, w) at s = 0, s = 1 and s = t, read-only.
+
+    Their weights are (1+x)^(1-beta_g), (1+x)^(alpha-1) and
+    (1+x)^(alpha-2) (_SharedPanels).  One stacked eigh builds all three,
+    once per (beta_g, alpha); the passes that share the pair share them.
+    """
+    x, w = _gauss_jacobi(GAUSS_ORDER, (1.0 - beta_g, alpha - 1.0, alpha - 2.0))
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return tuple(zip(x, w))
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
 def _series_coefficients(e: float) -> np.ndarray:
     """b_m = (-1)^m C(e, m), m = 1..M-1, for e in (-1, 1].
 
@@ -561,12 +596,15 @@ def _series_coefficients(e: float) -> np.ndarray:
     below _SERIES_TAIL.  For 0 < e < 1 every b_m < 0, for e < 0 every
     b_m > 0; e = 1 keeps the one term -x and e = 0 none.  The recurrence
     b_m = b_(m-1) (m-1-e)/m is the running product of gl_weights, taken to
-    _SERIES_CAP terms, past which the tail test holds for any e.
+    _SERIES_CAP terms, past which the tail test holds for any e.  Built
+    once per e; the array is read-only.
     """
     m = np.arange(1.0, _SERIES_CAP + 1.0)
     b = np.cumprod((m - 1.0 - e) / m)
     below = np.abs(b) * EPS**m / (1.0 - EPS) < _SERIES_TAIL
-    return b[:int(np.argmax(below))]
+    b = b[:int(np.argmax(below))]
+    b.setflags(write=False)
+    return b
 
 
 def _far_series(kinds, t, cuts, b, nodes, panels):
@@ -621,24 +659,36 @@ def _prefix_moments(count, m, nodes, panels):
     # consecutive panels: for each chunk (j0, 2^E, C), C[i] = sum over the
     # points of panels 0..j0+i of (s/2^E)^m w g, E the frexp exponent of the
     # highest panel top of the chunk.  The tops of a chunk span at most
-    # _EXPONENT_SPAN exponents, and its power table holds at most _BUDGET
-    # doubles; C carries over to the next chunk rescaled exactly, by
-    # 2^(-m dE).  Every power s/2^E is below 1, so nothing overflows, and
-    # what underflows lies below the double range once scaled by 2^E/t.
-    # (s/2^E)^m = (s/2^E)^(8q) (s/2^E)^(j+1) for m = 8q + j + 1: Q + 8 exps
-    # per point give all M powers, and a batched matmul a panel's moments.
+    # _EXPONENT_SPAN exponents; C carries over to the next chunk rescaled
+    # exactly, by 2^(-m dE).  Every power s/2^E is below 1, so nothing
+    # overflows, and what underflows lies below the double range once
+    # scaled by 2^E/t.  (s/2^E)^m = (s/2^E)^(8q) (s/2^E)^(j+1) for m = 8q
+    # + j + 1: Q + 8 exps per point give all M powers, and a batched matmul
+    # a panel's moments.  Those tables and that matmul are formed for runs
+    # of consecutive chunks of at most ``size`` panels in all, whose power
+    # table holds at most _BUDGET doubles, each panel scaled by its own
+    # chunk's 2^E, so that small chunks share their fixed cost.
     m_coarse, m_fine = m[::8] - 1.0, np.arange(1.0, 9.0)
     exps = np.frexp(nodes[1:count + 1])[1]
     size = min(max(1, _BUDGET // (GAUSS_ORDER * len(m_coarse))), count)
+    # the chunks, panels edges[i]..edges[i+1]-1, and the E of each chunk
+    # and of each panel
+    edges = [0]
+    while edges[-1] < count:
+        span = np.searchsorted(exps, exps[edges[-1]] + _EXPONENT_SPAN, side="right")
+        edges.append(min(edges[-1] + size, int(span)))
+    tops = exps[np.subtract(edges[1:], 1)]
+    panel_tops = np.repeat(tops, np.diff(edges))[:, None]
+    tops = tops.tolist()
     prefix = np.tri(size)  # sums over the panels of a chunk, in order
-    carry, e_prev, j0 = np.zeros(len(m)), 0, 0
+    carry, e_prev, i = np.zeros(len(m)), 0, 0
     m_int = m.astype(int)
-    while j0 < count:
-        span = np.searchsorted(exps, exps[j0] + _EXPONENT_SPAN, side="right")
-        j1 = min(j0 + size, int(span))
-        e = int(exps[j1 - 1])
-        carry = np.ldexp(carry, (e_prev - e) * m_int)
-        r = np.ldexp(panels.s[j0:j1], -e)
+    while i < len(edges) - 1:
+        k = i + 1  # the run of chunks i..k-1
+        while k < len(edges) - 1 and edges[k + 1] - edges[i] <= size:
+            k += 1
+        j0, j1 = edges[i], edges[k]
+        r = np.ldexp(panels.s[j0:j1], -panel_tops[j0:j1])
         wg = panels.wg[j0:j1]
         log_r = np.log(r)
         # tables along a last axis: (panel, point, power)
@@ -648,12 +698,15 @@ def _prefix_moments(count, m, nodes, panels):
         np.exp(fine, out=fine)
         fine *= wg[:, :, None]
         panel_moments = (coarse.transpose(0, 2, 1) @ fine).reshape(j1 - j0, -1)
-        # taken as C^T = moments^T prefix^T: the product the other way round
-        # raised classify's peak RSS by about 0.25 MB
-        c = (panel_moments[:, :len(m)].T @ prefix[:j1 - j0, :j1 - j0].T).T
-        c += carry
-        yield j0, 2.0**e, c
-        carry, e_prev, j0 = c[-1], e, j1
+        for a, b, top in zip(edges[i:k], edges[i + 1:k + 1], tops[i:k]):
+            carry = np.ldexp(carry, (e_prev - top) * m_int)
+            # taken as C^T = moments^T prefix^T: the product the other way
+            # round raised classify's peak RSS by about 0.25 MB
+            c = (panel_moments[a - j0:b - j0, :len(m)].T @ prefix[:b - a, :b - a].T).T
+            c += carry
+            yield a, 2.0**top, c
+            carry, e_prev = c[-1], top
+        i = k
 
 
 def _origin_panel(end, origin, beta_g):
@@ -709,11 +762,15 @@ def _own_sums(kinds, t, te, lo, cut, nodes, beta_g, g_regular, alpha, panels):
 def _add_part_sums(total, r0, parts, g):
     # Each kind's sums over the pieces of a block whose first row is r0; a
     # weight array sits on the block rows ``rows`` and the first rows of
-    # its piece.  A row repeats where a target owns several graded pieces,
-    # and np.add.at adds each of them.
+    # its piece.  A row repeats only among the graded pieces, where a target
+    # owns several, and there np.add.at adds each of them in order.
     for kind, pairs in parts.items():
-        for j, rows, kw in pairs:
-            np.add.at(total[kind][r0:], rows, np.sum(kw * g[j][:len(kw)], axis=1))
+        for j, rows, kw, repeats in pairs:
+            sums = np.sum(kw * g[j][:len(kw)], axis=1)
+            if repeats:
+                np.add.at(total[kind][r0:], rows, sums)
+            else:
+                total[kind][r0:][rows] += sums
 
 
 def _own_panels(kinds, t, te, lo, cut, nodes, beta_g, alpha, panels):
@@ -745,42 +802,48 @@ def _own_panels(kinds, t, te, lo, cut, nodes, beta_g, alpha, panels):
 
     Returns (points, parts).  ``points`` is a list of (rows, GAUSS_ORDER)
     arrays: the origin pieces, the Gauss-Legendre pieces [t/2, t] and
-    [t, nodes[lo]], the Gauss-Legendre left pieces of D^(alpha-1)u past
-    the first panel, if it is asked for, and the Gauss-Jacobi and graded
-    pieces of u and u', if one of them is.  ``parts`` maps each kind, and
-    "right" for the right kernel, to its (index into points, block rows,
-    kernel times weight) triples; the graded pieces' rows repeat.  The
-    targets that own the pieces at t/2 are a prefix of the ascending
-    block.  The weights carry s^(-beta_g); ``te`` maps
-    each of u and u' that is asked for to t^e, e the exponent of its left
-    bracket.
+    [t, nodes[lo]], if a target owns them, the Gauss-Legendre left pieces
+    of D^(alpha-1)u past the first panel, if it is asked for, and the
+    Gauss-Jacobi pieces of u and u' and their graded pieces, in runs of at
+    most _BUDGET // GAUSS_ORDER, if one of them is.  ``parts`` maps each
+    kind, and "right" for the right kernel, to its (index into points,
+    block rows, kernel times weight, whether the rows repeat) tuples; only
+    the graded pieces' rows repeat.  The targets that own the pieces at
+    t/2 are a prefix of the ascending block.  The weights carry
+    s^(-beta_g); ``te`` maps each of u and u' that is asked for to t^e, e
+    the exponent of its left bracket.
     """
     a1 = alpha - 1.0
     k = int(np.count_nonzero(lo == 1))  # the targets in the first panel
     # the targets with pieces at t/2: for u and u' those with cut 0
     m = int(np.count_nonzero(cut == 0)) if te else k
-    s0, w0 = _origin_panel(0.5 * t[:m], panels.origin, beta_g)
-    s1, w1 = _gauss(0.5 * t[:m], t[:m])
-    w1 *= np.power(s1, -beta_g)
-    inside = np.flatnonzero(t[:m] < nodes[lo[:m]])
-    s2, w2 = _gauss(t[inside], nodes[lo[inside]])
-    w2 *= np.power(s2, -beta_g)
-    points = [s0, s1, s2]
-    parts = {
-        "right": [
-            (1, slice(0, m), np.power(1.0 - s1, a1) * w1),
-            (2, inside, np.power(1.0 - s2, a1) * w2),
+    points, parts = [], {kind: [] for kind in (*kinds, "right")}
+    if m:
+        s0, w0 = _origin_panel(0.5 * t[:m], panels.origin, beta_g)
+        s1, w1 = _gauss(0.5 * t[:m], t[:m])
+        w1 *= np.power(s1, -beta_g)
+        inside = np.flatnonzero(t[:m] < nodes[lo[:m]])
+        s2, w2 = _gauss(t[inside], nodes[lo[inside]])
+        w2 *= np.power(s2, -beta_g)
+        points += [s0, s1, s2]
+        parts["right"] += [
+            (1, slice(0, m), np.power(1.0 - s1, a1) * w1, False),
+            (2, inside, np.power(1.0 - s2, a1) * w2, False),
         ]
-    }
+        if "dalpha" in kinds:  # k <= m: a target in the first panel has cut 0
+            parts["dalpha"] += [
+                (0, slice(0, k), _dalpha_bracket(s0[:k], alpha) * w0[:k], False),
+                (1, slice(0, k), -w1[:k], False),
+            ]
+        for kind in te:
+            e = _bracket_exponent(kind, alpha)
+            k0 = bracket_values(t[:m, None], s0, alpha, e, te[kind][:m, None])
+            parts[kind].append((0, slice(0, m), k0 * w0, False))
     if "dalpha" in kinds:
         s3, w3 = _gauss(nodes[lo[k:] - 1], t[k:])
         w3 *= np.power(s3, -beta_g)
+        parts["dalpha"].append((len(points), slice(k, len(t)), -w3, False))
         points.append(s3)
-        parts["dalpha"] = [
-            (0, slice(0, k), _dalpha_bracket(s0[:k], alpha) * w0[:k]),
-            (1, slice(0, k), -w1[:k]),
-            (3, slice(k, len(t)), -w3),
-        ]
     if te:
         # the piece at s = t spans d = min(t - a, 1 - t) (t = 1, where u is
         # 0, keeps t - a), and the graded pieces the rest of [a, t]
@@ -788,19 +851,18 @@ def _own_panels(kinds, t, te, lo, cut, nodes, beta_g, alpha, panels):
         d = np.where(t < 1.0, np.minimum(t - a, 1.0 - t), t - a)
         s4, w4, d4 = _jacobi_pieces(t - d, t, alpha - 2.0, panels.own)
         w4 *= -np.power(s4, -beta_g)
+        for kind in te:
+            kw = w4 * d4 if kind == "u" else w4
+            parts[kind].append((len(points), slice(0, len(t)), kw, False))
+        points.append(s4)
         # t - (t - d) is the width _jacobi_pieces gives that piece, so the
         # graded pieces abut it
-        s5, w5, d5, rows5 = _graded_pieces(t, t - (t - d), t - a)
-        w5 *= -np.power(s5, -beta_g) * np.power(d5, alpha - 2.0)
-        points += [s4, s5]
-    for kind in te:
-        e = _bracket_exponent(kind, alpha)
-        k0 = bracket_values(t[:m, None], s0, alpha, e, te[kind][:m, None])
-        parts[kind] = [
-            (0, slice(0, m), k0 * w0),
-            (len(points) - 2, slice(0, len(t)), w4 * d4 if kind == "u" else w4),
-            (len(points) - 1, rows5, w5 * d5 if kind == "u" else w5),
-        ]
+        for s5, w5, d5, rows5 in _graded_pieces(t, t - (t - d), t - a):
+            w5 *= -np.power(s5, -beta_g) * np.power(d5, alpha - 2.0)
+            for kind in te:
+                kw = w5 * d5 if kind == "u" else w5
+                parts[kind].append((len(points), rows5, kw, True))
+            points.append(s5)
     return points, parts
 
 
@@ -811,11 +873,17 @@ def _graded_pieces(t, near, span):
     # piece is as long as its distance to t, or shorter, and lies at least
     # that far from s = 1 when near_i <= 1 - t_i.  The distances, formed
     # from the piece and the rule's x, keep the digits that t - s loses.
-    # A row with span_i <= near_i has no piece; the rows ascend.
+    # A row with span_i <= near_i has no piece; the rows ascend.  The
+    # pieces come in runs of at most _BUDGET // GAUSS_ORDER, in order, so
+    # that each (piece, Gauss point) array stays within the budget: a row's
+    # pieces may straddle two runs, but stay in order.
     count = np.ceil(np.log2(span / near)).astype(int).clip(0)
     rows = np.repeat(np.arange(len(t)), count)
     k = np.arange(len(rows)) - np.repeat(np.cumsum(count) - count, count)
-    lo = np.ldexp(near[rows], k)
-    hi = np.where(k == count[rows] - 1, span[rows], 2.0 * lo)
-    dist, w = _gauss(lo, hi)
-    return t[rows, None] - dist, w, dist, rows
+    size = _BUDGET // GAUSS_ORDER
+    for p in range(0, len(rows), size):
+        r, kr = rows[p:p + size], k[p:p + size]
+        lo = np.ldexp(near[r], kr)
+        hi = np.where(kr == count[r] - 1, span[r], 2.0 * lo)
+        dist, w = _gauss(lo, hi)
+        yield t[r, None] - dist, w, dist, r

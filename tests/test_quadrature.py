@@ -531,6 +531,65 @@ def test_row_blocks_fill_the_temporary_budget(monkeypatch):
     assert len(t) == 531 and g.calls == 2 and far_calls == [1]
 
 
+def test_graded_pieces_stay_within_the_temporary_budget(monkeypatch):
+    # At grading 1.05 the last row block of an n = 2048 solve, 511 targets,
+    # owns 981 graded pieces: they come in runs of at most _BUDGET //
+    # GAUSS_ORDER = 768, and a row's pieces that straddle two runs are
+    # still added in order, so the values are those of a single run.
+    graded_pieces = quadrature._graded_pieces
+    runs = []
+
+    def counted(*args):
+        for run in graded_pieces(*args):
+            runs.append(len(run[0]))
+            yield run
+
+    def single_run(*args):
+        parts = list(zip(*graded_pieces(*args)))
+        if parts:
+            yield tuple(np.concatenate(x) for x in parts)
+
+    monkeypatch.setattr(quadrature, "_graded_pieces", counted)
+    values = solve_linear(WeightSpec(0.0), 1.9, 2048).values
+    assert max(runs) <= quadrature._BUDGET // quadrature.GAUSS_ORDER
+    assert runs[-2:] == [768, 213]
+    monkeypatch.setattr(quadrature, "_graded_pieces", single_run)
+    assert np.array_equal(solve_linear(WeightSpec(0.0), 1.9, 2048).values, values)
+
+
+def test_cached_rules_and_coefficients_are_read_only():
+    for x, w in quadrature._rules(1.2, 1.6):
+        assert not x.flags.writeable and not w.flags.writeable
+    b = quadrature._series_coefficients(0.6)
+    assert not b.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        b[0] = 0.0
+
+
+def test_operators_agree_with_cold_and_warm_caches():
+    # Interleaved (beta_g, alpha) pairs from cleared caches of rules and
+    # series coefficients: the first two passes build their entries, the
+    # third reads the first one's, and a second round reads them all.  The
+    # values are the same to the bit.
+    def values(beta, alpha):
+        w = WeightSpec(beta, _POSITIVE)
+        mesh = build_mesh(64, w, alpha)
+        beta_g, reg = w.singular_decomposition()
+        t = np.concatenate((mesh.nodes[1:-1], [0.3 * mesh.nodes[1], 0.5, 1.0 - 1e-9]))
+        return apply_operators(("u", "du", "dalpha"), t, beta_g, reg, alpha, mesh)
+
+    pairs = ((1.2, 1.6), (0.3, 1.05), (1.2, 1.6))
+    quadrature._rules.cache_clear()
+    quadrature._series_coefficients.cache_clear()
+    first = [values(*pair) for pair in pairs]
+    assert quadrature._rules.cache_info()[:2] == (1, 2)  # hits, misses
+    second = [values(*pair) for pair in pairs]
+    assert quadrature._rules.cache_info()[:2] == (4, 2)
+    assert quadrature._series_coefficients.cache_info().misses == 4
+    for a, b in zip(first + first[:1], second + first[2:]):
+        assert all(np.array_equal(x, y) for x, y in zip(a, b))
+
+
 def test_gauss_jacobi_rule_at_b_0_matches_leggauss():
     # Golub-Welsch against numpy's companion-matrix rule with a Newton step,
     # at the order in use and two below it
@@ -851,6 +910,26 @@ def test_linear_solve_is_at_round_off_from_n_32(g, u, alpha, n):
     t = sol.mesh.nodes
     assert np.max(np.abs(sol.values - u(t))) <= 1e-13
     assert abs(sol.values[1] - u(t[1])) <= 1e-10 * abs(u(t[1]))
+
+
+@pytest.mark.parametrize("n", [512, 2048])
+def test_linear_solve_true_error_is_below_1e_15(n):
+    # The solve of g = t^-1.2 at alpha = 1.6 against its closed form c
+    # (t^0.6 - t^0.4), c = Gamma(-0.2) / Gamma(1.4), at 40 digits, for the
+    # doubles alpha and beta that the solve takes: max nodal error 5.6e-16
+    # at n = 512 and 7.8e-16 at n = 2048.  The closed form in double
+    # precision (exact_dirichlet_solution) is itself off by 1.2e-15 at
+    # n = 2048, so only this reference sees a digit lost at round-off.
+    mpmath = pytest.importorskip("mpmath")
+    sol = solve_linear(WeightSpec(1.2), 1.6, n)
+    with mpmath.workdps(40):
+        alpha, beta = mpmath.mpf(1.6), mpmath.mpf(1.2)
+        c = mpmath.gamma(1 - beta) / mpmath.gamma(1 + alpha - beta)
+        exact = np.array([
+            float(c * (mpmath.mpf(t) ** (alpha - 1) - mpmath.mpf(t) ** (alpha - beta)))
+            for t in sol.mesh.nodes
+        ])
+    assert np.max(np.abs(sol.values - exact)) <= 1e-15
 
 
 @pytest.mark.parametrize(
