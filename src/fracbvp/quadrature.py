@@ -383,8 +383,8 @@ def apply_dalpha_minus_1(t, g_singular_exponent, g_regular, alpha, mesh):
 # at 96**2.
 _BUDGET = 96**2
 # Only the pieces the targets own go in row blocks: _own_sums takes the
-# sorted targets in blocks of _BUDGET // GAUSS_ORDER = 768 rows, and
-# _graded_pieces gives a block's graded pieces in runs of as many, so each
+# sorted targets in blocks of _BUDGET // GAUSS_ORDER = 768 rows (and
+# _graded_pieces their graded pieces in runs of as many), so each
 # (row, Gauss point) array of a block holds at most _BUDGET doubles, and
 # g_regular takes the points of all of a block's pieces in one call.  Blocks
 # of 96 rows took 6 g_regular calls for classify's 531 targets and 22 for an
@@ -470,7 +470,7 @@ def _green_integrals(kinds, t, beta_g, g_regular, alpha, mesh):
             f"forcing singularity exponent {beta_g} is not below the order"
             f" {alpha}; the Green integral diverges"
         )
-    if not kinds:
+    if not kinds:  # else a block past the first panel owns no piece at all
         return ()
     nodes = _panel_edges(mesh.nodes)
     panels = _SharedPanels.build(nodes, beta_g, g_regular, alpha)
@@ -568,8 +568,9 @@ class _SharedPanels:
         return np.append(0.0, np.cumsum(np.sum(np.expm1(log_s) * self.wg, axis=1)))
 
 
-# Entries kept by each cache of rules and series coefficients below; one
-# pass reads one entry of the rules and at most two of the coefficients.
+# Entries kept by each cache of rules and series coefficients below.  A
+# Picard solve makes one pass per sweep, all with the same (beta_g, alpha),
+# so all but its first pass read them from the cache.
 _CACHE_SIZE = 64
 
 
@@ -578,8 +579,7 @@ def _rules(beta_g: float, alpha: float) -> tuple:
     """The Gauss-Jacobi rules (x, w) at s = 0, s = 1 and s = t, read-only.
 
     Their weights are (1+x)^(1-beta_g), (1+x)^(alpha-1) and
-    (1+x)^(alpha-2) (_SharedPanels).  One stacked eigh builds all three,
-    once per (beta_g, alpha); the passes that share the pair share them.
+    (1+x)^(alpha-2) (_SharedPanels).  One stacked eigh builds all three.
     """
     x, w = _gauss_jacobi(GAUSS_ORDER, (1.0 - beta_g, alpha - 1.0, alpha - 2.0))
     x.setflags(write=False)
@@ -596,8 +596,7 @@ def _series_coefficients(e: float) -> np.ndarray:
     below _SERIES_TAIL.  For 0 < e < 1 every b_m < 0, for e < 0 every
     b_m > 0; e = 1 keeps the one term -x and e = 0 none.  The recurrence
     b_m = b_(m-1) (m-1-e)/m is the running product of gl_weights, taken to
-    _SERIES_CAP terms, past which the tail test holds for any e.  Built
-    once per e; the array is read-only.
+    _SERIES_CAP terms, past which the tail test holds for any e.
     """
     m = np.arange(1.0, _SERIES_CAP + 1.0)
     b = np.cumprod((m - 1.0 - e) / m)
@@ -763,14 +762,15 @@ def _add_part_sums(total, r0, parts, g):
     # Each kind's sums over the pieces of a block whose first row is r0; a
     # weight array sits on the block rows ``rows`` and the first rows of
     # its piece.  A row repeats only among the graded pieces, where a target
-    # owns several, and there np.add.at adds each of them in order.
+    # owns several, and there np.add.at adds each of them in order; rows
+    # given by a slice are unique and take +=, to the same bits.
     for kind, pairs in parts.items():
-        for j, rows, kw, repeats in pairs:
+        for j, rows, kw in pairs:
             sums = np.sum(kw * g[j][:len(kw)], axis=1)
-            if repeats:
-                np.add.at(total[kind][r0:], rows, sums)
-            else:
+            if isinstance(rows, slice):
                 total[kind][r0:][rows] += sums
+            else:
+                np.add.at(total[kind][r0:], rows, sums)
 
 
 def _own_panels(kinds, t, te, lo, cut, nodes, beta_g, alpha, panels):
@@ -804,14 +804,13 @@ def _own_panels(kinds, t, te, lo, cut, nodes, beta_g, alpha, panels):
     arrays: the origin pieces, the Gauss-Legendre pieces [t/2, t] and
     [t, nodes[lo]], if a target owns them, the Gauss-Legendre left pieces
     of D^(alpha-1)u past the first panel, if it is asked for, and the
-    Gauss-Jacobi pieces of u and u' and their graded pieces, in runs of at
-    most _BUDGET // GAUSS_ORDER, if one of them is.  ``parts`` maps each
-    kind, and "right" for the right kernel, to its (index into points,
-    block rows, kernel times weight, whether the rows repeat) tuples; only
-    the graded pieces' rows repeat.  The targets that own the pieces at
-    t/2 are a prefix of the ascending block.  The weights carry
-    s^(-beta_g); ``te`` maps each of u and u' that is asked for to t^e, e
-    the exponent of its left bracket.
+    Gauss-Jacobi and graded pieces of u and u', if one of them is.
+    ``parts`` maps each kind, and "right" for the right kernel, to its
+    (index into points, block rows, kernel times weight) triples; the
+    graded pieces' rows repeat.  The targets that own the pieces at t/2
+    are a prefix of the ascending block.  The weights carry s^(-beta_g);
+    ``te`` maps each of u and u' that is asked for to t^e, e the exponent
+    of its left bracket.
     """
     a1 = alpha - 1.0
     k = int(np.count_nonzero(lo == 1))  # the targets in the first panel
@@ -827,22 +826,22 @@ def _own_panels(kinds, t, te, lo, cut, nodes, beta_g, alpha, panels):
         w2 *= np.power(s2, -beta_g)
         points += [s0, s1, s2]
         parts["right"] += [
-            (1, slice(0, m), np.power(1.0 - s1, a1) * w1, False),
-            (2, inside, np.power(1.0 - s2, a1) * w2, False),
+            (1, slice(0, m), np.power(1.0 - s1, a1) * w1),
+            (2, inside, np.power(1.0 - s2, a1) * w2),
         ]
         if "dalpha" in kinds:  # k <= m: a target in the first panel has cut 0
             parts["dalpha"] += [
-                (0, slice(0, k), _dalpha_bracket(s0[:k], alpha) * w0[:k], False),
-                (1, slice(0, k), -w1[:k], False),
+                (0, slice(0, k), _dalpha_bracket(s0[:k], alpha) * w0[:k]),
+                (1, slice(0, k), -w1[:k]),
             ]
         for kind in te:
             e = _bracket_exponent(kind, alpha)
             k0 = bracket_values(t[:m, None], s0, alpha, e, te[kind][:m, None])
-            parts[kind].append((0, slice(0, m), k0 * w0, False))
+            parts[kind].append((0, slice(0, m), k0 * w0))
     if "dalpha" in kinds:
         s3, w3 = _gauss(nodes[lo[k:] - 1], t[k:])
         w3 *= np.power(s3, -beta_g)
-        parts["dalpha"].append((len(points), slice(k, len(t)), -w3, False))
+        parts["dalpha"].append((len(points), slice(k, len(t)), -w3))
         points.append(s3)
     if te:
         # the piece at s = t spans d = min(t - a, 1 - t) (t = 1, where u is
@@ -853,7 +852,7 @@ def _own_panels(kinds, t, te, lo, cut, nodes, beta_g, alpha, panels):
         w4 *= -np.power(s4, -beta_g)
         for kind in te:
             kw = w4 * d4 if kind == "u" else w4
-            parts[kind].append((len(points), slice(0, len(t)), kw, False))
+            parts[kind].append((len(points), slice(0, len(t)), kw))
         points.append(s4)
         # t - (t - d) is the width _jacobi_pieces gives that piece, so the
         # graded pieces abut it
@@ -861,7 +860,7 @@ def _own_panels(kinds, t, te, lo, cut, nodes, beta_g, alpha, panels):
             w5 *= -np.power(s5, -beta_g) * np.power(d5, alpha - 2.0)
             for kind in te:
                 kw = w5 * d5 if kind == "u" else w5
-                parts[kind].append((len(points), rows5, kw, True))
+                parts[kind].append((len(points), rows5, kw))
             points.append(s5)
     return points, parts
 
@@ -873,10 +872,8 @@ def _graded_pieces(t, near, span):
     # piece is as long as its distance to t, or shorter, and lies at least
     # that far from s = 1 when near_i <= 1 - t_i.  The distances, formed
     # from the piece and the rule's x, keep the digits that t - s loses.
-    # A row with span_i <= near_i has no piece; the rows ascend.  The
-    # pieces come in runs of at most _BUDGET // GAUSS_ORDER, in order, so
-    # that each (piece, Gauss point) array stays within the budget: a row's
-    # pieces may straddle two runs, but stay in order.
+    # A row with span_i <= near_i has no piece; the rows ascend.  A row's
+    # pieces may straddle two runs of the budget, but stay in order.
     count = np.ceil(np.log2(span / near)).astype(int).clip(0)
     rows = np.repeat(np.arange(len(t)), count)
     k = np.arange(len(rows)) - np.repeat(np.cumsum(count) - count, count)
