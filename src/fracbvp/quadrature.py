@@ -38,9 +38,9 @@ Five constructions replace adaptivity:
   term -(t-s)^e: u' has e = alpha-2 (the blow-up), and u, e = alpha-1
   (the kink), takes the exact distance t - s as integrand.  Their term
   t^e (1-s)^(alpha-1) does not see s = t and joins the right part, so on
-  that piece no kernel is evaluated.  The piece spans at most 1 - t, and
-  Gauss-Legendre pieces graded away from t take the rest of the term
-  (below);
+  that piece no kernel is evaluated.  The piece spans at most t/2 and at
+  most 1 - t, and Gauss-Legendre pieces graded away from t take the rest
+  of the term (below);
 * the last panel [t_(P-1), 1] takes the Gauss-Jacobi rule of the weight
   (1-s)^(alpha-1), which holds the right kernel whole.
 
@@ -61,38 +61,39 @@ once.  g_reg is evaluated once at each quadrature point: in one call on
 the shared panels, origin panel included, which all targets share, and on
 the 12 points of each piece a target owns.
 
-Each target t has its cut, the last node t_c <= EPS*t (EPS = 0.7).  For
-u and u' it owns the piece [t_c, t] under the rule at s = t.  Every panel
-past the origin panel has a ratio of at most 2, so t_c > 0.35 t once c >=
-1, and the piece spans a ratio of at most 2.86: s^(-beta_g) is singular
-only at s = 0, far enough away for 12 points to reach round-off, and no
-shared panel lies closer to t than 0.3 t.  Where t - t_c > 1 - t, the rule
-at s = t takes only [t - d, t], d = 1 - t, and Gauss-Legendre pieces [t -
-2^k d, t - 2^(k-1) d], k = 1, 2, ..., the last one clipped at t_c, take
-the rest: each lies as far from t, and farther from s = 1, as it is long,
-so a g_reg singular at s = 1, as (1-s)^p in f(u) is, stays out of every
-rule's reach (a single piece from t_c left u' off by 2.3e-3 relative at
-t = 1 - 1e-9 for g_reg = sqrt(1-s)).  The t-free term over the pieces
-and the right part are the suffix sum from t_c.  D^(alpha-1)u, whose left
+Each target t has its cut, the last node t_c <= EPS*t (EPS = 0.6).  For u
+and u' it owns [t_c, t].  Every panel past the origin panel has a ratio of
+at most 2, so t_c > 0.3 t once c >= 1, and no shared panel lies closer to
+t than 0.4 t.  The rule at s = t takes [t - d, t], with
+d = min(t - t_c, t/2, 1 - t), so that piece spans a ratio of at most 2, as
+every shared panel does: s^(-beta_g) is singular only at s = 0, far enough
+away for 12 points to reach round-off.  Gauss-Legendre pieces
+[t - 2^k d, t - 2^(k-1) d], k = 1, 2, ..., the last one clipped at t_c,
+take the rest: each lies as far from t, and farther from s = 1, as it is
+long, so a g_reg singular at s = 1, as (1-s)^p in f(u) is, stays out of
+every rule's reach (a single piece from t_c left u' off by 2.3e-3 relative
+at t = 1 - 1e-9 for g_reg = sqrt(1-s)).  Where d = t/2, one such piece,
+[t_c, t/2], spans a ratio below 1.7.  The t-free term over the pieces and
+the right part are the suffix sum from t_c.  D^(alpha-1)u, whose left
 kernel does not depend on t, owns instead the left piece [a, t] of the
 panel t lies in, a its lower node, under Gauss-Legendre, and subtracts the
 integral of g over it from its prefix and suffix sums from a.  A target
 with cut 0 (t < t_1/EPS) has no far field: for u and u' it owns the
-origin piece [0, t/2], the piece [t/2, t] under the rule at s = t, and the
-Gauss-Legendre pieces [t/2, t] and, below the next node, [t, t_(lo)] of
-the t-free term, as the origin row's weights serve only kernels that
-vanish like s; D^(alpha-1)u owns the same pieces in the first panel,
-where a = t/2.  Only these own pieces go in row blocks, of 768 targets
-with one g_reg call each, and the graded pieces of a block in runs of at
-most 768, so that each (row, Gauss point) array of a block, 768 x 12
-doubles, stays within a temporary budget of 72 KiB (_BUDGET).  The far
-field takes all targets in one call, in pieces that keep its temporaries
-within the same budget.
+origin piece [0, t/2], which lies inside [0, t_1] as EPS >= 0.5, the
+piece [t/2, t] under the rule at s = t, and the Gauss-Legendre pieces
+[t/2, t] and, below the next node, [t, t_(lo)] of the t-free term, as the
+origin row's weights serve only kernels that vanish like s; D^(alpha-1)u
+owns the same pieces in the first panel, where a = t/2.  Only these own
+pieces go in row blocks, of 768 targets with one g_reg call each, and the
+graded pieces of a block in runs of at most 768, so that each (row, Gauss
+point) array of a block, 768 x 12 doubles, stays within a temporary
+budget of 72 KiB (_BUDGET).  The far field takes all targets in one call,
+in pieces that keep its temporaries within the same budget.
 
 Over the shared panels the parts that do not depend on t reduce to prefix
 and suffix sums: (1-s)^(alpha-1) in the right parts of all three
 operators, and both kernels of D^(alpha-1)u.  The left brackets of u and
-u' depend on t.  Below t_c, on the far panels, x = s/t <= 0.7, and the
+u' depend on t.  Below t_c, on the far panels, x = s/t <= 0.6, and the
 bracket is t^e times an exact power series in x with the binomial
 coefficients of (1-x)^e, cut at a 2^-60 tail; no sum in it subtracts two
 terms of one sign.  The far panels thus reduce to the target's x-moments,
@@ -100,8 +101,8 @@ sum (s/t)^m w g over s < t_c, read off running prefix sums over the
 panels of the power moments (s/2^E)^m w g.  These are built once up the
 mesh, in chunks of panels whose tops lie within a factor of 8 below 2^E,
 so that (2^E/t)^m stays in range; between chunks they are rescaled
-exactly by a power of two.  The M powers of a point (M of about 90 to
-120) are products of two short tables, M/8 + 8 exps, a batched matmul
+exactly by a power of two.  The M powers of a point (M of about 60 to
+84) are products of two short tables, M/8 + 8 exps, a batched matmul
 gives each panel's moments, and a matmul with a triangle of ones their
 prefix sums.  The chunks are still cut by that exponent span, and each
 keeps its own 2^E, triangle product and carry; but the tables and the
@@ -395,23 +396,30 @@ _BUDGET = 96**2
 # hold at most _BUDGET doubles (_far_series).
 
 # The cut.  Each target t sums the shared panels below its cut, the last
-# edge t_c <= EPS*t, from power moments, and for u and u' owns the
-# Gauss-Jacobi piece [t_c, t].  A higher cut shortens that piece and
-# lengthens the series (O(n M)); at 0.7, M is at most 120 (268 at 0.85),
-# and the piece spans a ratio t/t_c of at most 2/EPS.  perfbench's
-# linear-large (n = 2048) took 15.5 / 11.4 / 9.8 / 9.5 / 9.3 ms at EPS
-# 0.85 / 0.75 / 0.7 / 0.65 / 0.6 (one 2.0 GHz Xeon vCPU, median of 3); at
-# 0.6 the margin-0.01 weight leaves round-off (1.1e-13 max nodal error).
-EPS = 0.7
+# edge t_c <= EPS*t, from power moments, and for u and u' owns [t_c, t],
+# whose piece at s = t spans at most t/2 (_own_panels).  A lower cut
+# shortens the series (O(n M): M is at most 84 at 0.6, 120 at 0.7) and
+# lengthens what each target owns; below 0.5 a cut-0 target's origin piece
+# [0, t/2] would leave [0, t_1].  At cuts 0.5 / 0.55 / 0.6 / 0.65 / 0.7,
+# with the piece at s = t bounded by t/2, or by the cut alone:
+# - max nodal error of the margin-0.01 weight t^-1.89 at alpha = 1.9,
+#   n = 32 to 512: 7.1e-15 / 8.9e-15 / 8.9e-15 / 7.1e-15 / 8.9e-15
+#   bounded, 4.8e-11 / 1.6e-11 / 1.1e-13 / 7.1e-15 / 8.9e-15 not;
+# - time of an n = 2048 solve against the unbounded 0.7, in process,
+#   interleaved, on one 2.0 GHz Xeon vCPU: 0.85 / 0.83 / 0.87 / 0.92 / 1.00
+#   bounded, 0.79 / 0.83 / 0.87 / 0.91 / 1 not;
+# - bounded, that solve is off a 40-digit reference by 8.9e-16 at 0.5 and
+#   7.8e-16 from 0.55 up.
+EPS = 0.6
 # The series in s/t keeps the terms before the first index M whose tail
 # bound |b_M| EPS^M / (1 - EPS) is below this.
 _SERIES_TAIL = 2.0**-60
-# |b_m| <= 1, so the tail test holds by index 120 at EPS = 0.7 for every e.
+# |b_m| <= 1, so the tail test holds by index 84 at EPS = 0.6 for every e.
 _SERIES_CAP = math.ceil(math.log(_SERIES_TAIL * (1.0 - EPS)) / math.log(EPS))
 # The panel tops of one chunk of prefix moments have binary exponents
 # (frexp) within this many of each other.  With 2^E above the highest, each
 # target's cut t_c >= 2^(E-3), so 2^E/t <= 8 EPS and no factor (2^E/t)^m
-# exceeds (8 EPS)^120, about 1e90.
+# exceeds (8 EPS)^84, about 1.7e57.
 _EXPONENT_SPAN = 2
 
 
@@ -781,10 +789,11 @@ def _own_panels(kinds, t, te, lo, cut, nodes, beta_g, alpha, panels):
     ``panels.own`` of the weight (t-s)^(alpha-2) (_jacobi_pieces).  It
     holds the whole term -(t-s)^e of u' (e = alpha-2), and of u (e =
     alpha-1) with the exact distance t - s as integrand, so u and u' share
-    its points and the piece evaluates no kernel.  Where t - t_c > 1 - t,
-    that piece is [t - d, t], d = 1 - t, and the term -(t-s)^e over [t_c,
-    t - d] takes Gauss-Legendre pieces that double away from t
-    (_graded_pieces), so that none reaches s = 1.  Their t-free term
+    its points and the piece evaluates no kernel.  Where t - t_c exceeds
+    t/2 or 1 - t, that piece is [t - d, t], d the smaller of the two, and
+    the term -(t-s)^e over [t_c, t - d] takes Gauss-Legendre pieces that
+    double away from t (_graded_pieces): the piece at s = t spans a ratio
+    of at most 2, and no piece reaches s = 1.  Their t-free term
     t^e (1-s)^(alpha-1) over [t_c, t], and their right part, is
     panels.right_sums[c].  A target with c = 0 (t < t_1/EPS) has no far
     field: it owns the origin piece [0, t/2], under the Gauss-Jacobi rule
@@ -844,10 +853,10 @@ def _own_panels(kinds, t, te, lo, cut, nodes, beta_g, alpha, panels):
         parts["dalpha"].append((len(points), slice(k, len(t)), -w3))
         points.append(s3)
     if te:
-        # the piece at s = t spans d = min(t - a, 1 - t) (t = 1, where u is
-        # 0, keeps t - a), and the graded pieces the rest of [a, t]
+        # the piece at s = t spans d = min(t - a, 1 - t, t/2) (t = 1, where
+        # u is 0, keeps t - a), and the graded pieces the rest of [a, t]
         a = np.where(cut == 0, 0.5 * t, nodes[cut])
-        d = np.where(t < 1.0, np.minimum(t - a, 1.0 - t), t - a)
+        d = np.where(t < 1.0, np.minimum(np.minimum(t - a, 1.0 - t), 0.5 * t), t - a)
         s4, w4, d4 = _jacobi_pieces(t - d, t, alpha - 2.0, panels.own)
         w4 *= -np.power(s4, -beta_g)
         for kind in te:

@@ -455,7 +455,7 @@ def _g_points(kinds, t, mesh):
     # the graded pieces: one per k >= 0 with 2^k d below t - t_c, d the
     # width of the Gauss-Jacobi piece
     span = t - np.where(cut == 0, 0.5 * t, edges[cut])
-    d = np.where(t < 1.0, np.minimum(span, 1.0 - t), span)
+    d = np.where(t < 1.0, np.minimum(np.minimum(span, 1.0 - t), 0.5 * t), span)
     graded = sum(np.count_nonzero(2.0**k * d < span) for k in range(60)) if bracket else 0
     legendre = np.count_nonzero(lo > 1) if "dalpha" in kinds else 0
     right = np.count_nonzero(near & (t < edges[lo]))
@@ -467,20 +467,23 @@ def test_g_is_evaluated_once_per_quadrature_point(monkeypatch):
     # The origin panel is a shared panel, and a target with a far field
     # owns one or two pieces up to t: at grading 5 the split to ratios of
     # at most 2 adds 11 shared panels to an n = 512 mesh, and at its nodes g
-    # is taken at 13,044 points, and in classify's pass at 19,644: u and u'
+    # is taken at 13,380 points, and in classify's pass at 19,980: u and u'
     # share a Gauss-Jacobi piece, D^(alpha-1)u owns a Gauss-Legendre one.
-    # The Gauss-Jacobi pieces that stop at 1 - t from t add 51 graded
-    # pieces at the nodes and as many in classify's pass (12,432 and 19,032
-    # when each target's piece ran from its cut to t; 12,420 when t_1 owned
-    # no Gauss-Legendre piece, 19,272 when each target inside its panel
-    # also owned a right piece).  No target owns a piece of width 0 at t =
-    # t_1.
+    # The Gauss-Jacobi pieces that stop at 1 - t or t/2 from t add 79
+    # graded pieces at the nodes and as many in classify's pass: t/2 binds
+    # at the 11 nodes below 2e-7, where the split panels' ratios leave no
+    # edge in (t/2, EPS t], and 1 - t at the 33 nodes past 0.71 (13,044 and
+    # 19,644 with 51 graded pieces at a cut of 0.7 t without the t/2 bound;
+    # 12,432 and 19,032 when each target's piece ran from its cut to t;
+    # 12,420 when t_1 owned no Gauss-Legendre piece, 19,272 when each
+    # target inside its panel also owned a right piece).  No target owns a
+    # piece of width 0 at t = t_1.
     w, alpha = WeightSpec(1.2), 1.6
     beta_g, reg = w.singular_decomposition()
     mesh = build_mesh(512, w, alpha)
     g = _CountedPoints(reg)
     apply_operators(("u",), mesh.nodes, beta_g, g, alpha, mesh)
-    assert g.points == _g_points(("u",), mesh.nodes, mesh) == 13_044
+    assert g.points == _g_points(("u",), mesh.nodes, mesh) == 13_380
 
     calls = []
 
@@ -492,7 +495,33 @@ def test_g_is_evaluated_once_per_quadrature_point(monkeypatch):
     problem = weight_problem(1.2, alpha)
     regularity.classify(problem)
     [(kinds, t, g)] = calls
-    assert g.points == _g_points(kinds, t, problem.mesh) == 19_644
+    assert g.points == _g_points(kinds, t, problem.mesh) == 19_980
+
+
+def test_pieces_at_s_equals_t_span_a_ratio_of_at_most_2(monkeypatch):
+    # The Gauss-Jacobi piece [t - d, t] of each target is bounded by d <=
+    # t/2, as well as by its cut and by 1 - t, so that, like every shared
+    # panel, it spans a ratio of at most 2.  Bounded by the cut alone, it
+    # may span up to 0.7 t at a cut of 0.6 t (0.51 t at these targets at a
+    # cut of 0.7 t).  At the nodes of an n = 512 mesh and at classify's 531
+    # targets.
+    w, alpha = WeightSpec(1.2), 1.6
+    beta_g, reg = w.singular_decomposition()
+    mesh = build_mesh(512, w, alpha)
+    jacobi_pieces = quadrature._jacobi_pieces
+    pieces = []
+
+    def recorded(a, c, e, rule):
+        if e == alpha - 2.0:  # the pieces at s = t, not the last shared panel
+            pieces.append((a, c))
+        return jacobi_pieces(a, c, e, rule)
+
+    monkeypatch.setattr(quadrature, "_jacobi_pieces", recorded)
+    apply_operators(("u",), mesh.nodes, beta_g, reg, alpha, mesh)
+    regularity.classify(weight_problem(1.2, alpha))
+    a, c = (np.concatenate(x) for x in zip(*pieces))
+    assert len(c) == 511 + 531 and np.all(c < 1.0)
+    assert np.all(c - a <= 0.5 * c)
 
 
 def test_row_blocks_fill_the_temporary_budget(monkeypatch):
@@ -533,9 +562,10 @@ def test_row_blocks_fill_the_temporary_budget(monkeypatch):
 
 def test_graded_pieces_stay_within_the_temporary_budget(monkeypatch):
     # At grading 1.05 the last row block of an n = 2048 solve, 511 targets,
-    # owns 981 graded pieces: they come in runs of at most _BUDGET //
-    # GAUSS_ORDER = 768, and a row's pieces that straddle two runs are
-    # still added in order, so the values are those of a single run.
+    # owns 1,199 graded pieces (981 at a cut of 0.7 t): they come in runs
+    # of at most _BUDGET // GAUSS_ORDER = 768, and a row's pieces that
+    # straddle two runs are still added in order, so the values are those
+    # of a single run.
     graded_pieces = quadrature._graded_pieces
     runs = []
 
@@ -552,7 +582,7 @@ def test_graded_pieces_stay_within_the_temporary_budget(monkeypatch):
     monkeypatch.setattr(quadrature, "_graded_pieces", counted)
     values = solve_linear(WeightSpec(0.0), 1.9, 2048).values
     assert max(runs) <= quadrature._BUDGET // quadrature.GAUSS_ORDER
-    assert runs[-2:] == [768, 213]
+    assert runs[-2:] == [768, 431]
     monkeypatch.setattr(quadrature, "_graded_pieces", single_run)
     assert np.array_equal(solve_linear(WeightSpec(0.0), 1.9, 2048).values, values)
 
@@ -916,7 +946,7 @@ def test_linear_solve_is_at_round_off_from_n_32(g, u, alpha, n):
 def test_linear_solve_true_error_is_below_1e_15(n):
     # The solve of g = t^-1.2 at alpha = 1.6 against its closed form c
     # (t^0.6 - t^0.4), c = Gamma(-0.2) / Gamma(1.4), at 40 digits, for the
-    # doubles alpha and beta that the solve takes: max nodal error 5.6e-16
+    # doubles alpha and beta that the solve takes: max nodal error 6.7e-16
     # at n = 512 and 7.8e-16 at n = 2048.  The closed form in double
     # precision (exact_dirichlet_solution) is itself off by 1.2e-15 at
     # n = 2048, so only this reference sees a digit lost at round-off.
@@ -971,8 +1001,8 @@ def _pair_operators(u, alpha, t, kinds):
     "u,alpha", _ITEM2_PAIRS[1:3] + _ITEM2_PAIRS[4:], ids=["1.6", "1.3", "1.05"]
 )
 def test_off_mesh_targets_next_to_nodes(u, alpha):
-    # Each target's Gauss-Jacobi piece runs from its cut t_c <= EPS t up to
-    # t, so no shared panel lies closer to t than 0.15 t.  Just past the
+    # Each target owns the pieces from its cut t_c <= EPS t up to t, so no
+    # shared panel lies closer to t than 0.4 t.  Just past the
     # interior nodes, just either side of them, and in clusters just past
     # three nodes, u and u' are within 3.7e-12 relative.  When the shared
     # panel below a target just past a node went through Gauss-Legendre, u'
@@ -1013,13 +1043,34 @@ def test_targets_past_t_1_without_a_far_field(u, alpha):
         assert np.all(np.abs(value - want) <= 1e-9 * np.abs(want))
 
 
+def test_targets_with_cut_0_past_the_second_edge():
+    # At grading 1.25 the panel [t_1, t_2] spans a ratio of 2.38 and is split
+    # at edges[2] = 1.54 t_1, below t_1/EPS: a target in (edges[2],
+    # t_1/EPS) has cut 0 and lies in panel 2, so its right piece [t,
+    # nodes[lo]] starts past a shared panel edge.  Its origin piece [0, t/2]
+    # still lies inside [0, t_1], as EPS >= 0.5.  u, u' and D^(alpha-1)u
+    # within 7.3e-14 relative.
+    def targets(nodes):
+        edges = quadrature._panel_edges(nodes)
+        assert edges[2] < nodes[1] / quadrature.EPS
+        t = np.geomspace(edges[2] * (1.0 + 1e-12), 0.999 * nodes[1] / quadrature.EPS, 8)
+        assert np.all(np.searchsorted(edges, quadrature.EPS * t, side="right") == 1)
+        assert np.all(np.searchsorted(edges, t) == 3)
+        return t
+
+    u = PowerSum([(1.0, 1.6), (-1.0, 2.6)])
+    _, got, exact = _pair_operators(u, 1.6, targets, ("u", "du", "dalpha"))
+    for value, want in zip(got, exact):
+        assert np.all(np.abs(value - want) <= 1e-12 * np.abs(want))
+
+
 @pytest.mark.parametrize("n,u_rel", [(128, 1e-11), (512, 1e-10)])
 @pytest.mark.parametrize(
     "u,alpha", _ITEM2_PAIRS[1:3] + _ITEM2_PAIRS[4:], ids=["1.6", "1.3", "1.05"]
 )
 def test_targets_just_past_the_first_cut(u, alpha, n, u_rel):
     # Past t_1/EPS a target sums the origin panel [0, t_1] from its 12-point
-    # rule, and s = t lies at least (1/EPS - 1) t_1 = 0.43 t_1 past its end;
+    # rule, and s = t lies at least (1/EPS - 1) t_1 = 0.67 t_1 past its end;
     # below t_1/EPS it owns the cut-0 pieces.  u' within 2.8e-13 relative
     # at n = 128 and 6.7e-12 at n = 512, u within 3.4e-12 and 8.1e-11: at
     # n = 512 and alpha = 1.05, u(t_1) lies near the round-off of its far
@@ -1118,7 +1169,7 @@ def test_alpha_two_matches_classical_solution_everywhere():
 def test_brute_force_cross_check_of_singular_integral():
     # independent oracle: adaptive scipy quadrature of the raw integrand for
     # a weight that is singular but integrable
-    from scipy.integrate import quad
+    quad = pytest.importorskip("scipy.integrate").quad
 
     from fracbvp import green_eval
 

@@ -370,8 +370,7 @@ INTERP_DATA = {
 @pytest.mark.parametrize("nodes", [17, 513, 2049])
 @pytest.mark.parametrize("data", sorted(INTERP_DATA))
 def test_interpolants_match_scipy(nodes, data):
-    from scipy import interpolate
-
+    interpolate = pytest.importorskip("scipy.interpolate")
     rng = np.random.default_rng(nodes)
     for grading in (1.0, 2.0, 3.5, 5.0, 6.5, 8.0):
         x = GradedMesh.from_grading(nodes - 1, grading).nodes
