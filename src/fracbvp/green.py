@@ -32,12 +32,12 @@ log1p(-s) and log1p(-s/t) would agree to many digits.  For e = alpha-2,
     d = (alpha-1)*log1p(-s) - e*log1p(-s/t),
     (t-s)^e = t^e * exp(e*log1p(-s/t)),
 
-whose two terms of d have one sign.  Given t^e, an element costs the
-t-free terms log1p(-s) and (1-s)^(alpha-1), one more log1p, one expm1 and
-one power or exp.  Where |d| >= ln 2 the two terms differ by at least a
-factor of two and there is nothing to cancel; there the direct difference
-t^e (1-s)^(alpha-1) - (t-s)^e is taken with the exact t - s, which keeps
-the digits of (t-s)^e that rounding s/t loses once 1 - s/t is small.
+whose two terms of d have one sign.  Given t^e, an element costs one
+log1p (two for e = alpha-2), one expm1 and one power or exp.  Where
+|d| >= ln 2 the two terms differ by at least a factor of two and there is
+nothing to cancel; there the direct difference t^e (1-s)^(alpha-1) -
+(t-s)^e is taken with the exact t - s, which keeps the digits of (t-s)^e
+that rounding s/t loses once 1 - s/t is small.
 """
 
 from __future__ import annotations
@@ -57,11 +57,6 @@ def checked_alpha(alpha: float) -> float:
     return alpha
 
 
-def column_terms(s, alpha: float):
-    """((alpha-1)*log1p(-s), (1-s)^(alpha-1)): the t-free factors of B_e."""
-    return (alpha - 1.0) * np.log1p(-s), np.power(1.0 - s, alpha - 1.0)
-
-
 def bracket_values(t, s, alpha: float, e: float, t_e=None):
     """B_e(t, s) = t^e (1-s)^(alpha-1) - (t-s)^e, cancellation-safe.
 
@@ -72,7 +67,6 @@ def bracket_values(t, s, alpha: float, e: float, t_e=None):
     """
     if t_e is None:
         t_e = np.power(t, e)
-    log_s, pow_s = column_terms(s, alpha)
     if e > 0.0:  # e = alpha-1
         x = np.subtract(t, s)
         d = np.multiply(s, np.subtract(1.0, t))
@@ -84,7 +78,7 @@ def bracket_values(t, s, alpha: float, e: float, t_e=None):
         x = np.divide(s, np.negative(t))
         np.log1p(x, out=x)
         x *= e
-        d = np.subtract(log_s, x)
+        d = np.subtract((alpha - 1.0) * np.log1p(-s), x)
         np.exp(x, out=x)
         x *= t_e  # (t-s)^e
     np.expm1(d, out=d)
@@ -97,7 +91,7 @@ def bracket_values(t, s, alpha: float, e: float, t_e=None):
         if e <= 0.0:
             np.subtract(t, s, out=x, where=far)
             np.power(x, e, out=x, where=far)
-        np.multiply(t_e, pow_s, out=d, where=far)
+        np.multiply(t_e, np.power(1.0 - s, alpha - 1.0), out=d, where=far)
         np.subtract(d, x, out=d, where=far)
     return d
 

@@ -50,7 +50,9 @@ every other panel and piece.  With every algebraic singularity of the
 kernel in a rule's weight, the closed-form round trips are at round-off
 from n = 32: max nodal error 1.1e-14 at most, for alpha from 1.05 to 1.9
 and margins down to 1e-4.  Off the mesh, next to a node, u and u' of
-the closed-form pairs are within 3.7e-12 relative at n = 128.
+the closed-form pairs are within 3.7e-12 relative at n = 128, and below
+t_1/EPS within 2.2e-15 of t^(alpha-1) and t^(alpha-2), the size of the
+terms they sum.
 
 The three operators share one assembly and accept any array of targets in
 one pass, and several operators at one set of targets (apply_operators)
@@ -76,19 +78,23 @@ at t = 1 - 1e-9 for g_reg = sqrt(1-s)).  Where d = t/2, one such piece,
 [t_c, t/2], spans a ratio below 1.7.  The t-free term over the pieces and
 the right part are the suffix sum from t_c.  D^(alpha-1)u, whose left
 kernel does not depend on t, owns instead the left piece [a, t] of the
-panel t lies in, a its lower node, under Gauss-Legendre, and subtracts the
-integral of g over it from its prefix and suffix sums from a.  A target
-with cut 0 (t < t_1/EPS) has no far field: for u and u' it owns the
-origin piece [0, t/2], which lies inside [0, t_1] as EPS >= 0.5, the
-piece [t/2, t] under the rule at s = t, and the Gauss-Legendre pieces
-[t/2, t] and, below the next node, [t, t_(lo)] of the t-free term, as the
-origin row's weights serve only kernels that vanish like s; D^(alpha-1)u
-owns the same pieces in the first panel, where a = t/2.  Only these own
-pieces go in row blocks, of 768 targets with one g_reg call each, and the
-graded pieces of a block in runs of at most 768, so that each (row, Gauss
-point) array of a block, 768 x 12 doubles, stays within a temporary
-budget of 72 KiB (_BUDGET).  The far field takes all targets in one call,
-in pieces that keep its temporaries within the same budget.
+panel t lies in, a its lower node (t/2 in the first panel), under
+Gauss-Legendre, and subtracts the integral of g over it from its prefix
+and suffix sums from a.  A target with cut 0 (t < t_1/EPS) has no far
+field: for u and u' it owns the origin piece [0, t/2], which lies inside
+[0, t_1] as EPS >= 0.5, and [t/2, t] under the rule at s = t.  The
+origin row's weights serve only kernels that vanish like s, so the t-free
+term over [t/2, t_1] takes a geometric run of Gauss-Legendre pieces
+[2^k t/2, 2^(k+1) t/2], the last one clipped at t_1, each of a ratio of
+at most 2 (geometric refinement: Schwab, p- and hp-Finite Element
+Methods, 1998), and the suffix sum from t_1 the rest;
+D^(alpha-1)u in the first panel owns the same origin piece and run.
+Only these own pieces go in row blocks, of 768 targets with one g_reg
+call each, and the graded pieces and geometric runs of a block in runs of
+at most 768 pieces, so that each (row, Gauss point) array of a block,
+768 x 12 doubles, stays within a temporary budget of 72 KiB (_BUDGET).
+The far field takes all targets in one call, in pieces that keep its
+temporaries within the same budget.
 
 Over the shared panels the parts that do not depend on t reduce to prefix
 and suffix sums: (1-s)^(alpha-1) in the right parts of all three
@@ -385,15 +391,15 @@ def apply_dalpha_minus_1(t, g_singular_exponent, g_regular, alpha, mesh):
 _BUDGET = 96**2
 # Only the pieces the targets own go in row blocks: _own_sums takes the
 # sorted targets in blocks of _BUDGET // GAUSS_ORDER = 768 rows (and
-# _graded_pieces their graded pieces in runs of as many), so each
-# (row, Gauss point) array of a block holds at most _BUDGET doubles, and
-# g_regular takes the points of all of a block's pieces in one call.  Blocks
-# of 96 rows took 6 g_regular calls for classify's 531 targets and 22 for an
-# n = 2048 solve, where 768 rows take 1 and 3: classify ran 0.79x as long
-# and an n = 2048 solve 0.83x.  The far field takes all targets in one
-# call: it builds its prefix moments in runs of chunks of panels whose
-# power tables, and copies its targets' moment rows into a buffer whose rows,
-# hold at most _BUDGET doubles (_far_series).
+# _graded_pieces their graded pieces and geometric runs in runs of as
+# many), so each (row, Gauss point) array of a block holds at most _BUDGET
+# doubles, and g_regular takes the points of all of a block's pieces in one
+# call.  Blocks of 96 rows took 6 g_regular calls for classify's 531
+# targets and 22 for an n = 2048 solve, where 768 rows take 1 and 3:
+# classify ran 0.79x as long and an n = 2048 solve 0.83x.  The far field
+# takes all targets in one call: it builds its prefix moments in runs of
+# chunks of panels whose power tables, and copies its targets' moment rows
+# into a buffer whose rows, hold at most _BUDGET doubles (_far_series).
 
 # The cut.  Each target t sums the shared panels below its cut, the last
 # edge t_c <= EPS*t, from power moments, and for u and u' owns [t_c, t],
@@ -493,7 +499,7 @@ def _green_integrals(kinds, t, beta_g, g_regular, alpha, mesh):
     # the cut c, the last edge t_c <= EPS*t
     cut = np.searchsorted(nodes, EPS * ts, side="right") - 1
     total = _own_sums(kinds, ts, te, lo, cut, nodes, beta_g, g_regular, alpha, panels)
-    # the right kernel over the Gauss-Legendre pieces [t/2, t] and [t, nodes[lo]]
+    # the right kernel over the runs [t/2, t_1] of the targets that own one
     pieces = total.pop("right")
     if te:  # the far field, the shared panels below the cut
         b = [_series_coefficients(_bracket_exponent(kind, alpha)) for kind in te]
@@ -501,11 +507,11 @@ def _green_integrals(kinds, t, beta_g, g_regular, alpha, mesh):
             if kind == "du":
                 far_sum = panels.left_sums[cut] - far_sum
             total[kind] += te[kind] * far_sum
-        right = pieces + panels.right_sums[np.where(cut == 0, lo, cut)]
+        right = pieces + panels.right_sums[np.maximum(cut, 1)]
     out = tuple(np.empty(len(t)) for _ in kinds)
     for kind, values in zip(kinds, out):
         if kind == "dalpha":  # shared left panels j = 0..lo-2
-            # past the first panel the pieces at t/2 are those of u and u'
+            # past the first panel the runs are those of u and u'
             right_d = np.where(lo == 1, pieces, 0.0)
             right_d += panels.right_sums[np.maximum(lo - 1, 1)]
             values[order] = total[kind] + panels.left_sums[lo - 1] + right_d
@@ -571,9 +577,10 @@ class _SharedPanels:
 
     @cached_property
     def left_sums(self) -> np.ndarray:
-        log_s = (self.alpha - 1.0) * np.log1p(-self.s)
-        log_s[-1] = 0.0
-        return np.append(0.0, np.cumsum(np.sum(np.expm1(log_s) * self.wg, axis=1)))
+        kernel = _dalpha_bracket(self.s, self.alpha)
+        kernel[-1] = 0.0
+        kernel *= self.wg
+        return np.append(0.0, np.cumsum(np.sum(kernel, axis=1)))
 
 
 # Entries kept by each cache of rules and series coefficients below.  A
@@ -747,8 +754,7 @@ def _own_sums(kinds, t, te, lo, cut, nodes, beta_g, g_regular, alpha, panels):
     g_regular is evaluated in one call per block at the points of every
     piece its targets own (_own_panels).  Returns {kind: sums}, with
     "right" the sum of the right kernel (1-s)^(alpha-1) w g over the
-    Gauss-Legendre pieces [t/2, t] and [t, nodes[lo]] of the targets that
-    own them, 0 elsewhere.
+    geometric run [t/2, t_1] of the targets that own one, 0 elsewhere.
     """
     total = {kind: np.zeros(len(t)) for kind in (*kinds, "right")}
     rows = _BUDGET // GAUSS_ORDER
@@ -798,59 +804,50 @@ def _own_panels(kinds, t, te, lo, cut, nodes, beta_g, alpha, panels):
     panels.right_sums[c].  A target with c = 0 (t < t_1/EPS) has no far
     field: it owns the origin piece [0, t/2], under the Gauss-Jacobi rule
     of the shared origin panel (_origin_panel), and the piece [t/2, t]
-    under ``panels.own``, which keeps the origin rule apart from the rules
-    at s = t.  Its t-free term takes Gauss-Legendre over [t/2, t] and, if
-    t < nodes[lo], over [t, nodes[lo]], then panels.right_sums[lo]: the
-    origin row's weights serve only kernels that vanish like s.
+    under ``panels.own``.  As the origin row's weights serve only kernels
+    that vanish like s, its t-free term takes the geometric run
+    [t/2, t_1] (_graded_pieces), then panels.right_sums[1].
 
-    D^(alpha-1)u subtracts the integral of g over the left piece [a, t] of
-    the panel t lies in, a = nodes[lo-1], under Gauss-Legendre, from
-    panels.left_sums[lo-1] + panels.right_sums[lo-1].  In the first panel
-    (lo = 1) a = t/2, and the target owns the origin piece and the right
-    pieces above, then panels.right_sums[1].
+    D^(alpha-1)u subtracts the integral of g over the left piece [a, t],
+    a = nodes[lo-1], under Gauss-Legendre, from panels.left_sums[lo-1] +
+    panels.right_sums[lo-1].  In the first panel (lo = 1) a = t/2, and the
+    target owns the origin piece and the run above, then
+    panels.right_sums[1].
 
     Returns (points, parts).  ``points`` is a list of (rows, GAUSS_ORDER)
-    arrays: the origin pieces, the Gauss-Legendre pieces [t/2, t] and
-    [t, nodes[lo]], if a target owns them, the Gauss-Legendre left pieces
-    of D^(alpha-1)u past the first panel, if it is asked for, and the
-    Gauss-Jacobi and graded pieces of u and u', if one of them is.
-    ``parts`` maps each kind, and "right" for the right kernel, to its
-    (index into points, block rows, kernel times weight) triples; the
-    graded pieces' rows repeat.  The targets that own the pieces at t/2
-    are a prefix of the ascending block.  The weights carry s^(-beta_g);
-    ``te`` maps each of u and u' that is asked for to t^e, e the exponent
-    of its left bracket.
+    arrays: the origin pieces and the runs, if a target owns them, the
+    left pieces of D^(alpha-1)u, if it is asked for, and the Gauss-Jacobi
+    and graded pieces of u and u', if one of them is.  ``parts`` maps each
+    kind, and "right" for the right kernel, to its (index into points,
+    block rows, kernel times weight) triples; the rows of the runs and the
+    graded pieces repeat.  The targets that own a run are a prefix of the
+    ascending block.  The weights carry s^(-beta_g); ``te`` maps each of u
+    and u' that is asked for to t^e, e the exponent of its left bracket.
     """
-    a1 = alpha - 1.0
     k = int(np.count_nonzero(lo == 1))  # the targets in the first panel
-    # the targets with pieces at t/2: for u and u' those with cut 0
+    # the targets with a run: for u and u' those with cut 0
     m = int(np.count_nonzero(cut == 0)) if te else k
     points, parts = [], {kind: [] for kind in (*kinds, "right")}
     if m:
         s0, w0 = _origin_panel(0.5 * t[:m], panels.origin, beta_g)
-        s1, w1 = _gauss(0.5 * t[:m], t[:m])
-        w1 *= np.power(s1, -beta_g)
-        inside = np.flatnonzero(t[:m] < nodes[lo[:m]])
-        s2, w2 = _gauss(t[inside], nodes[lo[inside]])
-        w2 *= np.power(s2, -beta_g)
-        points += [s0, s1, s2]
-        parts["right"] += [
-            (1, slice(0, m), np.power(1.0 - s1, a1) * w1),
-            (2, inside, np.power(1.0 - s2, a1) * w2),
-        ]
+        points.append(s0)
         if "dalpha" in kinds:  # k <= m: a target in the first panel has cut 0
-            parts["dalpha"] += [
-                (0, slice(0, k), _dalpha_bracket(s0[:k], alpha) * w0[:k]),
-                (1, slice(0, k), -w1[:k]),
-            ]
+            kw = _dalpha_bracket(s0[:k], alpha) * w0[:k]
+            parts["dalpha"].append((0, slice(0, k), kw))
         for kind in te:
             e = _bracket_exponent(kind, alpha)
             k0 = bracket_values(t[:m, None], s0, alpha, e, te[kind][:m, None])
             parts[kind].append((0, slice(0, m), k0 * w0))
-    if "dalpha" in kinds:
-        s3, w3 = _gauss(nodes[lo[k:] - 1], t[k:])
+        # the right kernel over the geometric run [t/2, t_1]
+        for s1, w1, rows1 in _graded_pieces(0.5 * t[:m], np.full(m, nodes[1])):
+            w1 *= np.power(s1, -beta_g)
+            kw = np.power(1.0 - s1, alpha - 1.0) * w1
+            parts["right"].append((len(points), rows1, kw))
+            points.append(s1)
+    if "dalpha" in kinds:  # the left piece [a, t], a = t/2 in the first panel
+        s3, w3 = _gauss(np.where(lo == 1, 0.5 * t, nodes[lo - 1]), t)
         w3 *= np.power(s3, -beta_g)
-        parts["dalpha"].append((len(points), slice(k, len(t)), -w3))
+        parts["dalpha"].append((len(points), slice(0, len(t)), -w3))
         points.append(s3)
     if te:
         # the piece at s = t spans d = min(t - a, 1 - t, t/2) (t = 1, where
@@ -864,8 +861,10 @@ def _own_panels(kinds, t, te, lo, cut, nodes, beta_g, alpha, panels):
             parts[kind].append((len(points), slice(0, len(t)), kw))
         points.append(s4)
         # t - (t - d) is the width _jacobi_pieces gives that piece, so the
-        # graded pieces abut it
-        for s5, w5, d5, rows5 in _graded_pieces(t, t - (t - d), t - a):
+        # graded pieces abut it.  Each is no longer than its distance to t
+        # or to s = 1, and the distances keep the digits that t - s loses.
+        for d5, w5, rows5 in _graded_pieces(t - (t - d), t - a):
+            s5 = t[rows5, None] - d5
             w5 *= -np.power(s5, -beta_g) * np.power(d5, alpha - 2.0)
             for kind in te:
                 kw = w5 * d5 if kind == "u" else w5
@@ -874,22 +873,19 @@ def _own_panels(kinds, t, te, lo, cut, nodes, beta_g, alpha, panels):
     return points, parts
 
 
-def _graded_pieces(t, near, span):
-    # Points, weights, distances t - s and rows of the Gauss-Legendre pieces
-    # that cover the distances [near_i, span_i] from t_i: [2^k near_i,
-    # 2^(k+1) near_i], k = 0, 1, ..., the last one ending at span_i.  Each
-    # piece is as long as its distance to t, or shorter, and lies at least
-    # that far from s = 1 when near_i <= 1 - t_i.  The distances, formed
-    # from the piece and the rule's x, keep the digits that t - s loses.
+def _graded_pieces(near, span):
+    # Gauss-Legendre points, weights and rows of the pieces that cover
+    # [near_i, span_i]: [2^k near_i, 2^(k+1) near_i], k = 0, 1, ..., the
+    # last one ending at span_i, so each spans a ratio of at most 2.  The
+    # caller places them: as distances from t, or as points s themselves.
     # A row with span_i <= near_i has no piece; the rows ascend.  A row's
     # pieces may straddle two runs of the budget, but stay in order.
     count = np.ceil(np.log2(span / near)).astype(int).clip(0)
-    rows = np.repeat(np.arange(len(t)), count)
+    rows = np.repeat(np.arange(len(near)), count)
     k = np.arange(len(rows)) - np.repeat(np.cumsum(count) - count, count)
     size = _BUDGET // GAUSS_ORDER
     for p in range(0, len(rows), size):
         r, kr = rows[p:p + size], k[p:p + size]
         lo = np.ldexp(near[r], kr)
         hi = np.where(kr == count[r] - 1, span[r], 2.0 * lo)
-        dist, w = _gauss(lo, hi)
-        yield t[r, None] - dist, w, dist, r
+        yield *_gauss(lo, hi), r

@@ -440,11 +440,11 @@ def _g_points(kinds, t, mesh):
     # 12 points on each shared panel (the mesh panels, split to ratios of at
     # most 2) and on each piece a target owns: the Gauss-Jacobi piece up to
     # t, which u and u' share, with the Gauss-Legendre pieces that double
-    # away from it down to the cut when it stops at 1 - t from t, the
-    # Gauss-Legendre left piece of D^(alpha-1)u past the first panel, and
-    # for every target with cut 0 (for D^(alpha-1)u alone, every target in
-    # the first panel) the origin piece [0, t/2], the Gauss-Legendre piece
-    # [t/2, t] and, below the next edge, [t, nodes[lo]]
+    # away from it down to the cut when it stops at 1 - t or t/2 from t, the
+    # Gauss-Legendre left piece [a, t] of D^(alpha-1)u, and for every target
+    # with cut 0 (for D^(alpha-1)u alone, every target in the first panel)
+    # the origin piece [0, t/2] and the run of Gauss-Legendre pieces
+    # [2^k t/2, 2^(k+1) t/2] up to edges[1] = t_1
     edges = quadrature._panel_edges(mesh.nodes)
     t = t[(t > 0.0) & ((t < 1.0) | ("dalpha" in kinds))]
     lo = np.searchsorted(edges, t)
@@ -457,9 +457,9 @@ def _g_points(kinds, t, mesh):
     span = t - np.where(cut == 0, 0.5 * t, edges[cut])
     d = np.where(t < 1.0, np.minimum(np.minimum(span, 1.0 - t), 0.5 * t), span)
     graded = sum(np.count_nonzero(2.0**k * d < span) for k in range(60)) if bracket else 0
-    legendre = np.count_nonzero(lo > 1) if "dalpha" in kinds else 0
-    right = np.count_nonzero(near & (t < edges[lo]))
-    pieces = jacobi + graded + legendre + 2 * np.count_nonzero(near) + right
+    legendre = len(t) if "dalpha" in kinds else 0
+    run = np.sum(np.ceil(np.log2(edges[1] / (0.5 * t[near]))).astype(int))
+    pieces = jacobi + graded + legendre + np.count_nonzero(near) + run
     return quadrature.GAUSS_ORDER * (len(edges) - 1 + pieces)
 
 
@@ -467,8 +467,10 @@ def test_g_is_evaluated_once_per_quadrature_point(monkeypatch):
     # The origin panel is a shared panel, and a target with a far field
     # owns one or two pieces up to t: at grading 5 the split to ratios of
     # at most 2 adds 11 shared panels to an n = 512 mesh, and at its nodes g
-    # is taken at 13,380 points, and in classify's pass at 19,980: u and u'
-    # share a Gauss-Jacobi piece, D^(alpha-1)u owns a Gauss-Legendre one.
+    # is taken at 13,380 points, and in classify's pass at 19,992: u and u'
+    # share a Gauss-Jacobi piece, D^(alpha-1)u owns a Gauss-Legendre one,
+    # and t_1 owns its origin piece and a run of one piece, [t_1/2, t_1]
+    # (19,980 when t_1's piece of D^(alpha-1)u was that run's piece too).
     # The Gauss-Jacobi pieces that stop at 1 - t or t/2 from t add 79
     # graded pieces at the nodes and as many in classify's pass: t/2 binds
     # at the 11 nodes below 2e-7, where the split panels' ratios leave no
@@ -484,6 +486,13 @@ def test_g_is_evaluated_once_per_quadrature_point(monkeypatch):
     g = _CountedPoints(reg)
     apply_operators(("u",), mesh.nodes, beta_g, g, alpha, mesh)
     assert g.points == _g_points(("u",), mesh.nodes, mesh) == 13_380
+    # off the mesh below t_1/EPS, where the runs [t/2, t_1] have from one
+    # to 666 pieces, for each kind alone and for all three
+    t = mesh.nodes[1] * np.array([1e-200, 1e-9, 0.3, 1.0, 1.2, 1.6])
+    for kinds in (("u",), ("du",), ("dalpha",), ("u", "du", "dalpha")):
+        g = _CountedPoints(reg)
+        apply_operators(kinds, t, beta_g, g, alpha, mesh)
+        assert g.points == _g_points(kinds, t, mesh)
 
     calls = []
 
@@ -495,7 +504,7 @@ def test_g_is_evaluated_once_per_quadrature_point(monkeypatch):
     problem = weight_problem(1.2, alpha)
     regularity.classify(problem)
     [(kinds, t, g)] = calls
-    assert g.points == _g_points(kinds, t, problem.mesh) == 19_980
+    assert g.points == _g_points(kinds, t, problem.mesh) == 19_992
 
 
 def test_pieces_at_s_equals_t_span_a_ratio_of_at_most_2(monkeypatch):
@@ -981,13 +990,13 @@ def test_off_mesh_targets_near_one_and_at_half(u, alpha):
         assert np.all(np.abs(value - f(t)) <= rel * np.abs(f(t)))
 
 
-def _pair_operators(u, alpha, t, kinds):
-    # the operators of the pair's forcing -D^alpha u at t, n = 128, and
-    # their closed forms
+def _pair_operators(u, alpha, t, kinds, n=128):
+    # the operators of the pair's forcing -D^alpha u at t, on an n-panel
+    # mesh, and their closed forms
     g = -frac_derivative(u, alpha)
     w = as_weight_spec(g)
     beta_g, reg = w.singular_decomposition()
-    mesh = build_mesh(128, w, alpha)
+    mesh = build_mesh(n, w, alpha)
     if callable(t):
         t = t(mesh.nodes)
     got = apply_operators(kinds, t, beta_g, reg, alpha, mesh)
@@ -1026,10 +1035,9 @@ def test_off_mesh_targets_next_to_nodes(u, alpha):
 def test_targets_past_t_1_without_a_far_field(u, alpha):
     # A target in (t_1, t_1/EPS] has cut 0 and lies in the panel past t_1;
     # no mesh node falls there, as the next edge lies at 1.41 t_1 or above.
-    # It owns the origin piece [0, t/2] and the pieces [t/2, t] and [t,
-    # nodes[2]], like a target below t_1: u, u' and D^(alpha-1)u within
-    # 3.7e-12 relative, where u' was off by up to 0.45 and u by up to
-    # 7.7e-5.
+    # It owns the origin piece [0, t/2] and the run [t/2, t_1], like a
+    # target below t_1: u, u' and D^(alpha-1)u within 3.7e-12 relative,
+    # where u' was off by up to 0.45 and u by up to 7.7e-5.
     def targets(nodes):
         edges = quadrature._panel_edges(nodes)
         assert edges[2] >= 1.41 * nodes[1]
@@ -1046,10 +1054,9 @@ def test_targets_past_t_1_without_a_far_field(u, alpha):
 def test_targets_with_cut_0_past_the_second_edge():
     # At grading 1.25 the panel [t_1, t_2] spans a ratio of 2.38 and is split
     # at edges[2] = 1.54 t_1, below t_1/EPS: a target in (edges[2],
-    # t_1/EPS) has cut 0 and lies in panel 2, so its right piece [t,
-    # nodes[lo]] starts past a shared panel edge.  Its origin piece [0, t/2]
-    # still lies inside [0, t_1], as EPS >= 0.5.  u, u' and D^(alpha-1)u
-    # within 7.3e-14 relative.
+    # t_1/EPS) has cut 0 and lies in panel 2, two edges past the end of its
+    # run [t/2, t_1].  Its origin piece [0, t/2] still lies inside [0, t_1],
+    # as EPS >= 0.5.  u, u' and D^(alpha-1)u within 7.2e-14 relative.
     def targets(nodes):
         edges = quadrature._panel_edges(nodes)
         assert edges[2] < nodes[1] / quadrature.EPS
@@ -1062,6 +1069,46 @@ def test_targets_with_cut_0_past_the_second_edge():
     _, got, exact = _pair_operators(u, 1.6, targets, ("u", "du", "dalpha"))
     for value, want in zip(got, exact):
         assert np.all(np.abs(value - want) <= 1e-12 * np.abs(want))
+
+
+@pytest.mark.parametrize("n", [128, 512])
+@pytest.mark.parametrize(
+    "u,alpha",
+    _ITEM2_PAIRS[1:3] + _ITEM2_PAIRS[4:] + [(PAIRS["u1"], ALPHA_PAIRS)],
+    ids=["1.6", "1.3", "1.05", "u1-1.5"],
+)
+def test_targets_without_a_far_field_are_at_round_off(u, alpha, n):
+    # A target below t_1/EPS takes the right kernel over [t/2, t_1] from
+    # Gauss-Legendre pieces [2^k t/2, 2^(k+1) t/2], the last one clipped at
+    # t_1, so each spans a ratio of at most 2.  Scaled by the terms the
+    # Green integral sums, t^(alpha-1) for u, t^(alpha-2) for u' and 1 for
+    # D^(alpha-1)u, the errors are at most 2.2e-15; with one Gauss-Legendre
+    # piece from t to the next node they reached 0.12.  The u1 pair has no
+    # t^(alpha-1) term, so its u' is t^(alpha-2) times a sum that vanishes
+    # at 0.
+    def targets(nodes):
+        return np.array([1.4e-17, 1e-10, 1e-7, nodes[1] / 0.85, 1.2 * nodes[1]])
+
+    kinds = ("u", "du", "dalpha")
+    t, got, exact = _pair_operators(u, alpha, targets, kinds, n)
+    scales = (t ** (alpha - 1.0), t ** (alpha - 2.0), 1.0)
+    for value, want, scale in zip(got, exact, scales):
+        assert np.all(np.abs(value - want) <= 1e-14 * scale)
+
+
+@pytest.mark.parametrize("n", [128, 512, 2048])
+def test_targets_deep_in_the_first_panel(n):
+    # t^-1.2 at alpha = 1.6, down to 1e-250: a run of up to about 800
+    # pieces from t/2 to t_1 keeps u, u' and D^(alpha-1)u within 6.4e-14
+    # relative at every n; one piece [t, t_1], up to 240 decades wide, left
+    # them off by 0.85, 1.3 and 1.0.
+    w = WeightSpec(1.2)
+    u = exact_dirichlet_solution(PowerSum.monomial(1.0, -1.2), 1.6)
+    mesh = build_mesh(n, w, 1.6)
+    t = np.array([1e-250, 1e-200, 1e-100, 1e-50, 1e-20])
+    got = apply_operators(("u", "du", "dalpha"), t, 1.2, w.regular, 1.6, mesh)
+    for value, f in zip(got, (u, classical_derivative(u), frac_derivative(u, 0.6))):
+        assert np.all(np.abs(value - f(t)) <= 1e-12 * np.abs(f(t)))
 
 
 @pytest.mark.parametrize("n,u_rel", [(128, 1e-11), (512, 1e-10)])

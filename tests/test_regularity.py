@@ -71,6 +71,18 @@ def test_classify_u2_is_in_both_spaces():
     assert report.e_alpha_norm is not None and report.c1_norm is not None
 
 
+def test_classify_u1_limits_on_a_coarse_mesh():
+    # u1 = t^2.2 - t^3.2 at alpha = 1.5, n = 32 (grading 1): q and p vanish
+    # at 0, and classify samples them from 4.8e-7, far below t_1 = 1/32.
+    # With each target's right kernel over [t/2, t_1] in pieces of ratio at
+    # most 2 the limits are 6e-18 and 4.7e-16; with one piece [t, t_1] they
+    # were 2.0e-10 and 2.4e-8.
+    report = classify(pair_problem("u1", 32))
+    assert report.in_E_alpha == YES and report.in_C1_2ma == YES
+    assert abs(report.q_limit_estimate) <= 1e-13
+    assert abs(report.p_limit_estimate) <= 1e-13
+
+
 def test_classify_u3_leaves_the_weighted_c1_space():
     report = classify(pair_problem("u3", 512))
     assert report.in_E_alpha == YES
