@@ -89,10 +89,11 @@ term over [t/2, t_1] takes a geometric run of Gauss-Legendre pieces
 at most 2 (geometric refinement: Schwab, p- and hp-Finite Element
 Methods, 1998), and the suffix sum from t_1 the rest;
 D^(alpha-1)u in the first panel owns the same origin piece and run.
-Only these own pieces go in row blocks, of 768 targets with one g_reg
-call each, and the graded pieces and geometric runs of a block in runs of
-at most 768 pieces, so that each (row, Gauss point) array of a block,
-768 x 12 doubles, stays within a temporary budget of 72 KiB (_BUDGET).
+Only these own pieces go in row blocks, of at most 768 targets and 3,072
+pieces with one g_reg call each, and the graded pieces and geometric runs
+of a block in runs of at most 768 pieces, so that each (row, Gauss point)
+array of a block, 768 x 12 doubles, stays within a temporary budget of 72
+KiB (_BUDGET).
 The far field takes all targets in one call, in pieces that keep its
 temporaries within the same budget.
 
@@ -108,13 +109,19 @@ panels of the power moments (s/2^E)^m w g.  These are built once up the
 mesh, in chunks of panels whose tops lie within a factor of 8 below 2^E,
 so that (2^E/t)^m stays in range; between chunks they are rescaled
 exactly by a power of two.  The M powers of a point (M of about 60 to
-84) are products of two short tables, M/8 + 8 exps, a batched matmul
-gives each panel's moments, and a matmul with a triangle of ones their
-prefix sums.  The chunks are still cut by that exponent span, and each
-keeps its own 2^E, triangle product and carry; but the tables and the
-batched matmul are formed for a run of consecutive chunks at once, as
-many panels as one chunk may hold, so that the small chunks near the
-origin share the fixed cost of those numpy calls.  The moments do not
+84) are products of two short tables, r^(j+1), j < 8, and r^(8q), of r =
+s/2^E, each entry formed from the one before by one product, so that
+r^m takes about m/8 + 8 roundings; a batched matmul gives each panel's
+moments, and a matmul with a triangle of ones their prefix sums.  For
+g_reg > 0, on the meshes of t^-1.2 at alpha = 1.6 (n = 512 and 2048), of
+margin 0.01 at grading 8 and of g = 1 at alpha = 1.05, the moments are
+within 10 eps of a math.fsum of their terms at every row and power (from
+exp(m log r) they were up to 71 eps off).  The chunks are still cut by
+that exponent span, and each keeps its own 2^E, triangle product and
+carry; but the tables and the batched matmul are formed for a run of
+consecutive chunks at once, as many panels as one chunk may hold, so
+that the small chunks near the origin share the fixed cost of those
+numpy calls.  The moments do not
 depend on e, so u and u' read one set, as long as the longer of their
 series (one set of moments for several target kernels, the economy of
 the multipole method: Greengard and Rokhlin, J. Comput. Phys. 73,
@@ -389,6 +396,7 @@ def apply_dalpha_minus_1(t, g_singular_exponent, g_regular, alpha, mesh):
 # pages: about 70k-80k minor faults per n = 2048 solve, against about 1.3k
 # at 96**2.
 _BUDGET = 96**2
+_BLOCK_PIECES = 4 * _BUDGET // GAUSS_ORDER
 # Only the pieces the targets own go in row blocks: _own_sums takes the
 # sorted targets in blocks of _BUDGET // GAUSS_ORDER = 768 rows (and
 # _graded_pieces their graded pieces and geometric runs in runs of as
@@ -396,8 +404,14 @@ _BUDGET = 96**2
 # doubles, and g_regular takes the points of all of a block's pieces in one
 # call.  Blocks of 96 rows took 6 g_regular calls for classify's 531
 # targets and 22 for an n = 2048 solve, where 768 rows take 1 and 3:
-# classify ran 0.79x as long and an n = 2048 solve 0.83x.  The far field
-# takes all targets in one call: it builds its prefix moments in runs of
+# classify ran 0.79x as long and an n = 2048 solve 0.83x.  A block also
+# owns at most _BLOCK_PIECES pieces, 4 _BUDGET points, unless one target
+# owns more: a target deep in the first panel owns a run of about
+# log2(t_1/t) pieces, 1,000 at t = 1e-300, and 768 targets at 1e-200 in
+# one block traced 180 MiB at n = 512.  Elsewhere a target owns 1 to 3
+# pieces, and a few next to 1 more: the blocks of an n = 2048 solve and of
+# classify hold at most 1,742.  The far field takes all targets in one
+# call: it builds its prefix moments in runs of
 # chunks of panels whose power tables, and copies its targets' moment rows
 # into a buffer whose rows, hold at most _BUDGET doubles (_far_series).
 
@@ -642,7 +656,7 @@ def _far_series(kinds, t, cuts, b, nodes, panels):
         while q + k < end:
             r = slice(q + k, min(end, q + len(x)))
             rows = slice(k, k + r.stop - r.start)
-            np.take(moments, cuts[r] - 1 - j0, axis=0, out=x[rows])
+            np.take(moments, cuts[r] - 1 - j0, axis=0, out=x[rows], mode="clip")
             top[rows] = scale
             k = rows.stop
             if k == len(x):
@@ -676,15 +690,19 @@ def _prefix_moments(count, m, nodes, panels):
     # _EXPONENT_SPAN exponents; C carries over to the next chunk rescaled
     # exactly, by 2^(-m dE).  Every power s/2^E is below 1, so nothing
     # overflows, and what underflows lies below the double range once
-    # scaled by 2^E/t.  (s/2^E)^m = (s/2^E)^(8q) (s/2^E)^(j+1) for m = 8q
-    # + j + 1: Q + 8 exps per point give all M powers, and a batched matmul
-    # a panel's moments.  Those tables and that matmul are formed for runs
-    # of consecutive chunks of at most ``size`` panels in all, whose power
-    # table holds at most _BUDGET doubles, each panel scaled by its own
-    # chunk's 2^E, so that small chunks share their fixed cost.
-    m_coarse, m_fine = m[::8] - 1.0, np.arange(1.0, 9.0)
+    # scaled by 2^E/t.  With r = s/2^E, r^m = r^(8q) r^(j+1) for m = 8q +
+    # j + 1: two tables of products, fine[j] = fine[j-1] r = r^(j+1) and
+    # coarse[q] = coarse[q-1] r^8 = r^(8q), give all M powers in about
+    # M/8 + 8 roundings (exp(m log r) lost about m |log r| eps), and a
+    # batched matmul a panel's moments.  The tables lie as (power, panel,
+    # point), so each product runs over all the points of a run, not over
+    # the 8 to 10 powers of one point.  They and that matmul are formed for
+    # runs of consecutive chunks of at most ``size`` panels in all, whose
+    # coarse table holds at most _BUDGET doubles, each panel scaled by its
+    # own chunk's 2^E, so that small chunks share their fixed cost.
+    n_coarse = (len(m) + 7) // 8
     exps = np.frexp(nodes[1:count + 1])[1]
-    size = min(max(1, _BUDGET // (GAUSS_ORDER * len(m_coarse))), count)
+    size = min(max(1, _BUDGET // (GAUSS_ORDER * n_coarse)), count)
     # the chunks, panels edges[i]..edges[i+1]-1, and the E of each chunk
     # and of each panel
     edges = [0]
@@ -702,16 +720,18 @@ def _prefix_moments(count, m, nodes, panels):
         while k < len(edges) - 1 and edges[k + 1] - edges[i] <= size:
             k += 1
         j0, j1 = edges[i], edges[k]
-        r = np.ldexp(panels.s[j0:j1], -panel_tops[j0:j1])
-        wg = panels.wg[j0:j1]
-        log_r = np.log(r)
-        # tables along a last axis: (panel, point, power)
-        coarse = np.multiply.outer(log_r, m_coarse)
-        fine = np.multiply.outer(log_r, m_fine)
-        np.exp(coarse, out=coarse)
-        np.exp(fine, out=fine)
-        fine *= wg[:, :, None]
-        panel_moments = (coarse.transpose(0, 2, 1) @ fine).reshape(j1 - j0, -1)
+        fine = np.empty((8, j1 - j0, GAUSS_ORDER))
+        coarse = np.empty((n_coarse, j1 - j0, GAUSS_ORDER))
+        r = np.ldexp(panels.s[j0:j1], -panel_tops[j0:j1], out=fine[0])
+        for j in range(1, 8):
+            np.multiply(fine[j - 1], r, out=fine[j])
+        coarse[0] = 1.0
+        for q in range(1, n_coarse):
+            np.multiply(coarse[q - 1], fine[7], out=coarse[q])
+        fine *= panels.wg[j0:j1]
+        panel_moments = (coarse.transpose(1, 0, 2) @ fine.transpose(1, 2, 0)).reshape(
+            j1 - j0, -1
+        )
         for a, b, top in zip(edges[i:k], edges[i + 1:k + 1], tops[i:k]):
             carry = np.ldexp(carry, (e_prev - top) * m_int)
             # taken as C^T = moments^T prefix^T: the product the other way
@@ -750,25 +770,43 @@ def _jacobi_pieces(a, c, e, rule):
 def _own_sums(kinds, t, te, lo, cut, nodes, beta_g, g_regular, alpha, panels):
     """Each kind's sums over the pieces each target owns.
 
-    The ascending targets go in blocks of _BUDGET // GAUSS_ORDER rows, and
-    g_regular is evaluated in one call per block at the points of every
-    piece its targets own (_own_panels).  Returns {kind: sums}, with
-    "right" the sum of the right kernel (1-s)^(alpha-1) w g over the
-    geometric run [t/2, t_1] of the targets that own one, 0 elsewhere.
+    The ascending targets go in blocks of at most _BUDGET // GAUSS_ORDER
+    rows that own at most _BLOCK_PIECES pieces, counted before any piece
+    is built, and g_regular is evaluated in one call per block at the
+    points of every piece its targets own (_own_panels).  Returns {kind:
+    sums}, with "right" the sum of the right kernel (1-s)^(alpha-1) w g
+    over the geometric run [t/2, t_1] of the targets that own one, 0
+    elsewhere.
     """
     total = {kind: np.zeros(len(t)) for kind in (*kinds, "right")}
-    rows = _BUDGET // GAUSS_ORDER
-    for r0 in range(0, len(t), rows):
-        b = slice(r0, r0 + rows)
+    # the lower end of the pieces of u and u', t_c or t/2, and the span d
+    # = min(t - start, 1 - t, t/2) of their piece at s = t; t = 1, where u
+    # is 0, keeps t - start
+    start = np.where(cut == 0, 0.5 * t, nodes[cut])
+    d = np.where(t < 1.0, np.minimum(np.minimum(t - start, 1.0 - t), 0.5 * t), t - start)
+    # the pieces of each target: the origin piece and the run of those
+    # that own one, the left piece of D^(alpha-1)u, and the piece at s = t
+    # and the graded pieces of u and u'
+    run = (cut == 0) if te else (lo == 1)
+    count = np.where(run, 1 + _piece_count(0.5 * t, nodes[1]), 0) + ("dalpha" in kinds)
+    if te:
+        count += 1 + _piece_count(t - (t - d), t - start)
+    # a target that owns more than _BLOCK_PIECES takes a block of its own
+    ends = np.cumsum(count)
+    rows, r0 = _BUDGET // GAUSS_ORDER, 0
+    while r0 < len(t):
+        fit = np.searchsorted(ends, ends[r0] - count[r0] + _BLOCK_PIECES, side="right")
+        b = slice(r0, max(r0 + 1, min(r0 + rows, int(fit))))
         s, parts = _own_panels(
             kinds, t[b], {kind: x[b] for kind, x in te.items()}, lo[b], cut[b],
-            nodes, beta_g, alpha, panels,
+            start[b], d[b], nodes, beta_g, alpha, panels,
         )
         g = np.split(g_regular(np.concatenate(s)), np.cumsum([len(x) for x in s[:-1]]))
         _add_part_sums(total, r0, parts, g)
         # free this block's points, g values and weights before the next
         # block builds its own
         del s, parts, g
+        r0 = b.stop
     return total
 
 
@@ -787,7 +825,7 @@ def _add_part_sums(total, r0, parts, g):
                 np.add.at(total[kind][r0:], rows, sums)
 
 
-def _own_panels(kinds, t, te, lo, cut, nodes, beta_g, alpha, panels):
+def _own_panels(kinds, t, te, lo, cut, start, d, nodes, beta_g, alpha, panels):
     """Points of the pieces each target owns, and each kind's weights on them.
 
     For u and u' a target t with its cut c >= 1, the last edge t_c <=
@@ -823,6 +861,8 @@ def _own_panels(kinds, t, te, lo, cut, nodes, beta_g, alpha, panels):
     graded pieces repeat.  The targets that own a run are a prefix of the
     ascending block.  The weights carry s^(-beta_g); ``te`` maps each of u
     and u' that is asked for to t^e, e the exponent of its left bracket.
+    ``start`` is the lower end of their pieces, t_c or t/2, and ``d`` the
+    span of their piece at s = t (_own_sums).
     """
     k = int(np.count_nonzero(lo == 1))  # the targets in the first panel
     # the targets with a run: for u and u' those with cut 0
@@ -850,10 +890,8 @@ def _own_panels(kinds, t, te, lo, cut, nodes, beta_g, alpha, panels):
         parts["dalpha"].append((len(points), slice(0, len(t)), -w3))
         points.append(s3)
     if te:
-        # the piece at s = t spans d = min(t - a, 1 - t, t/2) (t = 1, where
-        # u is 0, keeps t - a), and the graded pieces the rest of [a, t]
-        a = np.where(cut == 0, 0.5 * t, nodes[cut])
-        d = np.where(t < 1.0, np.minimum(np.minimum(t - a, 1.0 - t), 0.5 * t), t - a)
+        # the piece at s = t spans d, and the graded pieces the rest of
+        # [start, t]
         s4, w4, d4 = _jacobi_pieces(t - d, t, alpha - 2.0, panels.own)
         w4 *= -np.power(s4, -beta_g)
         for kind in te:
@@ -863,7 +901,7 @@ def _own_panels(kinds, t, te, lo, cut, nodes, beta_g, alpha, panels):
         # t - (t - d) is the width _jacobi_pieces gives that piece, so the
         # graded pieces abut it.  Each is no longer than its distance to t
         # or to s = 1, and the distances keep the digits that t - s loses.
-        for d5, w5, rows5 in _graded_pieces(t - (t - d), t - a):
+        for d5, w5, rows5 in _graded_pieces(t - (t - d), t - start):
             s5 = t[rows5, None] - d5
             w5 *= -np.power(s5, -beta_g) * np.power(d5, alpha - 2.0)
             for kind in te:
@@ -880,7 +918,7 @@ def _graded_pieces(near, span):
     # caller places them: as distances from t, or as points s themselves.
     # A row with span_i <= near_i has no piece; the rows ascend.  A row's
     # pieces may straddle two runs of the budget, but stay in order.
-    count = np.ceil(np.log2(span / near)).astype(int).clip(0)
+    count = _piece_count(near, span)
     rows = np.repeat(np.arange(len(near)), count)
     k = np.arange(len(rows)) - np.repeat(np.cumsum(count) - count, count)
     size = _BUDGET // GAUSS_ORDER
@@ -889,3 +927,9 @@ def _graded_pieces(near, span):
         lo = np.ldexp(near[r], kr)
         hi = np.where(kr == count[r] - 1, span[r], 2.0 * lo)
         yield *_gauss(lo, hi), r
+
+
+def _piece_count(near, span):
+    # the number of pieces of ratio at most 2 that _graded_pieces lays over
+    # [near_i, span_i]
+    return np.ceil(np.log2(span / near)).astype(int).clip(0)

@@ -866,6 +866,40 @@ def test_series_reaches_the_binomial_at_the_cut(e):
     assert abs(got - ref) <= 4e-16 * abs(ref)
 
 
+@pytest.mark.parametrize(
+    "w,alpha",
+    [(WeightSpec(1.2), 1.6), (WeightSpec(1.59), 1.6), (WeightSpec(0.0), 1.05)],
+    ids=["t^-1.2@1.6", "margin_0.01@1.6", "1@1.05"],
+)
+def test_prefix_moments_are_accurate(w, alpha):
+    # Sampled rows of the prefix moments sum (s/2^E)^m w g, against math.fsum
+    # of the terms with Python float powers.  g > 0, so no sum cancels.
+    # The meshes: that of t^-1.2, one of grading 8 at margin 0.01, whose
+    # origin panel holds the smallest s/2^E, and that of 1 at alpha = 1.05,
+    # the longest series.  The powers come from products of two tables;
+    # from exp(m log(s/2^E)) they were up to 55 eps off here.
+    mesh = build_mesh(512, w, alpha)
+    nodes = quadrature._panel_edges(mesh.nodes)
+    panels = quadrature._SharedPanels.build(nodes, w.beta, _POSITIVE, alpha)
+    b = [quadrature._series_coefficients(e) for e in (alpha - 1.0, alpha - 2.0)]
+    big_m = max(len(bk) for bk in b)
+    count = int(np.searchsorted(nodes, quadrature.EPS, side="right")) - 1
+    rows = set(np.linspace(0, count - 1, 9).astype(int).tolist())
+    powers = (1, 2, 8, 9, 17, 40, 63, big_m)
+    s, wg = panels.s.tolist(), panels.wg.tolist()
+    worst, seen = 0.0, 0
+    m = np.arange(1.0, big_m + 1.0)
+    for j0, scale, moments in quadrature._prefix_moments(count, m, nodes, panels):
+        for j in rows & set(range(j0, j0 + len(moments))):
+            terms = [(x / scale, y) for i in range(j + 1) for x, y in zip(s[i], wg[i])]
+            for p in powers:
+                ref = math.fsum(x**p * y for x, y in terms)
+                worst = max(worst, abs(moments[j - j0, p - 1] - ref) / ref)
+            seen += 1
+    assert seen == len(rows)
+    assert worst <= 24 * np.finfo(float).eps
+
+
 def test_traced_memory_of_a_large_solve_stays_small():
     # The far field builds its prefix moments chunk by chunk and takes the
     # series on a buffer of rows; an n x M table of moments (4 MB), or
@@ -881,6 +915,31 @@ def test_traced_memory_of_a_large_solve_stays_small():
     finally:
         tracemalloc.stop()
     assert peak <= 1.75 * 2**20
+
+
+@pytest.mark.parametrize(
+    "t",
+    [np.full(768, 1e-200), np.geomspace(1e-200, 1e-20, 768)],
+    ids=["at_1e-200", "1e-200_to_1e-20"],
+)
+def test_row_blocks_deep_in_the_first_panel_stay_small(monkeypatch, t):
+    # A target deep in the first panel owns a run of about log2(t_1/t)
+    # pieces, 621 at 1e-200 at n = 512.  Blocks of 768 rows whatever they
+    # owned traced 180 MiB and 94 MiB here, against 0.9 MiB for 768 targets
+    # in (0.1, 0.9); blocks of at most _BLOCK_PIECES pieces trace about
+    # 1.2 MiB and 1.4 MiB.  A block of one target each gives the same bits.
+    mesh = build_mesh(512, WeightSpec(1.2), 1.6)
+    kinds = ("u", "du", "dalpha")
+    tracemalloc.start()
+    try:
+        values = apply_operators(kinds, t, 1.2, ONE, 1.6, mesh)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2**20
+    monkeypatch.setattr(quadrature, "_BLOCK_PIECES", 1)
+    for got, want in zip(apply_operators(kinds, t[::8], 1.2, ONE, 1.6, mesh), values):
+        assert np.array_equal(got, want[::8])
 
 
 def test_band_evaluates_few_kernel_elements(monkeypatch):

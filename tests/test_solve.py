@@ -426,6 +426,38 @@ def test_import_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
+# The four commands of perfbench's cli-readme workload.
+_README_COMMANDS = (
+    ["solve", "--alpha", "2", "--weight", "power:0", "--f", "const:1", "--n", "128",
+     "--out", "sol.csv"],
+    ["solve", "--alpha", "1.5", "--forcing", "power:0.7*sum:-0.31,0;1.87,1",
+     "--out", "g.csv"],
+    ["classify", "--alpha", "1.6", "--weight", "power:1.2", "--out", "cls.csv"],
+    ["figure1", "--n", "512", "--out", "figure1/"],
+)
+
+
+def test_cli_commands_load_no_heavy_modules(tmp_path):
+    # Import is most of a command's time: one np.unique or np.median on the
+    # way would pull in numpy.ma, about 20 ms a command, which the import
+    # tests above do not see.  The commands run in one child, through
+    # cli.main, in an empty directory.
+    code = (
+        "import sys\n"
+        "from fracbvp.cli import main\n"
+        f"for argv in {_README_COMMANDS!r}:\n"
+        "    assert main(argv) == 0, argv\n"
+        "heavy = ('scipy', 'numpy.ma', 'numpy.polynomial')\n"
+        "print(sorted(m for m in sys.modules"
+        " if m in heavy or m.startswith(tuple(h + '.' for h in heavy))))"
+    )
+    out = subprocess.run(
+        _child_python(code), env=_child_env(), capture_output=True, text=True,
+        check=True, timeout=120, cwd=tmp_path,
+    )
+    assert out.stdout.splitlines()[-1] == "[]"
+
+
 def test_import_loads_no_numpy_polynomial():
     # The Gauss-Legendre rule is built without numpy.polynomial, which
     # numpy imports only on first use.
