@@ -50,8 +50,10 @@ from .quadrature import (
 )
 from .regularity import GreenProblem, classify
 from .solve import (
+    LINEAR_QUADRATURE_PANELS,
     NonlinearitySpec,
     check_picard_controls,
+    linear_quadrature_mesh,
     require_finite,
     solve_linear,
     solve_nonlinear,
@@ -253,6 +255,7 @@ def cmd_solve(args) -> int:
         solution = solve_linear(w, alpha, args.n)
         converged, status = True, "direct"
         g_reg = regular
+        quad = linear_quadrature_mesh(solution.mesh)
     else:
         if any(c < 0.0 for c in w.regular.coefficients):
             raise WeightParseError(
@@ -276,15 +279,17 @@ def cmd_solve(args) -> int:
         def g_reg(s):
             return regular(s) * f(interp(s))
 
-    mesh = solution.mesh
-    nodes = mesh.nodes
+        quad = solution.mesh
+
+    # du and q take u's quadrature mesh, at the solution's nodes
+    nodes = solution.mesh.nodes
     du, dalpha = apply_operators(
-        ("du", "dalpha"), nodes[1:-1], beta_g, g_reg, alpha, mesh
+        ("du", "dalpha"), nodes[1:-1], beta_g, g_reg, alpha, quad
     )
     q = np.zeros(len(nodes))
     q[1:-1] = nodes[1:-1] ** (alpha - 1.0) * dalpha
     # u' is not defined at t = 1; q(1) = D^(alpha-1)u(1)
-    q[-1] = apply_dalpha_minus_1(1.0, beta_g, g_reg, alpha, mesh)
+    q[-1] = apply_dalpha_minus_1(1.0, beta_g, g_reg, alpha, quad)
     require_finite(du, q)
 
     du_cells = [""] + [_fmt(v) for v in du] + [""]
@@ -385,14 +390,20 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _add_problem_flags(sub, out_default: str) -> None:
+def _add_problem_flags(sub, out_default: str, n_help: str = "panel count") -> None:
     sub.add_argument("--alpha", type=float, required=True,
                      help="fractional order in (1, 2]")
     sub.add_argument("--weight", help="weight grammar power:<beta>[*sum:...]")
     sub.add_argument("--forcing",
                      help="signed forcing (weight grammar or c1*t^l1 + ...)")
-    sub.add_argument("--n", type=int, default=512, help="panel count")
+    sub.add_argument("--n", type=int, default=512, help=n_help)
     sub.add_argument("--out", default=out_default, help="output CSV path")
+
+
+_SOLVE_N_HELP = (
+    "panel count: the output has n + 1 nodes; a linear solve integrates"
+    f" on at most {LINEAR_QUADRATURE_PANELS} panels"
+)
 
 
 def _build_parser() -> _Parser:
@@ -400,7 +411,7 @@ def _build_parser() -> _Parser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     solve = subs.add_parser("solve", help="solve and write t,u,du,q CSV")
-    _add_problem_flags(solve, "solve.csv")
+    _add_problem_flags(solve, "solve.csv", _SOLVE_N_HELP)
     solve.add_argument("--f", default="const:1",
                        help="nonlinearity (const:/linear:/power:/affine:)")
     solve.add_argument("--tol", type=float, default=1e-8,
@@ -413,7 +424,7 @@ def _build_parser() -> _Parser:
     cla.set_defaults(func=cmd_classify)
 
     fig = subs.add_parser("figure1", help="four-weight overlay at alpha=1.6")
-    fig.add_argument("--n", type=int, default=512, help="panel count")
+    fig.add_argument("--n", type=int, default=512, help=_SOLVE_N_HELP)
     fig.add_argument("--out", default="figure1", help="output directory")
     fig.set_defaults(func=cmd_figure1)
     return parser

@@ -1,12 +1,14 @@
 """Linear and nonlinear solves through the Green representation.
 
 The linear problem D^alpha u + g = 0, u(0) = u(1) = 0 is solved by direct
-quadrature of u(t) = int G(t,s) g(s) ds on a graded mesh.  The nonlinear
-problem D^alpha u + h(t) f(u) = 0 is solved by Picard iteration u <- T u on
-the integral operator (T u)(t) = int G(t,s) h(s) f(u(s)) ds, with f(u(s))
-evaluated through the not-a-knot cubic spline of the previous iterate in
-the mesh coordinate x = t^(1/grading), in which the graded nodes are
-uniform (f reads an undershoot below 0 as 0).
+quadrature of u(t) = int G(t,s) g(s) ds at the nodes of a graded mesh of n
+panels, integrated on at most LINEAR_QUADRATURE_PANELS panels of the same
+grading (a Nystrom rule need not share its panels with the targets).  The
+nonlinear problem D^alpha u + h(t) f(u) = 0 is solved by Picard iteration
+u <- T u on the integral operator (T u)(t) = int G(t,s) h(s) f(u(s)) ds,
+with f(u(s)) evaluated through the not-a-knot cubic spline of the previous
+iterate in the mesh coordinate x = t^(1/grading), in which the graded nodes
+are uniform (f reads an undershoot below 0 as 0).
 
 The start is chosen before the first sweep.  When f(0) = 0 < f(1) and the
 weight is nonzero, u = 0 is a fixed point of T that is not the positive
@@ -65,6 +67,13 @@ DIVERGENCE_CAP = 1e12
 # Node values of the forcing below this coordinate are ignored by the
 # residual's interpolation; singular weights are infinite at the origin.
 _G_INTERP_CUTOFF = 0.02
+# A linear solve integrates on at most this many panels.  The suite
+# measures the Green quadrature of a power-sum forcing at round-off for
+# n = 32 to 512 (test_linear_solve_is_at_round_off_from_n_32), so 512 is
+# the most it has shown to be needed; finer meshes cost O(n^2) and buy no
+# digit.  Picard sweeps keep all n panels: their integrand holds the
+# iterate's spline, whose knots are the n nodes.
+LINEAR_QUADRATURE_PANELS = 512
 
 
 class CubicHermiteSpline:
@@ -324,17 +333,33 @@ def require_finite(*values) -> None:
         raise FloatingPointError("the quadrature produced non-finite values")
 
 
+def linear_quadrature_mesh(mesh: GradedMesh) -> GradedMesh:
+    """The mesh a linear solve on ``mesh`` integrates on.
+
+    ``mesh`` itself up to LINEAR_QUADRATURE_PANELS panels, otherwise the
+    mesh of that many panels of the same grading.
+    """
+    if mesh.n <= LINEAR_QUADRATURE_PANELS:
+        return mesh
+    return GradedMesh.from_grading(LINEAR_QUADRATURE_PANELS, mesh.grading)
+
+
 def solve_linear(g, alpha: float, n: int = 512) -> GridFunction:
     """Solve D^alpha u + g = 0, u(0) = u(1) = 0 by Green quadrature.
 
     ``g`` is a WeightSpec or a (possibly signed) PowerSum; condition (H)
-    must hold or :class:`ConditionHError` is raised.  FloatingPointError is
-    raised if the quadrature produces a non-finite value.
+    must hold or :class:`ConditionHError` is raised.  The solution holds
+    the n + 1 nodes of the graded mesh of n panels; the Green integral at
+    those nodes is taken on linear_quadrature_mesh, at most
+    LINEAR_QUADRATURE_PANELS panels.  FloatingPointError is raised if the
+    quadrature produces a non-finite value.
     """
     w = as_weight_spec(g)
     mesh = build_mesh(n, w, alpha)
     beta_g, regular = w.singular_decomposition()
-    values = apply_green(mesh.nodes, beta_g, regular, alpha, mesh)
+    values = apply_green(
+        mesh.nodes, beta_g, regular, alpha, linear_quadrature_mesh(mesh)
+    )
     require_finite(values)
     return GridFunction(mesh, values, alpha)
 

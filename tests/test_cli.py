@@ -240,13 +240,13 @@ def test_solve_recovers_u3_within_tolerance(tmp_path):
     assert np.max(np.abs(u - exact)) <= 2e-3
 
 
-def test_solve_du_and_q_columns_match_calculus(tmp_path):
+def _check_du_and_q_columns(tmp_path, n):
     out = tmp_path / "u3.csv"
     g = forcing("u3")
     text = " + ".join(f"{c!r}*t^{lam!r}" for c, lam in g)
     code = main([
         "solve", "--alpha", "1.5", "--forcing", text,
-        "--n", "128", "--out", str(out),
+        "--n", str(n), "--out", str(out),
     ])
     assert code == EXIT_OK
     _, rows = _read_csv(out)
@@ -261,6 +261,16 @@ def test_solve_du_and_q_columns_match_calculus(tmp_path):
     q_exact = t[1:] ** 0.5 * frac_derivative(u, 0.5)(t[1:])
     assert q[0] == 0.0
     assert np.max(np.abs(q[1:] - q_exact)) <= 1e-4
+    return t
+
+
+def test_solve_du_and_q_columns_match_calculus(tmp_path):
+    _check_du_and_q_columns(tmp_path, 128)
+
+
+def test_solve_du_and_q_columns_past_512_panels_match_calculus(tmp_path):
+    # u, du and q all take the rule of 512 panels, at the 1,025 nodes asked for
+    assert len(_check_du_and_q_columns(tmp_path, 1024)) == 1025
 
 
 @pytest.mark.parametrize(

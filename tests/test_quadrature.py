@@ -22,7 +22,7 @@ from fracbvp import (
     frac_derivative,
     solve_linear,
 )
-from fracbvp import quadrature, regularity
+from fracbvp import quadrature, regularity, solve
 from fracbvp.green import bracket_values
 
 from helpers import (
@@ -569,12 +569,19 @@ def test_row_blocks_fill_the_temporary_budget(monkeypatch):
     assert len(t) == 531 and g.calls == 2 and far_calls == [1]
 
 
+def _green_at_own_nodes(w, alpha, n):
+    # apply_green at the nodes of the mesh of n panels, on that mesh; a
+    # linear solve past LINEAR_QUADRATURE_PANELS integrates on fewer
+    mesh = build_mesh(n, w, alpha)
+    return apply_green(mesh.nodes, *w.singular_decomposition(), alpha, mesh)
+
+
 def test_graded_pieces_stay_within_the_temporary_budget(monkeypatch):
-    # At grading 1.05 the last row block of an n = 2048 solve, 511 targets,
-    # owns 1,199 graded pieces (981 at a cut of 0.7 t): they come in runs
-    # of at most _BUDGET // GAUSS_ORDER = 768, and a row's pieces that
-    # straddle two runs are still added in order, so the values are those
-    # of a single run.
+    # At grading 1.05 the last row block of n = 2048 quadrature at its own
+    # nodes, 511 targets, owns 1,199 graded pieces (981 at a cut of 0.7 t):
+    # they come in runs of at most _BUDGET // GAUSS_ORDER = 768, and a row's
+    # pieces that straddle two runs are still added in order, so the values
+    # are those of a single run.
     graded_pieces = quadrature._graded_pieces
     runs = []
 
@@ -589,11 +596,11 @@ def test_graded_pieces_stay_within_the_temporary_budget(monkeypatch):
             yield tuple(np.concatenate(x) for x in parts)
 
     monkeypatch.setattr(quadrature, "_graded_pieces", counted)
-    values = solve_linear(WeightSpec(0.0), 1.9, 2048).values
+    values = _green_at_own_nodes(WeightSpec(0.0), 1.9, 2048)
     assert max(runs) <= quadrature._BUDGET // quadrature.GAUSS_ORDER
     assert runs[-2:] == [768, 431]
     monkeypatch.setattr(quadrature, "_graded_pieces", single_run)
-    assert np.array_equal(solve_linear(WeightSpec(0.0), 1.9, 2048).values, values)
+    assert np.array_equal(_green_at_own_nodes(WeightSpec(0.0), 1.9, 2048), values)
 
 
 def test_cached_rules_and_coefficients_are_read_only():
@@ -904,13 +911,14 @@ def test_traced_memory_of_a_large_solve_stays_small():
     # The far field builds its prefix moments chunk by chunk and takes the
     # series on a buffer of rows; an n x M table of moments (4 MB), or
     # the series temporaries of all targets at once, would show here.  With
-    # neither, 1.51 MiB is traced at n = 2048, reached in the far field; the
-    # own pieces, built one row block of 768 targets at a time once the
-    # previous block's are freed, stay below it at 1.37 MiB (2.53 MiB with
-    # the pieces of all 2,047 targets in one block).
+    # neither, 1.51 MiB is traced for n = 2048 quadrature at its own nodes,
+    # reached in the far field; the own pieces, built one row block of 768
+    # targets at a time once the previous block's are freed, stay below it
+    # at 1.37 MiB (2.53 MiB with the pieces of all 2,047 targets in one
+    # block).
     tracemalloc.start()
     try:
-        solve_linear(WeightSpec(1.2), 1.6, 2048)
+        _green_at_own_nodes(WeightSpec(1.2), 1.6, 2048)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -991,13 +999,16 @@ def _weight_case(beta, alpha):
     return g, exact_dirichlet_solution(g, alpha), alpha
 
 
-@pytest.mark.parametrize(
+_ROUND_OFF_CASES = pytest.mark.parametrize(
     "g,u,alpha",
     [_pair_case(u, alpha) for u, alpha in _ITEM2_PAIRS]
     # margins 0.01 and 1e-4
     + [_weight_case(1.89, 1.9), _weight_case(1.4999, 1.5)],
     ids=[f"pair-{alpha}" for _, alpha in _ITEM2_PAIRS] + ["t^-1.89-1.9", "t^-1.4999-1.5"],
 )
+
+
+@_ROUND_OFF_CASES
 @pytest.mark.parametrize("n", [32, 64, 128, 256, 512])
 def test_linear_solve_is_at_round_off_from_n_32(g, u, alpha, n):
     # Gauss-Jacobi rules at s = 0, s = t and s = 1: max nodal error 1.1e-14
@@ -1010,12 +1021,48 @@ def test_linear_solve_is_at_round_off_from_n_32(g, u, alpha, n):
     assert abs(sol.values[1] - u(t[1])) <= 1e-10 * abs(u(t[1]))
 
 
+@_ROUND_OFF_CASES
+@pytest.mark.parametrize("n", [1024, 2048])
+def test_linear_solve_past_512_nodes_stays_at_round_off(g, u, alpha, n):
+    # Past LINEAR_QUADRATURE_PANELS the nodes are the n + 1 asked for and
+    # the rule is that of 512 panels: max nodal error 8.9e-15 at most, and
+    # at the first five nodes within 8.7e-15 of the size of the terms they
+    # sum, t^(alpha-1) (or u itself where it is larger), as with n panels.
+    sol = solve_linear(g, alpha, n)
+    t = sol.mesh.nodes
+    assert sol.mesh.n == n
+    assert np.max(np.abs(sol.values - u(t))) <= 1e-13
+    t5 = t[1:6]
+    scale = np.maximum(t5 ** (alpha - 1.0), np.abs(u(t5)))
+    assert np.all(np.abs(sol.values[1:6] - u(t5)) <= 1e-14 * scale)
+
+
+@pytest.mark.parametrize("n", [64, 512, 1024, 2048])
+@pytest.mark.parametrize(
+    "g,alpha", [(WeightSpec(1.2), 1.6), _pair_case(*_ITEM2_PAIRS[0])[::2]],
+    ids=["t^-1.2-1.6", "pair-1.5"],
+)
+def test_linear_solve_integrates_on_at_most_512_panels(g, alpha, n):
+    # The nodes are those of n panels; the Green integral at them is taken
+    # on the n-panel mesh itself up to 512 panels and on the 512-panel
+    # mesh of the same grading beyond, bit for bit.
+    sol = solve_linear(g, alpha, n)
+    w = as_weight_spec(g)
+    assert np.array_equal(sol.mesh.nodes, build_mesh(n, w, alpha).nodes)
+    quad = build_mesh(min(n, 512), w, alpha)
+    want = apply_green(sol.mesh.nodes, *w.singular_decomposition(), alpha, quad)
+    assert np.array_equal(sol.values, want)
+    if n <= 512:
+        assert solve.linear_quadrature_mesh(sol.mesh) is sol.mesh
+
+
 @pytest.mark.parametrize("n", [512, 2048])
 def test_linear_solve_true_error_is_below_1e_15(n):
     # The solve of g = t^-1.2 at alpha = 1.6 against its closed form c
     # (t^0.6 - t^0.4), c = Gamma(-0.2) / Gamma(1.4), at 40 digits, for the
     # doubles alpha and beta that the solve takes: max nodal error 6.7e-16
-    # at n = 512 and 7.8e-16 at n = 2048.  The closed form in double
+    # at n = 512, and at n = 2048, whose nodes take the rule of 512 panels
+    # (7.8e-16 with all 2,048).  The closed form in double
     # precision (exact_dirichlet_solution) is itself off by 1.2e-15 at
     # n = 2048, so only this reference sees a digit lost at round-off.
     mpmath = pytest.importorskip("mpmath")
