@@ -38,14 +38,13 @@ from .powersum import (
     float_at,
     parse_power_sum,
 )
-# apply_green_derivative is not called here but stays importable by this
-# name, where perfbench's tracer looks it up.
+# apply_green_derivative and apply_dalpha_minus_1 are not called here but
+# stay importable by these names, where perfbench's tracer looks them up.
 from .quadrature import (
     ConditionHError,
     WeightSpec,
     apply_dalpha_minus_1,
     apply_green_derivative,
-    apply_operators,
     as_weight_spec,
 )
 from .regularity import GreenProblem, classify
@@ -53,7 +52,6 @@ from .solve import (
     LINEAR_QUADRATURE_PANELS,
     NonlinearitySpec,
     check_picard_controls,
-    linear_quadrature_mesh,
     require_finite,
     solve_linear,
     solve_nonlinear,
@@ -247,15 +245,12 @@ def cmd_solve(args) -> int:
     w = _weight_or_forcing(args)
     f = parse_nonlinearity(args.f)
     alpha, out = args.alpha, Path(args.out)
-    beta_g, regular = w.singular_decomposition()
 
     if args.forcing is not None:
         # the Picard flags are unused on the linear path, but still checked
         check_picard_controls(args.tol, args.max_iter)
         solution = solve_linear(w, alpha, args.n)
         converged, status = True, "direct"
-        g_reg = regular
-        quad = linear_quadrature_mesh(solution.mesh)
     else:
         if any(c < 0.0 for c in w.regular.coefficients):
             raise WeightParseError(
@@ -274,22 +269,14 @@ def cmd_solve(args) -> int:
             f" residual_median_rel={report.residual_median_rel:.3e}"
             + (" seeded" if report.seeded else "")
         )
-        interp = solution.interpolator()
 
-        def g_reg(s):
-            return regular(s) * f(interp(s))
-
-        quad = solution.mesh
-
-    # du and q take u's quadrature mesh, at the solution's nodes
+    # du and q take u's own integrand and quadrature mesh, at its nodes
     nodes = solution.mesh.nodes
-    du, dalpha = apply_operators(
-        ("du", "dalpha"), nodes[1:-1], beta_g, g_reg, alpha, quad
-    )
+    du, dalpha = solution.operators(("du", "dalpha"), nodes[1:-1])
     q = np.zeros(len(nodes))
     q[1:-1] = nodes[1:-1] ** (alpha - 1.0) * dalpha
     # u' is not defined at t = 1; q(1) = D^(alpha-1)u(1)
-    q[-1] = apply_dalpha_minus_1(1.0, beta_g, g_reg, alpha, quad)
+    q[-1] = solution.operators(("dalpha",), 1.0)[0]
     require_finite(du, q)
 
     du_cells = [""] + [_fmt(v) for v in du] + [""]

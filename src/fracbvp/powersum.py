@@ -22,7 +22,7 @@ rejected if fed back into the calculus.
 from __future__ import annotations
 
 import re
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Iterator
 
 import numpy as np
 

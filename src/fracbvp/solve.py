@@ -16,8 +16,17 @@ solution, so the iteration starts from the weight profile int G(t,s) h(s) ds
 (the f = 1 solve), and the report records it as seeded; otherwise it
 starts from zero.
 
-Every solution is cross-checked by an independent discretization: the
-Gruenwald-Letnikov backward sum
+A solution carries the integrand of its Green representation: the
+weight's singular exponent, a regular factor and the quadrature mesh.
+GridFunction.operators applies the Green operator to it, so the
+solution's derivatives and its values off the mesh come from the rule
+that gave its node values.  For a linear solve the factor is the
+forcing's; for Picard it is regular(s) f(u(s)) of the returned iterate
+u, whose image T u differs from u by the last update.
+
+A linear solve computes no residual.  The Picard report carries a
+cross-check by an independent discretization, the Gruenwald-Letnikov
+backward sum
 
     D^alpha u(t) ~ delta^(-alpha) * sum_k (-1)^k C(alpha, k) u(t - k delta)
 
@@ -44,6 +53,7 @@ import numpy as np
 from .quadrature import (
     GradedMesh,
     apply_green,
+    apply_operators,
     as_weight_spec,
     build_mesh,
 )
@@ -205,11 +215,21 @@ def mesh_spline(mesh: GradedMesh, values):
 
 @dataclass(eq=False)
 class GridFunction:
-    """Solution samples on a graded mesh; Dirichlet values pinned to zero."""
+    """Solution samples on a graded mesh; Dirichlet values pinned to zero.
+
+    ``integrand`` is (beta_g, g_regular, quadrature mesh), set by the
+    solvers: the function is int G(t,s) s^(-beta_g) g_regular(s) ds taken
+    on that mesh (for Picard, up to the last update).  Calling the
+    function gives the node values' spline (mesh_spline, cached), whose
+    error between the nodes can far exceed theirs; ``operators`` gives the
+    Green operator of the integrand, as accurate off the mesh as at the
+    nodes.
+    """
 
     mesh: GradedMesh
     values: np.ndarray
     alpha: float
+    integrand: tuple | None = None
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
@@ -217,16 +237,22 @@ class GridFunction:
             raise ValueError("one value per mesh node required")
         if not np.all(np.isfinite(self.values)):
             raise ValueError("grid values must be finite")
-        self._interp = None
-
-    def interpolator(self):
-        """Interpolant of the node values, mesh_spline's (cached)."""
-        if self._interp is None:
-            self._interp = mesh_spline(self.mesh, self.values)
-        return self._interp
+        self._spline = None
 
     def __call__(self, t):
-        return self.interpolator()(t)
+        if self._spline is None:
+            self._spline = mesh_spline(self.mesh, self.values)
+        return self._spline(t)
+
+    def operators(self, kinds, t):
+        """apply_operators(kinds, t, ...) of the solution's own integrand.
+
+        ValueError if the function carries no integrand.
+        """
+        if self.integrand is None:
+            raise ValueError("this GridFunction carries no Green integrand")
+        beta_g, g_regular, quad = self.integrand
+        return apply_operators(kinds, t, beta_g, g_regular, self.alpha, quad)
 
     @property
     def sup_norm(self) -> float:
@@ -333,35 +359,26 @@ def require_finite(*values) -> None:
         raise FloatingPointError("the quadrature produced non-finite values")
 
 
-def linear_quadrature_mesh(mesh: GradedMesh) -> GradedMesh:
-    """The mesh a linear solve on ``mesh`` integrates on.
-
-    ``mesh`` itself up to LINEAR_QUADRATURE_PANELS panels, otherwise the
-    mesh of that many panels of the same grading.
-    """
-    if mesh.n <= LINEAR_QUADRATURE_PANELS:
-        return mesh
-    return GradedMesh.from_grading(LINEAR_QUADRATURE_PANELS, mesh.grading)
-
-
 def solve_linear(g, alpha: float, n: int = 512) -> GridFunction:
     """Solve D^alpha u + g = 0, u(0) = u(1) = 0 by Green quadrature.
 
     ``g`` is a WeightSpec or a (possibly signed) PowerSum; condition (H)
     must hold or :class:`ConditionHError` is raised.  The solution holds
     the n + 1 nodes of the graded mesh of n panels; the Green integral at
-    those nodes is taken on linear_quadrature_mesh, at most
-    LINEAR_QUADRATURE_PANELS panels.  FloatingPointError is raised if the
-    quadrature produces a non-finite value.
+    those nodes is taken on that mesh up to LINEAR_QUADRATURE_PANELS
+    panels, and on the mesh of that many panels of the same grading
+    beyond.  FloatingPointError is raised if the quadrature produces a
+    non-finite value.
     """
     w = as_weight_spec(g)
     mesh = build_mesh(n, w, alpha)
+    quad = mesh
+    if mesh.n > LINEAR_QUADRATURE_PANELS:
+        quad = GradedMesh.from_grading(LINEAR_QUADRATURE_PANELS, mesh.grading)
     beta_g, regular = w.singular_decomposition()
-    values = apply_green(
-        mesh.nodes, beta_g, regular, alpha, linear_quadrature_mesh(mesh)
-    )
+    values = apply_green(mesh.nodes, beta_g, regular, alpha, quad)
     require_finite(values)
-    return GridFunction(mesh, values, alpha)
+    return GridFunction(mesh, values, alpha, (beta_g, regular, quad))
 
 
 def check_picard_controls(tol: float, max_iter: int) -> None:
@@ -370,6 +387,11 @@ def check_picard_controls(tol: float, max_iter: int) -> None:
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter!r}")
+
+
+def _sweep_integrand(regular, f, u):
+    """The regular factor regular(s) f(u(s)) of a Picard sweep's integrand."""
+    return lambda s: regular(s) * f(u(s))
 
 
 def solve_nonlinear(
@@ -402,11 +424,7 @@ def solve_nonlinear(
     updates: list[float] = []
     converged = False
     for _ in range(max_iter):
-        interp = mesh_spline(mesh, u)
-
-        def g_reg(s):
-            return regular(s) * f(interp(s))
-
+        g_reg = _sweep_integrand(regular, f, mesh_spline(mesh, u))
         tu = apply_green(mesh.nodes, beta_g, g_reg, alpha, mesh)
         if np.all(np.isfinite(f(u))):
             # a non-finite image of a finite f(u) is a quadrature breakdown;
@@ -422,6 +440,7 @@ def solve_nonlinear(
             break
 
     solution = GridFunction(mesh, u, alpha)
+    solution.integrand = (beta_g, _sweep_integrand(regular, f, solution), mesh)
     # h(0) is infinite for singular weights; the residual ignores the origin
     with np.errstate(invalid="ignore"):
         g_nodes = w(mesh.nodes) * f(solution.values)

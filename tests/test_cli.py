@@ -28,6 +28,7 @@ from fracbvp.cli import (
     parse_nonlinearity,
     parse_weight,
 )
+from fracbvp.quadrature import apply_operators
 
 from helpers import PAIRS, forcing
 
@@ -273,6 +274,18 @@ def test_solve_du_and_q_columns_past_512_panels_match_calculus(tmp_path):
     assert len(_check_du_and_q_columns(tmp_path, 1024)) == 1025
 
 
+def test_solve_weight_with_f_1_and_forcing_write_the_same_csv(tmp_path):
+    # f = 1 makes the Picard solve the linear one (it converges in two
+    # sweeps), and at n <= 512 both integrate on the same mesh, so the
+    # integrands the two paths carry give u, du and q bit for bit alike.
+    common = ["solve", "--alpha", "1.6", "--n", "128"]
+    picard, direct = tmp_path / "picard.csv", tmp_path / "direct.csv"
+    code = main(common + ["--weight", "power:1.2", "--f", "const:1", "--out", str(picard)])
+    assert code == EXIT_OK
+    assert main(common + ["--forcing", "power:1.2", "--out", str(direct)]) == EXIT_OK
+    assert picard.read_bytes() == direct.read_bytes()
+
+
 @pytest.mark.parametrize(
     "flag,value",
     [
@@ -364,21 +377,35 @@ def _nan_operators(kinds, t, *args):
     return tuple(_nan_operator(t) for _ in kinds)
 
 
+def _nan_at_one(kinds, t, *args):
+    # the operators as they are, but NaN at t = 1 (where only q is taken)
+    values = apply_operators(kinds, t, *args)
+    return tuple(np.where(np.asarray(t) == 1.0, np.nan, v) for v in values)
+
+
 @pytest.mark.parametrize(
-    "flag,target",
+    "flag,target,stub",
     [
         # the linear and the Picard path meet non-finite values of u
-        ("--forcing", "fracbvp.solve.apply_green"),
-        ("--weight", "fracbvp.solve.apply_green"),
-        # a finite solution, non-finite du and q inside (0, 1), or q at t = 1
-        ("--weight", "fracbvp.cli.apply_operators"),
-        ("--forcing", "fracbvp.cli.apply_dalpha_minus_1"),
+        ("--forcing", "fracbvp.solve.apply_green", _nan_operator),
+        ("--weight", "fracbvp.solve.apply_green", _nan_operator),
+        # a finite solution, non-finite du and q inside (0, 1), or q at
+        # t = 1; GridFunction.operators looks apply_operators up in solve
+        ("--weight", "fracbvp.solve.apply_operators", _nan_operators),
+        ("--forcing", "fracbvp.solve.apply_operators", _nan_at_one),
+    ],
+    ids=[
+        "--forcing-fracbvp.solve.apply_green",
+        "--weight-fracbvp.solve.apply_green",
+        "--weight-fracbvp.solve.apply_operators",
+        "--forcing-fracbvp.solve.apply_operators-at-1",
     ],
 )
-def test_solve_non_finite_quadrature_exits_4(tmp_path, capsys, monkeypatch, flag, target):
+def test_solve_non_finite_quadrature_exits_4(
+    tmp_path, capsys, monkeypatch, flag, target, stub
+):
     # A quadrature breakdown is exit 4 with its own message on both paths,
     # not a validation error (3) and not a status line holding a NaN.
-    stub = _nan_operators if target.endswith("apply_operators") else _nan_operator
     monkeypatch.setattr(target, stub)
     code = main([
         "solve", "--alpha", "1.6", flag, "power:1.2",

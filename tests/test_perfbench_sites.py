@@ -1,5 +1,7 @@
-"""The benchmark's span tracer must find every lookup site it patches."""
+"""The benchmark's span tracer must find every lookup site it patches, and
+every import the package never reads must be one of those sites."""
 
+import ast
 import importlib.util
 from pathlib import Path
 
@@ -58,3 +60,41 @@ def test_bracket_kernel_points_are_broadcast_sizes(monkeypatch):
     kernel = tracer.names.index("green.bracket_values")
     points = [p for nid, p in zip(tracer.name_id, tracer.points) if nid == kernel]
     assert len(sizes) > 1 and points == sizes
+
+
+def _unread_imports(path):
+    # Names bound by an import (not from __future__) that no expression of
+    # the module reads.
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound.update((a.asname or a.name).split(".")[0] for a in node.names)
+    read = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    return bound - read
+
+
+def test_every_unread_import_is_a_tracer_site():
+    # A module imports a name it never reads only so that the tracer can
+    # patch the module's lookup of it; any other unread import is dead.
+    # The package's __init__ imports to re-export and is exempt.
+    tracer_module = _load_tracer()
+    sites = {
+        (module, attr)
+        for module, attr, *_ in tracer_module.FUNCTION_SITES
+        + tracer_module.CALLABLE_CLASS_SITES
+    }
+    package = TRACER.parent.parent / "src" / "fracbvp"
+    unread = {
+        (f"fracbvp.{path.stem}", name)
+        for path in sorted(package.glob("*.py"))
+        if path.name != "__init__.py"
+        for name in _unread_imports(path)
+    }
+    assert unread - sites == set()

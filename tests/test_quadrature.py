@@ -22,7 +22,7 @@ from fracbvp import (
     frac_derivative,
     solve_linear,
 )
-from fracbvp import quadrature, regularity, solve
+from fracbvp import quadrature, regularity
 from fracbvp.green import bracket_values
 
 from helpers import (
@@ -1045,15 +1045,17 @@ def test_linear_solve_past_512_nodes_stays_at_round_off(g, u, alpha, n):
 def test_linear_solve_integrates_on_at_most_512_panels(g, alpha, n):
     # The nodes are those of n panels; the Green integral at them is taken
     # on the n-panel mesh itself up to 512 panels and on the 512-panel
-    # mesh of the same grading beyond, bit for bit.
+    # mesh of the same grading beyond, bit for bit, and the solution
+    # carries that mesh.
     sol = solve_linear(g, alpha, n)
     w = as_weight_spec(g)
     assert np.array_equal(sol.mesh.nodes, build_mesh(n, w, alpha).nodes)
     quad = build_mesh(min(n, 512), w, alpha)
     want = apply_green(sol.mesh.nodes, *w.singular_decomposition(), alpha, quad)
     assert np.array_equal(sol.values, want)
+    assert np.array_equal(sol.integrand[2].nodes, quad.nodes)
     if n <= 512:
-        assert solve.linear_quadrature_mesh(sol.mesh) is sol.mesh
+        assert sol.integrand[2] is sol.mesh
 
 
 @pytest.mark.parametrize("n", [512, 2048])

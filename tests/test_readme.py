@@ -11,9 +11,10 @@ def test_readme_library_example_runs_as_documented():
     code = re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
     namespace = {}
     exec(compile(code, str(README), "exec"), namespace)
-    # the comments beside the example: err ~7.8e-16 (7.77e-16 measured), u
-    # in E_alpha but not in the weighted C^1 space
+    # the comments beside the example: err and off ~7.8e-16 (7.77e-16
+    # measured for both), u in E_alpha but not in the weighted C^1 space
     assert namespace["err"] < 1e-13
+    assert namespace["off"] < 1e-13
     report = namespace["report"]
     assert report.in_E_alpha == "yes"
     assert report.in_C1_2ma == "no"
