@@ -9,99 +9,24 @@ a Gruenwald-Letnikov residual check, and a classifier for the boundary
 regularity of solutions.
 """
 
-from .gammafn import GammaPoleError, gamma, reciprocal_gamma
-from .green import green_eval
-from .powersum import (
-    ONE,
-    ZERO,
-    ExponentRangeError,
-    PowerSum,
-    PowerSumParseError,
-    SingularEvaluationError,
-    classical_derivative,
-    exact_dirichlet_solution,
-    format_power_sum,
-    frac_derivative,
-    frac_integral,
-    parse_power_sum,
-)
-from .quadrature import (
-    ConditionHError,
-    ConditionReport,
-    GradedMesh,
-    WeightSpec,
-    apply_dalpha_minus_1,
-    apply_green,
-    apply_green_derivative,
-    apply_operators,
-    as_weight_spec,
-    build_mesh,
-    check_condition_h,
-)
-from .regularity import (
-    NO,
-    YES,
-    GreenProblem,
-    RegularityReport,
-    classify,
-    p_profile,
-    q_profile,
-)
-from .solve import (
-    GridFunction,
-    NonlinearitySpec,
-    ResidualStats,
-    SolveReport,
-    gl_residual,
-    gl_weights,
-    solve_linear,
-    solve_nonlinear,
-)
+# Each module's __all__ is the one list of its public names; the package
+# republishes them.
+from . import gammafn, green, powersum, quadrature, regularity, solve
+from .gammafn import *
+from .green import *
+from .powersum import *
+from .quadrature import *
+from .regularity import *
+from .solve import *
 
 __version__ = "1.0.0"
 
 __all__ = [
     "__version__",
-    "GammaPoleError",
-    "gamma",
-    "reciprocal_gamma",
-    "green_eval",
-    "ONE",
-    "ZERO",
-    "ExponentRangeError",
-    "PowerSum",
-    "PowerSumParseError",
-    "SingularEvaluationError",
-    "classical_derivative",
-    "exact_dirichlet_solution",
-    "format_power_sum",
-    "frac_derivative",
-    "frac_integral",
-    "parse_power_sum",
-    "ConditionHError",
-    "ConditionReport",
-    "GradedMesh",
-    "WeightSpec",
-    "apply_dalpha_minus_1",
-    "apply_green",
-    "apply_green_derivative",
-    "apply_operators",
-    "as_weight_spec",
-    "build_mesh",
-    "check_condition_h",
-    "NO",
-    "YES",
-    "GreenProblem",
-    "RegularityReport",
-    "classify",
-    "p_profile",
-    "q_profile",
-    "GridFunction",
-    "NonlinearitySpec",
-    "ResidualStats",
-    "SolveReport",
-    "gl_residual",
-    "gl_weights",
-    "solve_linear",
-    "solve_nonlinear",
+    *gammafn.__all__,
+    *green.__all__,
+    *powersum.__all__,
+    *quadrature.__all__,
+    *regularity.__all__,
+    *solve.__all__,
 ]

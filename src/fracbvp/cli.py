@@ -12,7 +12,8 @@ Nonlinearities: ``const:<c>``, ``linear:<a>``, ``power:<p>``,
 ``affine:<a>,<b>``.
 
 Exit codes are a stable contract: 0 success, 2 condition-(H) violation,
-3 parse/validation error, 4 Picard nonconvergence (CSV still written) or
+3 parse/validation error (a literal too large for a double included),
+4 Picard nonconvergence (CSV still written) or
 non-finite quadrature values: a solution, du or q of ``solve``, or a
 sample, limit, fit residual or norm of ``classify`` (whose CSV is still
 written).

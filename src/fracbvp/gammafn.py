@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 
-__all__ = ["GammaPoleError", "gamma", "reciprocal_gamma", "POLE_TOL"]
+__all__ = ["GammaPoleError", "gamma", "reciprocal_gamma"]
 
 # Distance to the nearest nonpositive integer below which the argument is
 # treated as a pole.  All exponents of interest are single-decimal literals,

@@ -46,7 +46,7 @@ import numpy as np
 
 from .gammafn import gamma
 
-__all__ = ["green_eval", "green_values"]
+__all__ = ["green_eval"]
 
 
 def checked_alpha(alpha: float) -> float:

@@ -21,6 +21,7 @@ rejected if fed back into the calculus.
 
 from __future__ import annotations
 
+import math
 import re
 from typing import Iterable, Iterator
 
@@ -71,7 +72,8 @@ class PowerSum:
 
     Terms are stored sorted by ascending exponent, exponents rounded to
     ``EXPONENT_DECIMALS`` decimals, equal exponents merged and zero
-    coefficients dropped.  Instances are immutable.
+    coefficients dropped.  An exponent or merged coefficient that is not
+    finite raises ValueError.  Instances are immutable.
     """
 
     __slots__ = ("_terms",)
@@ -81,6 +83,9 @@ class PowerSum:
         for coeff, expo in terms:
             expo = round(float(expo), EXPONENT_DECIMALS)
             merged[expo] = merged.get(expo, 0.0) + float(coeff)
+        for lam, c in merged.items():
+            if not (math.isfinite(lam) and math.isfinite(c)):
+                raise ValueError(f"power-sum term {c!r}*t^{lam!r} is not finite")
         self._terms = tuple(
             (c, lam) for lam, c in sorted(merged.items()) if c != 0.0
         )
@@ -323,13 +328,18 @@ def parse_power_sum(text: str) -> PowerSum:
 def float_at(text: str, pos: int, what: str) -> tuple[float, int]:
     """The decimal literal at ``text[pos:]`` and the offset just past it.
 
-    Raises :class:`PowerSumParseError` at ``pos`` naming ``what`` was
-    expected when no literal starts there.
+    Reads the numbers of the power-sum, weight, forcing and nonlinearity
+    grammars.  Raises :class:`PowerSumParseError` at ``pos`` naming
+    ``what`` was expected when no literal starts there, and when the
+    literal is too large for a double.
     """
     m = _FLOAT_RE.match(text, pos)
     if m is None:
         raise PowerSumParseError(f"expected {what}", pos)
-    return float(m.group()), m.end()
+    value = float(m.group())
+    if not math.isfinite(value):
+        raise PowerSumParseError(f"{m.group()} is too large for a double", pos)
+    return value, m.end()
 
 
 def _parse_term(text: str, pos: int) -> tuple[float, float, int]:

@@ -141,8 +141,6 @@ from .green import bracket_values, checked_alpha
 from .powersum import ONE, PowerSum
 
 __all__ = [
-    "GAUSS_ORDER",
-    "GRADING_MAX",
     "ConditionHError",
     "ConditionReport",
     "WeightSpec",

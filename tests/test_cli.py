@@ -74,6 +74,10 @@ def test_parse_weight_with_sum():
         ("power:0*sum:1,-0.5", 14),
         ("power:0*sum:1,0.5;;", 18),
         ("power:0*sum:1,0x", 15),
+        # a literal too large for a double is bad input where it stands
+        ("power:1e400", 6),
+        ("power:0*sum:1e400,0", 12),
+        ("power:0*sum:1,1e400", 14),
     ],
 )
 def test_parse_weight_errors_carry_positions(text, pos):
@@ -119,6 +123,7 @@ def test_parse_nonlinearity():
         ("power:0", 6),
         # an unknown kind is at fault from its first character
         ("cubic:1", 0),
+        ("power:1e400", 6),
     ],
 )
 def test_parse_nonlinearity_errors_carry_positions(text, pos):
@@ -324,7 +329,13 @@ def test_solve_forcing_checks_the_picard_flags(tmp_path, capsys, flag, value):
 
 
 @pytest.mark.parametrize(
-    "flag,text", [("--weight", "power:abc"), ("--forcing", "1*t^")]
+    "flag,text",
+    [
+        ("--weight", "power:abc"),
+        ("--forcing", "1*t^"),
+        ("--forcing", "1e400*t^0.5"),
+        ("--forcing", "t^1e400"),
+    ],
 )
 def test_solve_malformed_grammar_exits_with_position(tmp_path, capsys, flag, text):
     code = main([
@@ -332,6 +343,18 @@ def test_solve_malformed_grammar_exits_with_position(tmp_path, capsys, flag, tex
     ])
     assert code == EXIT_PARSE
     assert re.search(r"\(at position \d+\)", capsys.readouterr().err)
+
+
+def test_classify_literal_too_large_for_a_double_exits_3(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    code = main([
+        "classify", "--alpha", "1.5", "--forcing", "1e400*t^0.5", "--out", str(out),
+    ])
+    assert code == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: 1e400 is too large for a double (at position 0)\n"
+    assert not out.exists()
 
 
 def test_solve_condition_h_violation_exit_code(tmp_path, capsys):

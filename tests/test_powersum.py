@@ -305,6 +305,25 @@ def test_parse_errors_carry_positions():
     with pytest.raises(PowerSumParseError) as err:
         parse_power_sum("1*t^0.2 & 3")
     assert err.value.position == 8
+    # a literal too large for a double is at fault where it starts
+    for text, pos in (("1e400*t^0.5", 0), ("t^1e400", 2)):
+        with pytest.raises(PowerSumParseError) as err:
+            parse_power_sum(text)
+        assert err.value.position == pos
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: PowerSum([(math.inf, 0.5)]),
+        lambda: PowerSum([(1.0, math.nan)]),
+        # two finite coefficients merge past the double range
+        lambda: parse_power_sum("1e308*t^0.5 + 1e308*t^0.5"),
+    ],
+)
+def test_non_finite_terms_are_rejected(make):
+    with pytest.raises(ValueError, match="not finite"):
+        make()
 
 
 def test_format_of_derivative_output_parses_back():

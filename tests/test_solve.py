@@ -487,6 +487,21 @@ def test_import_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
+def test_package_exports_each_module_all_once():
+    # Each public name is declared once, in its module's __all__; the
+    # package republishes exactly those and its version.
+    from fracbvp import gammafn, green, powersum, quadrature, regularity
+
+    modules = (gammafn, green, powersum, quadrature, regularity, solve)
+    assert len(fracbvp.__all__) == len(set(fracbvp.__all__))
+    assert set(fracbvp.__all__) == {"__version__"}.union(
+        *(m.__all__ for m in modules)
+    )
+    for m in modules:
+        for name in m.__all__:
+            assert getattr(fracbvp, name) is getattr(m, name), name
+
+
 # The four commands of perfbench's cli-readme workload.
 _README_COMMANDS = (
     ["solve", "--alpha", "2", "--weight", "power:0", "--f", "const:1", "--n", "128",
