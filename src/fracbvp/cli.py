@@ -63,7 +63,6 @@ __all__ = [
     "parse_weight",
     "parse_forcing",
     "parse_nonlinearity",
-    "format_weight",
     "render_line_plot",
     "main",
 ]
@@ -115,14 +114,6 @@ def parse_forcing(text: str) -> WeightSpec:
     if text.startswith("power:"):
         return parse_weight(text)
     return as_weight_spec(parse_power_sum(text))
-
-
-def format_weight(w: WeightSpec) -> str:
-    """Canonical weight text; ``parse_weight`` round-trips it."""
-    if w.regular == ONE:
-        return f"power:{w.beta!r}"
-    body = ";".join(f"{c!r},{lam!r}" for c, lam in w.regular)
-    return f"power:{w.beta!r}*sum:{body}"
 
 
 def parse_nonlinearity(text: str) -> NonlinearitySpec:

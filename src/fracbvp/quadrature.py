@@ -112,14 +112,14 @@ exactly by a power of two.  The M powers of a point (M of about 60 to
 84) are products of two short tables, r^(j+1), j < 8, and r^(8q), of r =
 s/2^E, each entry formed from the one before by one product, so that
 r^m takes about m/8 + 8 roundings; a batched matmul gives each panel's
-moments, and a matmul with a triangle of ones their prefix sums.  For
-g_reg > 0, on the meshes of t^-1.2 at alpha = 1.6 (n = 512 and 2048), of
-margin 0.01 at grading 8 and of g = 1 at alpha = 1.05, the moments are
-within 10 eps of a math.fsum of their terms at every row and power (from
-exp(m log r) they were up to 71 eps off).  The chunks are still cut by
-that exponent span, and each keeps its own 2^E, triangle product and
-carry; but the tables and the batched matmul are formed for a run of
-consecutive chunks at once, as many panels as one chunk may hold, so
+moments, and np.cumsum, plus the carry from the chunk below, their prefix
+sums.  For g_reg > 0, on the meshes of t^-1.2 at alpha = 1.6 (n = 512 and
+2048), of margin 0.01 at grading 8 and of g = 1 at alpha = 1.05, the
+moments are within 10 eps of a math.fsum of their terms at every row and
+power (from exp(m log r) they were up to 71 eps off).  The chunks are
+still cut by that exponent span, and each keeps its own 2^E, cumulative
+sum and carry; but the tables and the batched matmul are formed for a run
+of consecutive chunks at once, as many panels as one chunk may hold, so
 that the small chunks near the origin share the fixed cost of those
 numpy calls.  The moments do not
 depend on e, so u and u' read one set, as long as the longer of their
@@ -478,15 +478,15 @@ def _green_integrals(kinds, t, beta_g, g_regular, alpha, mesh):
     factor (alpha-1)/Gamma(alpha)) and "dalpha" (D^(alpha-1)u).  Targets
     lie in (0, 1]; t = 1 is not admitted for "du".  The mesh panels, split
     to ratios of at most 2 (_panel_edges), are shared by all targets
-    (_SharedPanels), and the helpers take their edges as ``nodes``.  Each
-    target t has its cut c, the last edge t_c <= EPS*t.  For u and u' it
-    sums the shared panels below t_c from the far field (_far_series) and
-    owns the piece [t_c, t]; D^(alpha-1)u owns the left piece [a, t] of
-    the panel t lies in, a = nodes[lo-1].  Targets without a far field (c =
-    0) own a few more pieces, see _own_panels.  The targets are sorted once
-    for all kinds: the pieces they own go in blocks of _BUDGET //
-    GAUSS_ORDER rows (_own_sums), and the far field takes all of them in
-    one call.
+    (_SharedPanels), whose record of their edges ``nodes``, beta_g and
+    alpha the helpers read.  Each target t has its cut c, the last edge
+    t_c <= EPS*t.  For u and u' it sums the shared panels below t_c from
+    the far field (_far_series) and owns the piece [t_c, t]; D^(alpha-1)u
+    owns the left piece [a, t] of the panel t lies in, a = nodes[lo-1].
+    Targets without a far field (c = 0) own a few more pieces, see
+    _own_panels.  The targets are sorted once for all kinds: the pieces
+    they own go in blocks of _BUDGET // GAUSS_ORDER rows (_own_sums), and
+    the far field takes all of them in one call.
     """
     if t.size == 0:
         return tuple(np.empty(0) for _ in kinds)
@@ -498,8 +498,8 @@ def _green_integrals(kinds, t, beta_g, g_regular, alpha, mesh):
         )
     if not kinds:  # else a block past the first panel owns no piece at all
         return ()
-    nodes = _panel_edges(mesh.nodes)
-    panels = _SharedPanels.build(nodes, beta_g, g_regular, alpha)
+    panels = _SharedPanels.build(_panel_edges(mesh.nodes), beta_g, g_regular, alpha)
+    nodes = panels.nodes
     order = np.argsort(t, kind="stable")
     ts = t[order]
     # t^e of the kinds with a left bracket
@@ -510,12 +510,12 @@ def _green_integrals(kinds, t, beta_g, g_regular, alpha, mesh):
     lo = np.searchsorted(nodes, ts, side="left")
     # the cut c, the last edge t_c <= EPS*t
     cut = np.searchsorted(nodes, EPS * ts, side="right") - 1
-    total = _own_sums(kinds, ts, te, lo, cut, nodes, beta_g, g_regular, alpha, panels)
+    total = _own_sums(kinds, ts, te, lo, cut, g_regular, panels)
     # the right kernel over the runs [t/2, t_1] of the targets that own one
     pieces = total.pop("right")
     if te:  # the far field, the shared panels below the cut
         b = [_series_coefficients(_bracket_exponent(kind, alpha)) for kind in te]
-        for kind, far_sum in zip(te, _far_series(tuple(te), ts, cut, b, nodes, panels)):
+        for kind, far_sum in zip(te, _far_series(tuple(te), ts, cut, b, panels)):
             if kind == "du":
                 far_sum = panels.left_sums[cut] - far_sum
             total[kind] += te[kind] * far_sum
@@ -549,10 +549,13 @@ def _panel_edges(nodes):
 class _SharedPanels:
     """Gauss points of the shared panels [nodes[j], nodes[j+1]], one row each.
 
-    Row j is panel j.  The weights carry s^(-beta_g); row 0, the origin
-    panel, takes the Gauss-Jacobi rule ``origin`` of the weight s^(1-beta_g),
-    its weights divided by s (_origin_panel), so that it integrates every
-    left kernel, which vanishes like s, as kernel/s times g.  The last row,
+    The record of one pass: the helpers of _green_integrals read from here
+    the split edges ``nodes``, the forcing's exponent ``beta_g`` and the
+    order ``alpha`` the panels were built from.  Row j is panel j.  The
+    weights carry s^(-beta_g); row 0, the origin panel, takes the
+    Gauss-Jacobi rule ``origin`` of the weight s^(1-beta_g), its weights
+    divided by s (_origin_panel), so that it integrates every left kernel,
+    which vanishes like s, as kernel/s times g.  The last row,
     the panel ending at 1, takes the Gauss-Jacobi rule of the weight
     (1-s)^(alpha-1), whose weights hold that whole factor; only right_sums
     reads that row.  ``own`` is the Gauss-Jacobi rule of the weight
@@ -566,9 +569,11 @@ class _SharedPanels:
     formed on first use, so only for u' and D^(alpha-1)u.
     """
 
+    nodes: np.ndarray
+    beta_g: float
+    alpha: float
     origin: tuple
     own: tuple
-    alpha: float
     s: np.ndarray
     wg: np.ndarray
     right_sums: np.ndarray
@@ -585,7 +590,7 @@ class _SharedPanels:
         pow_s = np.power(1.0 - s, alpha - 1.0)
         pow_s[-1] = 1.0
         right_sums = np.append(np.cumsum(np.sum(pow_s * wg, axis=1)[::-1])[::-1], 0.0)
-        return cls(origin, own, alpha, s, wg, right_sums)
+        return cls(nodes, beta_g, alpha, origin, own, s, wg, right_sums)
 
     @cached_property
     def left_sums(self) -> np.ndarray:
@@ -633,7 +638,7 @@ def _series_coefficients(e: float) -> np.ndarray:
     return b
 
 
-def _far_series(kinds, t, cuts, b, nodes, panels):
+def _far_series(kinds, t, cuts, b, panels):
     # The far series of each kind, b[i] its coefficients: sum_m b_m (t^m -
     # 1) X_m for u, sum_m b_m X_m for u'.  A target with cut c reads its
     # x-moments as X_m = (2^E/t)^m C[c-1, m] from the prefix moments of the
@@ -648,7 +653,7 @@ def _far_series(kinds, t, cuts, b, nodes, panels):
     x = np.empty((min(max(1, _BUDGET // len(m)), len(t) - q), len(m)))
     top = np.empty(len(x))  # 2^E of each buffered row
     k = 0  # rows in the buffer, those of targets q..q+k-1
-    for j0, scale, moments in _prefix_moments(int(cuts[-1]), m, nodes, panels):
+    for j0, scale, moments in _prefix_moments(int(cuts[-1]), m, panels):
         # the targets whose last far panel c-1 lies in this chunk
         end = int(np.searchsorted(cuts, j0 + len(moments), side="right"))
         while q + k < end:
@@ -680,7 +685,7 @@ def _add_series(out, kinds, b, m, q, t, x, top):
         out[i][q] = xk @ b[i]
 
 
-def _prefix_moments(count, m, nodes, panels):
+def _prefix_moments(count, m, panels):
     # The prefix moments over the shared panels j = 0..count-1, in chunks of
     # consecutive panels: for each chunk (j0, 2^E, C), C[i] = sum over the
     # points of panels 0..j0+i of (s/2^E)^m w g, E the frexp exponent of the
@@ -691,15 +696,16 @@ def _prefix_moments(count, m, nodes, panels):
     # scaled by 2^E/t.  With r = s/2^E, r^m = r^(8q) r^(j+1) for m = 8q +
     # j + 1: two tables of products, fine[j] = fine[j-1] r = r^(j+1) and
     # coarse[q] = coarse[q-1] r^8 = r^(8q), give all M powers in about
-    # M/8 + 8 roundings (exp(m log r) lost about m |log r| eps), and a
-    # batched matmul a panel's moments.  The tables lie as (power, panel,
+    # M/8 + 8 roundings (exp(m log r) lost about m |log r| eps), a batched
+    # matmul a panel's moments, and np.cumsum over the panels of a chunk,
+    # plus the carry, the rows of C.  The tables lie as (power, panel,
     # point), so each product runs over all the points of a run, not over
     # the 8 to 10 powers of one point.  They and that matmul are formed for
     # runs of consecutive chunks of at most ``size`` panels in all, whose
     # coarse table holds at most _BUDGET doubles, each panel scaled by its
     # own chunk's 2^E, so that small chunks share their fixed cost.
     n_coarse = (len(m) + 7) // 8
-    exps = np.frexp(nodes[1:count + 1])[1]
+    exps = np.frexp(panels.nodes[1:count + 1])[1]
     size = min(max(1, _BUDGET // (GAUSS_ORDER * n_coarse)), count)
     # the chunks, panels edges[i]..edges[i+1]-1, and the E of each chunk
     # and of each panel
@@ -710,7 +716,6 @@ def _prefix_moments(count, m, nodes, panels):
     tops = exps[np.subtract(edges[1:], 1)]
     panel_tops = np.repeat(tops, np.diff(edges))[:, None]
     tops = tops.tolist()
-    prefix = np.tri(size)  # sums over the panels of a chunk, in order
     carry, e_prev, i = np.zeros(len(m)), 0, 0
     m_int = m.astype(int)
     while i < len(edges) - 1:
@@ -732,9 +737,7 @@ def _prefix_moments(count, m, nodes, panels):
         )
         for a, b, top in zip(edges[i:k], edges[i + 1:k + 1], tops[i:k]):
             carry = np.ldexp(carry, (e_prev - top) * m_int)
-            # taken as C^T = moments^T prefix^T: the product the other way
-            # round raised classify's peak RSS by about 0.25 MB
-            c = (panel_moments[a - j0:b - j0, :len(m)].T @ prefix[:b - a, :b - a].T).T
+            c = np.cumsum(panel_moments[a - j0:b - j0, :len(m)], axis=0)
             c += carry
             yield a, 2.0**top, c
             carry, e_prev = c[-1], top
@@ -765,7 +768,7 @@ def _jacobi_pieces(a, c, e, rule):
     return c[:, None] - d, half ** (e + 1.0) * w, d
 
 
-def _own_sums(kinds, t, te, lo, cut, nodes, beta_g, g_regular, alpha, panels):
+def _own_sums(kinds, t, te, lo, cut, g_regular, panels):
     """Each kind's sums over the pieces each target owns.
 
     The ascending targets go in blocks of at most _BUDGET // GAUSS_ORDER
@@ -780,13 +783,14 @@ def _own_sums(kinds, t, te, lo, cut, nodes, beta_g, g_regular, alpha, panels):
     # the lower end of the pieces of u and u', t_c or t/2, and the span d
     # = min(t - start, 1 - t, t/2) of their piece at s = t; t = 1, where u
     # is 0, keeps t - start
-    start = np.where(cut == 0, 0.5 * t, nodes[cut])
+    start = np.where(cut == 0, 0.5 * t, panels.nodes[cut])
     d = np.where(t < 1.0, np.minimum(np.minimum(t - start, 1.0 - t), 0.5 * t), t - start)
     # the pieces of each target: the origin piece and the run of those
     # that own one, the left piece of D^(alpha-1)u, and the piece at s = t
     # and the graded pieces of u and u'
     run = (cut == 0) if te else (lo == 1)
-    count = np.where(run, 1 + _piece_count(0.5 * t, nodes[1]), 0) + ("dalpha" in kinds)
+    count = np.where(run, 1 + _piece_count(0.5 * t, panels.nodes[1]), 0)
+    count += "dalpha" in kinds
     if te:
         count += 1 + _piece_count(t - (t - d), t - start)
     # a target that owns more than _BLOCK_PIECES takes a block of its own
@@ -797,7 +801,7 @@ def _own_sums(kinds, t, te, lo, cut, nodes, beta_g, g_regular, alpha, panels):
         b = slice(r0, max(r0 + 1, min(r0 + rows, int(fit))))
         s, parts = _own_panels(
             kinds, t[b], {kind: x[b] for kind, x in te.items()}, lo[b], cut[b],
-            start[b], d[b], nodes, beta_g, alpha, panels,
+            start[b], d[b], panels,
         )
         g = np.split(g_regular(np.concatenate(s)), np.cumsum([len(x) for x in s[:-1]]))
         _add_part_sums(total, r0, parts, g)
@@ -823,7 +827,7 @@ def _add_part_sums(total, r0, parts, g):
                 np.add.at(total[kind][r0:], rows, sums)
 
 
-def _own_panels(kinds, t, te, lo, cut, start, d, nodes, beta_g, alpha, panels):
+def _own_panels(kinds, t, te, lo, cut, start, d, panels):
     """Points of the pieces each target owns, and each kind's weights on them.
 
     For u and u' a target t with its cut c >= 1, the last edge t_c <=
@@ -862,6 +866,7 @@ def _own_panels(kinds, t, te, lo, cut, start, d, nodes, beta_g, alpha, panels):
     ``start`` is the lower end of their pieces, t_c or t/2, and ``d`` the
     span of their piece at s = t (_own_sums).
     """
+    nodes, beta_g, alpha = panels.nodes, panels.beta_g, panels.alpha
     k = int(np.count_nonzero(lo == 1))  # the targets in the first panel
     # the targets with a run: for u and u' those with cut 0
     m = int(np.count_nonzero(cut == 0)) if te else k

@@ -22,7 +22,6 @@ from fracbvp.cli import (
     EXIT_OK,
     EXIT_PARSE,
     WeightParseError,
-    format_weight,
     main,
     parse_forcing,
     parse_nonlinearity,
@@ -61,6 +60,8 @@ def test_parse_weight_with_sum():
     assert w.regular.terms == ((1.0, 0.6),)
     w = parse_weight("power:0.5*sum:2,0;-1,1.5")
     assert w.regular.terms == ((2.0, 0.0), (-1.0, 1.5))
+    # terms given out of exponent order parse to the same weight
+    assert parse_weight("power:0.5*sum:-1,1.5;2,0") == w
 
 
 @pytest.mark.parametrize(
@@ -84,12 +85,6 @@ def test_parse_weight_errors_carry_positions(text, pos):
     with pytest.raises(WeightParseError) as err:
         parse_weight(text)
     assert err.value.position == pos
-
-
-def test_weight_format_round_trip_is_canonical():
-    for text in ("power:1.2", "power:0*sum:1,0.6", "power:0.5*sum:-1,1.5;2,0"):
-        canon = format_weight(parse_weight(text))
-        assert format_weight(parse_weight(canon)) == canon
 
 
 def test_parse_forcing_accepts_both_grammars():

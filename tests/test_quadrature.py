@@ -749,15 +749,15 @@ def _far_field_case(grading, alpha, kind, reg=_POSITIVE, margin=0.2):
     cut = np.searchsorted(mesh.nodes, quadrature.EPS * t, side="right") - 1
     panels = quadrature._SharedPanels.build(mesh.nodes, beta_g, reg, alpha)
     ref = _full_bracket_block(t, cut, panels, alpha, e)
-    return mesh, t, e, cut, panels, ref
+    return t, e, cut, panels, ref
 
 
-def _far_field(kind, mesh, panels, t, e, cut):
+def _far_field(kind, panels, t, e, cut):
     # the left bracket below each target's cut as _green_integrals sums it:
     # t^e times the far series of u, and for u' t^e times left_sums[c] less
     # its far series
     b = [quadrature._series_coefficients(e)]
-    [series] = quadrature._far_series((kind,), t, cut, b, mesh.nodes, panels)
+    [series] = quadrature._far_series((kind,), t, cut, b, panels)
     if kind == "du":
         series = panels.left_sums[cut] - series
     return t**e * series
@@ -776,8 +776,8 @@ def test_far_field_matches_full_bracket_block(grading, alpha, kind):
     # 0..c-1), from moments, against the bracket kernel over every (target,
     # shared Gauss point) pair there.  At alpha = 1.0005 no coefficient of
     # the series of u exceeds 5e-4.
-    mesh, t, e, cut, panels, ref = _far_field_case(grading, alpha, kind)
-    got = _far_field(kind, mesh, panels, t, e, cut)
+    t, e, cut, panels, ref = _far_field_case(grading, alpha, kind)
+    got = _far_field(kind, panels, t, e, cut)
     _assert_within_bound(got, ref)
     # g > 0, so no sum cancels: the values stay relatively accurate next to
     # t = 1 too, where those of u are O(1 - t)
@@ -791,8 +791,8 @@ def test_far_field_matches_full_bracket_block(grading, alpha, kind):
 def test_far_field_matches_full_bracket_block_for_signed_g(grading, alpha, kind):
     # As above with a g that changes sign at s = 0.16, below the cuts of the
     # targets from t = 0.19 on, so their far sums may cancel.
-    mesh, t, e, cut, panels, ref = _far_field_case(grading, alpha, kind, _SIGNED)
-    got = _far_field(kind, mesh, panels, t, e, cut)
+    t, e, cut, panels, ref = _far_field_case(grading, alpha, kind, _SIGNED)
+    got = _far_field(kind, panels, t, e, cut)
     _assert_within_bound(got, ref)
 
 
@@ -803,8 +803,8 @@ def test_far_field_matches_full_bracket_block_at_margin_0_01(grading, alpha, kin
     # At beta_g = alpha - 0.01 the origin row's Gauss-Jacobi weights, those
     # of s^(1-beta_g) over s, are largest next to 0; the moments of the
     # far field must still match the bracket kernel.
-    mesh, t, e, cut, panels, ref = _far_field_case(grading, alpha, kind, margin=0.01)
-    got = _far_field(kind, mesh, panels, t, e, cut)
+    t, e, cut, panels, ref = _far_field_case(grading, alpha, kind, margin=0.01)
+    got = _far_field(kind, panels, t, e, cut)
     _assert_within_bound(got, ref)
 
 
@@ -829,7 +829,7 @@ def test_chunking_does_not_matter(monkeypatch, budget, grading, alpha, kind):
     # only by the exponents of their panel tops.
     # At grading 8 the tops of the first panels lie 2^8 apart, so
     # consecutive chunks differ by more than one binary exponent.
-    mesh, t, e, cut, panels, ref = _far_field_case(grading, alpha, kind)
+    t, e, cut, panels, ref = _far_field_case(grading, alpha, kind)
     if budget is not None:
         monkeypatch.setattr(quadrature, "_BUDGET", budget)
     chunks, buffers = [], []
@@ -846,7 +846,7 @@ def test_chunking_does_not_matter(monkeypatch, budget, grading, alpha, kind):
 
     monkeypatch.setattr(quadrature, "_prefix_moments", counted_chunks)
     monkeypatch.setattr(quadrature, "_add_series", counted_buffers)
-    got = _far_field(kind, mesh, panels, t, e, cut)
+    got = _far_field(kind, panels, t, e, cut)
     _assert_within_bound(got, ref)
     if kind == "du" and alpha == 2.0:  # no series: (1-x)^0 - 1 = 0
         assert chunks == []
@@ -874,29 +874,36 @@ def test_series_reaches_the_binomial_at_the_cut(e):
 
 
 @pytest.mark.parametrize(
-    "w,alpha",
-    [(WeightSpec(1.2), 1.6), (WeightSpec(1.59), 1.6), (WeightSpec(0.0), 1.05)],
-    ids=["t^-1.2@1.6", "margin_0.01@1.6", "1@1.05"],
+    "w,alpha,n",
+    [
+        (WeightSpec(1.2), 1.6, 512),
+        (WeightSpec(1.59), 1.6, 512),
+        (WeightSpec(0.0), 1.05, 512),
+        (WeightSpec(0.0), 2.0, 128),
+    ],
+    ids=["t^-1.2@1.6", "margin_0.01@1.6", "1@1.05", "1@2"],
 )
-def test_prefix_moments_are_accurate(w, alpha):
+def test_prefix_moments_are_accurate(w, alpha, n):
     # Sampled rows of the prefix moments sum (s/2^E)^m w g, against math.fsum
     # of the terms with Python float powers.  g > 0, so no sum cancels.
     # The meshes: that of t^-1.2, one of grading 8 at margin 0.01, whose
-    # origin panel holds the smallest s/2^E, and that of 1 at alpha = 1.05,
-    # the longest series.  The powers come from products of two tables;
-    # from exp(m log(s/2^E)) they were up to 55 eps off here.
-    mesh = build_mesh(512, w, alpha)
+    # origin panel holds the smallest s/2^E, that of 1 at alpha = 1.05,
+    # the longest series, and that of 1 at alpha = 2, the README's
+    # classical check, whose series has one term (M = 1).  The powers come
+    # from products of two tables; from exp(m log(s/2^E)) they were up to
+    # 55 eps off here.
+    mesh = build_mesh(n, w, alpha)
     nodes = quadrature._panel_edges(mesh.nodes)
     panels = quadrature._SharedPanels.build(nodes, w.beta, _POSITIVE, alpha)
     b = [quadrature._series_coefficients(e) for e in (alpha - 1.0, alpha - 2.0)]
     big_m = max(len(bk) for bk in b)
     count = int(np.searchsorted(nodes, quadrature.EPS, side="right")) - 1
     rows = set(np.linspace(0, count - 1, 9).astype(int).tolist())
-    powers = (1, 2, 8, 9, 17, 40, 63, big_m)
+    powers = [p for p in (1, 2, 8, 9, 17, 40, 63, big_m) if p <= big_m]
     s, wg = panels.s.tolist(), panels.wg.tolist()
     worst, seen = 0.0, 0
     m = np.arange(1.0, big_m + 1.0)
-    for j0, scale, moments in quadrature._prefix_moments(count, m, nodes, panels):
+    for j0, scale, moments in quadrature._prefix_moments(count, m, panels):
         for j in rows & set(range(j0, j0 + len(moments))):
             terms = [(x / scale, y) for i in range(j + 1) for x, y in zip(s[i], wg[i])]
             for p in powers:
