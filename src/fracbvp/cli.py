@@ -12,11 +12,11 @@ Nonlinearities: ``const:<c>``, ``linear:<a>``, ``power:<p>``,
 ``affine:<a>,<b>``.
 
 Exit codes are a stable contract: 0 success, 2 condition-(H) violation,
-3 parse/validation error (a literal too large for a double included),
-4 Picard nonconvergence (CSV still written) or
-non-finite quadrature values: a solution, du or q of ``solve``, or a
-sample, limit, fit residual or norm of ``classify`` (whose CSV is still
-written).
+3 parse/validation error (a literal too large for a double included) or
+an ``--out`` that cannot be written, 4 Picard nonconvergence (CSV still
+written) or non-finite quadrature values: a solution, du or q of
+``solve``, or a sample, limit, fit residual or norm of ``classify``
+(whose CSV is still written).
 
 CSV files are UTF-8, comma-separated with a header row, LF line endings and
 17-significant-digit decimals, so reading a file back reproduces the floats
@@ -428,7 +428,7 @@ def main(argv=None) -> int:
     except FloatingPointError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # OSError: an --out not writable
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 

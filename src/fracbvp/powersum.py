@@ -158,35 +158,25 @@ class PowerSum:
         return hash(self._terms)
 
     def __call__(self, t):
-        """Evaluate at scalar t >= 0 or an array of t > 0.
+        """Evaluate at t >= 0: a float at a scalar, an array at an array.
 
         At t = 0 the value is defined only when every exponent is >= 0
         (with the 0**0 = 1 convention); a negative exponent raises
         :class:`SingularEvaluationError`.
         """
-        if isinstance(t, np.ndarray):
-            low = float(np.min(t)) if t.size else 1.0
-            if low < 0.0:
-                raise ValueError("PowerSum evaluation needs t >= 0")
-            if low == 0.0 and self._terms and self.min_exponent < 0.0:
-                raise SingularEvaluationError(
-                    "negative exponent present, cannot evaluate at t = 0"
-                )
-            out = np.zeros_like(t, dtype=float)
-            for c, lam in self._terms:
-                # t^0 = 1 for every t, 0 included: c * t^0 is c to the bit
-                out += c if lam == 0.0 else c * np.power(t, lam)
-            return out
-        t = float(t)
-        if t < 0.0:
-            raise ValueError(f"PowerSum evaluation needs t >= 0, got {t!r}")
-        if t == 0.0:
-            if self._terms and self.min_exponent < 0.0:
-                raise SingularEvaluationError(
-                    "negative exponent present, cannot evaluate at t = 0"
-                )
-            return sum(c for c, lam in self._terms if lam == 0.0)
-        return sum(c * t**lam for c, lam in self._terms)
+        arr = np.asarray(t, dtype=float)
+        low = float(np.min(arr, initial=1.0))
+        if low < 0.0:
+            raise ValueError(f"PowerSum evaluation needs t >= 0, got {low!r}")
+        if low == 0.0 and self._terms and self.min_exponent < 0.0:
+            raise SingularEvaluationError(
+                "negative exponent present, cannot evaluate at t = 0"
+            )
+        out = np.zeros_like(arr)
+        for c, lam in self._terms:
+            # t^0 = 1 for every t, 0 included: c * t^0 is c to the bit
+            out += c if lam == 0.0 else c * np.power(arr, lam)
+        return out if isinstance(t, np.ndarray) else float(out)
 
     def __repr__(self) -> str:
         return f"PowerSum({list(self._terms)!r})"

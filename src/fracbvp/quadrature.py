@@ -89,11 +89,12 @@ term over [t/2, t_1] takes a geometric run of Gauss-Legendre pieces
 at most 2 (geometric refinement: Schwab, p- and hp-Finite Element
 Methods, 1998), and the suffix sum from t_1 the rest;
 D^(alpha-1)u in the first panel owns the same origin piece and run.
-Only these own pieces go in row blocks, of at most 768 targets and 3,072
-pieces with one g_reg call each, and the graded pieces and geometric runs
-of a block in runs of at most 768 pieces, so that each (row, Gauss point)
-array of a block, 768 x 12 doubles, stays within a temporary budget of 72
-KiB (_BUDGET).
+Only these own pieces go in row blocks of at most 768 targets, built in
+one place, item by item (_own_pieces): each item holds at most 768
+pieces, the graded pieces and geometric runs of a block coming in runs
+of as many, so that each (row, Gauss point) array, 768 x 12 doubles,
+stays within a temporary budget of 72 KiB (_BUDGET).  g_reg takes a
+block's items in batches of at most 3,072 pieces, one call each.
 The far field takes all targets in one call, in pieces that keep its
 temporaries within the same budget.
 
@@ -396,26 +397,30 @@ def apply_dalpha_minus_1(t, g_singular_exponent, g_regular, alpha, mesh):
 _BUDGET = 96**2
 _BLOCK_PIECES = 4 * _BUDGET // GAUSS_ORDER
 # Only the pieces the targets own go in row blocks: _own_sums takes the
-# sorted targets in blocks of _BUDGET // GAUSS_ORDER = 768 rows (and
-# _graded_pieces their graded pieces and geometric runs in runs of as
-# many), so each (row, Gauss point) array of a block holds at most _BUDGET
-# doubles, and g_regular takes the points of all of a block's pieces in one
-# call.  Blocks of 96 rows took 6 g_regular calls for classify's 531
+# sorted targets in blocks of _BUDGET // GAUSS_ORDER = 768 rows, whose
+# pieces _own_pieces yields in items of at most as many (_graded_pieces
+# cuts their graded pieces and geometric runs in runs of 768), so each
+# (row, Gauss point) array holds at most _BUDGET doubles.  g_regular takes
+# the points of a batch of a block's items in one call; a batch ends with
+# its block, or before it would pass _BLOCK_PIECES pieces, 4 _BUDGET
+# points.  Blocks of 96 rows took 6 g_regular calls for classify's 531
 # targets and 22 for an n = 2048 solve, where 768 rows take 1 and 3:
-# classify ran 0.79x as long and an n = 2048 solve 0.83x.  A block also
-# owns at most _BLOCK_PIECES pieces, 4 _BUDGET points, unless one target
-# owns more: a target deep in the first panel owns a run of about
-# log2(t_1/t) pieces, 1,000 at t = 1e-300, and 768 targets at 1e-200 in
-# one block traced 180 MiB at n = 512.  Elsewhere a target owns 1 to 3
-# pieces, and a few next to 1 more: the blocks of an n = 2048 solve and of
-# classify hold at most 1,742.  The far field takes all targets in one
-# call: it builds its prefix moments in runs of
-# chunks of panels whose power tables, and copies its targets' moment rows
-# into a buffer whose rows, hold at most _BUDGET doubles (_far_series).
+# classify ran 0.79x as long and an n = 2048 solve 0.83x.  A target owns 1
+# to 3 pieces, and a few next to 1 more: the blocks of an n = 2048 solve
+# and of classify hold at most 1,742, one batch each.  A target deep in
+# the first panel owns a run of about log2(t_1/t) pieces, 1,000 at t =
+# 1e-300: 768 targets at 1e-200 in one batch traced 180 MiB at n = 512,
+# in batches 2.0 MiB.  One batch across blocks put an n = 2048 solve's
+# own pieces in one call of 28,884 points and ran 1.07x as long (in
+# process, one 2.0 GHz Xeon vCPU, 400 interleaved pairs).  The far
+# field takes all targets in one call: it builds its prefix moments in
+# runs of chunks of panels whose power tables, and copies its targets'
+# moment rows into a buffer whose rows, hold at most _BUDGET doubles
+# (_far_series).
 
 # The cut.  Each target t sums the shared panels below its cut, the last
 # edge t_c <= EPS*t, from power moments, and for u and u' owns [t_c, t],
-# whose piece at s = t spans at most t/2 (_own_panels).  A lower cut
+# whose piece at s = t spans at most t/2 (_own_pieces).  A lower cut
 # shortens the series (O(n M): M is at most 84 at 0.6, 120 at 0.7) and
 # lengthens what each target owns; below 0.5 a cut-0 target's origin piece
 # [0, t/2] would leave [0, t_1].  At cuts 0.5 / 0.55 / 0.6 / 0.65 / 0.7,
@@ -484,20 +489,19 @@ def _green_integrals(kinds, t, beta_g, g_regular, alpha, mesh):
     the far field (_far_series) and owns the piece [t_c, t]; D^(alpha-1)u
     owns the left piece [a, t] of the panel t lies in, a = nodes[lo-1].
     Targets without a far field (c = 0) own a few more pieces, see
-    _own_panels.  The targets are sorted once for all kinds: the pieces
-    they own go in blocks of _BUDGET // GAUSS_ORDER rows (_own_sums), and
-    the far field takes all of them in one call.
+    _own_pieces.  The targets are sorted once for all kinds: the pieces
+    they own are built in blocks of _BUDGET // GAUSS_ORDER rows, with g
+    evaluated per batch of a block's pieces (_own_sums), and the far field
+    takes all of them in one call.
     """
-    if t.size == 0:
-        return tuple(np.empty(0) for _ in kinds)
     beta_g = float(beta_g)
     if not alpha - beta_g > 0.0:  # NaN fails too
         raise ConditionHError(
             f"forcing singularity exponent {beta_g} is not below the order"
             f" {alpha}; the Green integral diverges"
         )
-    if not kinds:  # else a block past the first panel owns no piece at all
-        return ()
+    if not (t.size and kinds):  # else a block owns no piece at all
+        return tuple(np.empty(0) for _ in kinds)
     panels = _SharedPanels.build(_panel_edges(mesh.nodes), beta_g, g_regular, alpha)
     nodes = panels.nodes
     order = np.argsort(t, kind="stable")
@@ -559,7 +563,7 @@ class _SharedPanels:
     the panel ending at 1, takes the Gauss-Jacobi rule of the weight
     (1-s)^(alpha-1), whose weights hold that whole factor; only right_sums
     reads that row.  ``own`` is the Gauss-Jacobi rule of the weight
-    (1+x)^(alpha-2), which the targets' pieces up to t take (_own_panels);
+    (1+x)^(alpha-2), which the targets' pieces up to t take (_own_pieces);
     the three rules are built once per (beta_g, alpha) (_rules).  ``wg``
     holds the weights times g.  The t-free kernels over these panels
     reduce to suffix sums, right_sums[k] = sum over rows >= k of
@@ -771,64 +775,49 @@ def _jacobi_pieces(a, c, e, rule):
 def _own_sums(kinds, t, te, lo, cut, g_regular, panels):
     """Each kind's sums over the pieces each target owns.
 
-    The ascending targets go in blocks of at most _BUDGET // GAUSS_ORDER
-    rows that own at most _BLOCK_PIECES pieces, counted before any piece
-    is built, and g_regular is evaluated in one call per block at the
-    points of every piece its targets own (_own_panels).  Returns {kind:
-    sums}, with "right" the sum of the right kernel (1-s)^(alpha-1) w g
-    over the geometric run [t/2, t_1] of the targets that own one, 0
-    elsewhere.
+    The ascending targets go in row blocks of _BUDGET // GAUSS_ORDER rows,
+    whose pieces _own_pieces builds item by item.  g_regular is evaluated
+    in one call per batch of a block's items, at all their points
+    (_add_piece_sums); a batch ends with its block, or before it would
+    pass _BLOCK_PIECES pieces.  Returns {kind: sums}, with "right" the sum
+    of the right kernel (1-s)^(alpha-1) w g over the geometric run
+    [t/2, t_1] of the targets that own one, 0 elsewhere.
     """
     total = {kind: np.zeros(len(t)) for kind in (*kinds, "right")}
-    # the lower end of the pieces of u and u', t_c or t/2, and the span d
-    # = min(t - start, 1 - t, t/2) of their piece at s = t; t = 1, where u
-    # is 0, keeps t - start
-    start = np.where(cut == 0, 0.5 * t, panels.nodes[cut])
-    d = np.where(t < 1.0, np.minimum(np.minimum(t - start, 1.0 - t), 0.5 * t), t - start)
-    # the pieces of each target: the origin piece and the run of those
-    # that own one, the left piece of D^(alpha-1)u, and the piece at s = t
-    # and the graded pieces of u and u'
-    run = (cut == 0) if te else (lo == 1)
-    count = np.where(run, 1 + _piece_count(0.5 * t, panels.nodes[1]), 0)
-    count += "dalpha" in kinds
-    if te:
-        count += 1 + _piece_count(t - (t - d), t - start)
-    # a target that owns more than _BLOCK_PIECES takes a block of its own
-    ends = np.cumsum(count)
-    rows, r0 = _BUDGET // GAUSS_ORDER, 0
-    while r0 < len(t):
-        fit = np.searchsorted(ends, ends[r0] - count[r0] + _BLOCK_PIECES, side="right")
-        b = slice(r0, max(r0 + 1, min(r0 + rows, int(fit))))
-        s, parts = _own_panels(
-            kinds, t[b], {kind: x[b] for kind, x in te.items()}, lo[b], cut[b],
-            start[b], d[b], panels,
-        )
-        g = np.split(g_regular(np.concatenate(s)), np.cumsum([len(x) for x in s[:-1]]))
-        _add_part_sums(total, r0, parts, g)
-        # free this block's points, g values and weights before the next
-        # block builds its own
-        del s, parts, g
-        r0 = b.stop
+    rows = _BUDGET // GAUSS_ORDER
+    for r0 in range(0, len(t), rows):
+        batch, size = [], 0
+        for item in _own_pieces(kinds, t, te, lo, cut, panels, slice(r0, r0 + rows)):
+            if batch and size + len(item[0]) > _BLOCK_PIECES:
+                _add_piece_sums(total, batch, g_regular)
+                batch, size = [], 0
+            batch.append(item)
+            size += len(item[0])
+        _add_piece_sums(total, batch, g_regular)
     return total
 
 
-def _add_part_sums(total, r0, parts, g):
-    # Each kind's sums over the pieces of a block whose first row is r0; a
-    # weight array sits on the block rows ``rows`` and the first rows of
-    # its piece.  A row repeats only among the graded pieces, where a target
-    # owns several, and there np.add.at adds each of them in order; rows
-    # given by a slice are unique and take +=, to the same bits.
-    for kind, pairs in parts.items():
-        for j, rows, kw in pairs:
-            sums = np.sum(kw * g[j][:len(kw)], axis=1)
+def _add_piece_sums(total, batch, g_regular):
+    # Each kind's sums over the pieces of a batch of (points, parts) items,
+    # with g_regular at all their points in one call.  A weight array sits
+    # on the first rows of its item's points.  A row repeats only among the
+    # graded pieces and runs, whose rows are an index array, and there
+    # np.add.at adds each of them in order; rows given by a slice are
+    # unique and take +=, to the same bits.
+    g = g_regular(np.concatenate([points for points, _ in batch]))
+    p = 0
+    for points, parts in batch:
+        for kind, rows, kw in parts:
+            sums = np.sum(kw * g[p:p + len(kw)], axis=1)
             if isinstance(rows, slice):
-                total[kind][r0:][rows] += sums
+                total[kind][rows] += sums
             else:
-                np.add.at(total[kind][r0:], rows, sums)
+                np.add.at(total[kind], rows, sums)
+        p += len(points)
 
 
-def _own_panels(kinds, t, te, lo, cut, start, d, panels):
-    """Points of the pieces each target owns, and each kind's weights on them.
+def _own_pieces(kinds, t, te, lo, cut, panels, block):
+    """The pieces the targets t[block] own, item by item.
 
     For u and u' a target t with its cut c >= 1, the last edge t_c <=
     EPS*t, owns the piece [t_c, t] under the Gauss-Jacobi rule
@@ -854,64 +843,63 @@ def _own_panels(kinds, t, te, lo, cut, start, d, panels):
     target owns the origin piece and the run above, then
     panels.right_sums[1].
 
-    Returns (points, parts).  ``points`` is a list of (rows, GAUSS_ORDER)
-    arrays: the origin pieces and the runs, if a target owns them, the
+    Yields (points, parts) items, points a (pieces, GAUSS_ORDER) array, in
+    this order: the origin piece and the runs, if a target owns them, the
     left pieces of D^(alpha-1)u, if it is asked for, and the Gauss-Jacobi
-    and graded pieces of u and u', if one of them is.  ``parts`` maps each
-    kind, and "right" for the right kernel, to its (index into points,
-    block rows, kernel times weight) triples; the rows of the runs and the
-    graded pieces repeat.  The targets that own a run are a prefix of the
-    ascending block.  The weights carry s^(-beta_g); ``te`` maps each of u
-    and u' that is asked for to t^e, e the exponent of its left bracket.
-    ``start`` is the lower end of their pieces, t_c or t/2, and ``d`` the
-    span of their piece at s = t (_own_sums).
+    and graded pieces of u and u', if one of them is; so every row's sums
+    are added in that order.  ``parts`` holds (kind, rows, kernel times
+    weight) triples, "right" for the right kernel, with ``rows`` into the
+    whole target array; the rows of the runs and the graded pieces repeat.
+    The targets that own a run are a prefix of the ascending block.  The
+    weights carry s^(-beta_g); ``te`` maps each of u and u' that is asked
+    for to t^e, e the exponent of its left bracket.
     """
     nodes, beta_g, alpha = panels.nodes, panels.beta_g, panels.alpha
+    r0 = block.start
+    t, lo, cut = t[block], lo[block], cut[block]
+    te = {kind: x[block] for kind, x in te.items()}
     k = int(np.count_nonzero(lo == 1))  # the targets in the first panel
     # the targets with a run: for u and u' those with cut 0
     m = int(np.count_nonzero(cut == 0)) if te else k
-    points, parts = [], {kind: [] for kind in (*kinds, "right")}
     if m:
         s0, w0 = _origin_panel(0.5 * t[:m], panels.origin, beta_g)
-        points.append(s0)
+        parts = []
         if "dalpha" in kinds:  # k <= m: a target in the first panel has cut 0
             kw = _dalpha_bracket(s0[:k], alpha) * w0[:k]
-            parts["dalpha"].append((0, slice(0, k), kw))
+            parts.append(("dalpha", slice(r0, r0 + k), kw))
         for kind in te:
             e = _bracket_exponent(kind, alpha)
             k0 = bracket_values(t[:m, None], s0, alpha, e, te[kind][:m, None])
-            parts[kind].append((0, slice(0, m), k0 * w0))
+            parts.append((kind, slice(r0, r0 + m), k0 * w0))
+        yield s0, parts
         # the right kernel over the geometric run [t/2, t_1]
         for s1, w1, rows1 in _graded_pieces(0.5 * t[:m], np.full(m, nodes[1])):
             w1 *= np.power(s1, -beta_g)
-            kw = np.power(1.0 - s1, alpha - 1.0) * w1
-            parts["right"].append((len(points), rows1, kw))
-            points.append(s1)
+            yield s1, [("right", r0 + rows1, np.power(1.0 - s1, alpha - 1.0) * w1)]
     if "dalpha" in kinds:  # the left piece [a, t], a = t/2 in the first panel
         s3, w3 = _gauss(np.where(lo == 1, 0.5 * t, nodes[lo - 1]), t)
         w3 *= np.power(s3, -beta_g)
-        parts["dalpha"].append((len(points), slice(0, len(t)), -w3))
-        points.append(s3)
+        yield s3, [("dalpha", block, -w3)]
     if te:
+        # the lower end of the pieces of u and u', t_c or t/2, and the span
+        # d = min(t - start, 1 - t, t/2) of their piece at s = t; t = 1,
+        # where u is 0, keeps t - start
+        start = np.where(cut == 0, 0.5 * t, nodes[cut])
+        d = np.minimum(np.minimum(t - start, 1.0 - t), 0.5 * t)
+        d = np.where(t < 1.0, d, t - start)
         # the piece at s = t spans d, and the graded pieces the rest of
         # [start, t]
         s4, w4, d4 = _jacobi_pieces(t - d, t, alpha - 2.0, panels.own)
         w4 *= -np.power(s4, -beta_g)
-        for kind in te:
-            kw = w4 * d4 if kind == "u" else w4
-            parts[kind].append((len(points), slice(0, len(t)), kw))
-        points.append(s4)
+        yield s4, [(kind, block, w4 * d4 if kind == "u" else w4) for kind in te]
         # t - (t - d) is the width _jacobi_pieces gives that piece, so the
         # graded pieces abut it.  Each is no longer than its distance to t
         # or to s = 1, and the distances keep the digits that t - s loses.
         for d5, w5, rows5 in _graded_pieces(t - (t - d), t - start):
             s5 = t[rows5, None] - d5
             w5 *= -np.power(s5, -beta_g) * np.power(d5, alpha - 2.0)
-            for kind in te:
-                kw = w5 * d5 if kind == "u" else w5
-                parts[kind].append((len(points), rows5, kw))
-            points.append(s5)
-    return points, parts
+            rows5 += r0
+            yield s5, [(kind, rows5, w5 * d5 if kind == "u" else w5) for kind in te]
 
 
 def _graded_pieces(near, span):
@@ -919,16 +907,19 @@ def _graded_pieces(near, span):
     # [near_i, span_i]: [2^k near_i, 2^(k+1) near_i], k = 0, 1, ..., the
     # last one ending at span_i, so each spans a ratio of at most 2.  The
     # caller places them: as distances from t, or as points s themselves.
-    # A row with span_i <= near_i has no piece; the rows ascend.  A row's
-    # pieces may straddle two runs of the budget, but stay in order.
+    # A row with span_i <= near_i has no piece; the rows ascend.  The
+    # pieces come in runs of at most _BUDGET // GAUSS_ORDER, each of which
+    # finds its rows on the cumulative piece counts; a row's pieces may
+    # straddle two runs, but stay in order.
     count = _piece_count(near, span)
-    rows = np.repeat(np.arange(len(near)), count)
-    k = np.arange(len(rows)) - np.repeat(np.cumsum(count) - count, count)
+    ends, total = np.cumsum(count), int(count.sum())
     size = _BUDGET // GAUSS_ORDER
-    for p in range(0, len(rows), size):
-        r, kr = rows[p:p + size], k[p:p + size]
-        lo = np.ldexp(near[r], kr)
-        hi = np.where(kr == count[r] - 1, span[r], 2.0 * lo)
+    for p in range(0, total, size):
+        piece = np.arange(p, min(p + size, total))
+        r = np.searchsorted(ends, piece, side="right")
+        k = piece - (ends[r] - count[r])
+        lo = np.ldexp(near[r], k)
+        hi = np.where(k == count[r] - 1, span[r], 2.0 * lo)
         yield *_gauss(lo, hi), r
 
 

@@ -352,6 +352,24 @@ def test_classify_literal_too_large_for_a_double_exits_3(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["solve", "--alpha", "2", "--weight", "power:0", "--f", "const:1", "--n", "16"],
+        ["classify", "--alpha", "1.6", "--weight", "power:1.2", "--n", "16"],
+        ["figure1", "--n", "16"],
+    ],
+    ids=lambda command: command[0],
+)
+def test_unwritable_out_exits_3(tmp_path, capsys, command):
+    # --out under a regular file; a read-only directory would not stop root
+    (tmp_path / "f").write_text("")
+    code = main([*command, "--out", str(tmp_path / "f" / "x.csv")])
+    assert code == EXIT_PARSE
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: ") and "x.csv" in line
+
+
 def test_solve_condition_h_violation_exit_code(tmp_path, capsys):
     code = main([
         "solve", "--alpha", "1.5", "--weight", "power:1.6",

@@ -68,6 +68,9 @@ def test_eval_examples():
 def test_eval_at_origin():
     assert ONE(0.0) == 1.0
     assert PowerSum([(2.0, 0.0), (5.0, 1.0)])(0.0) == 2.0
+    # no constant term: a float 0.0, as at every other scalar
+    value = PowerSum([(5.0, 1.0)])(0.0)
+    assert value == 0.0 and type(value) is float
     with pytest.raises(SingularEvaluationError):
         PowerSum([(1.0, -0.5)])(0.0)
     with pytest.raises(ValueError):

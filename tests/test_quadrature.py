@@ -181,6 +181,11 @@ def test_apply_green_rejects_supercritical_singularity():
     mesh = build_mesh(64, WeightSpec(0.0), 1.5)
     with pytest.raises(ConditionHError):
         apply_green(0.5, 1.5, ONE, 1.5, mesh)
+    # no target, or no kind, does not skip the check
+    with pytest.raises(ConditionHError):
+        apply_operators(("u",), np.array([]), 1.5, ONE, 1.5, mesh)
+    with pytest.raises(ConditionHError):
+        apply_operators((), np.array([0.5]), 1.5, ONE, 1.5, mesh)
 
 
 # --- derivative operator ---------------------------------------------------------
@@ -536,10 +541,12 @@ def test_pieces_at_s_equals_t_span_a_ratio_of_at_most_2(monkeypatch):
 def test_row_blocks_fill_the_temporary_budget(monkeypatch):
     # The pieces the targets own go in row blocks of _BUDGET // GAUSS_ORDER
     # = 768 rows, and g is evaluated in one call on the shared panels and
-    # one per row block: 4 calls at the 2,047 interior nodes of an n = 2048
-    # mesh and 2 in classify's pass at its 531 points (23 and 7 in blocks of
-    # 96 rows).  The far field takes all targets of a pass in one call (3
-    # at n = 2048 when it went in row blocks as well).
+    # one per batch of a block's pieces, a batch ending with its block or
+    # at _BLOCK_PIECES pieces: 4 calls at the 2,047 interior nodes of an
+    # n = 2048 mesh and 2 in classify's pass at its 531 points (23 and 7 in
+    # blocks of 96 rows), as no block there owns more than 1,742 pieces.
+    # The far field takes all targets of a pass in one call (3 at n = 2048
+    # when it went in row blocks as well).
     w, alpha = WeightSpec(1.2), 1.6
     beta_g, reg = w.singular_decomposition()
     mesh = build_mesh(2048, w, alpha)
@@ -939,10 +946,13 @@ def test_traced_memory_of_a_large_solve_stays_small():
 )
 def test_row_blocks_deep_in_the_first_panel_stay_small(monkeypatch, t):
     # A target deep in the first panel owns a run of about log2(t_1/t)
-    # pieces, 621 at 1e-200 at n = 512.  Blocks of 768 rows whatever they
-    # owned traced 180 MiB and 94 MiB here, against 0.9 MiB for 768 targets
-    # in (0.1, 0.9); blocks of at most _BLOCK_PIECES pieces trace about
-    # 1.2 MiB and 1.4 MiB.  A block of one target each gives the same bits.
+    # pieces, 621 at 1e-200 at n = 512.  Blocks of 768 rows whose pieces
+    # all took one g call traced 180 MiB and 94 MiB here, against 0.9 MiB
+    # for 768 targets in (0.1, 0.9).  A block's pieces now go in batches of
+    # at most _BLOCK_PIECES pieces, one g call each, and trace 2.0 MiB and
+    # 2.2 MiB (blocks cut by a count of their pieces traced 1.2 MiB and
+    # 1.4 MiB).  _BLOCK_PIECES = 1, one item of pieces per batch, gives the
+    # same bits.
     mesh = build_mesh(512, WeightSpec(1.2), 1.6)
     kinds = ("u", "du", "dalpha")
     tracemalloc.start()
@@ -955,6 +965,25 @@ def test_row_blocks_deep_in_the_first_panel_stay_small(monkeypatch, t):
     monkeypatch.setattr(quadrature, "_BLOCK_PIECES", 1)
     for got, want in zip(apply_operators(kinds, t[::8], 1.2, ONE, 1.6, mesh), values):
         assert np.array_equal(got, want[::8])
+
+
+def test_graded_pieces_hold_one_run_of_indices():
+    # The geometric runs [t/2, t_1] of 768 targets at 1e-200 on the n = 512
+    # mesh, 476,928 pieces: each run of 768 finds its rows on the cumulative
+    # piece counts, 0.5 MiB traced.  Rows and indices repeated for every
+    # piece up front traced 10.9 MiB.
+    near = np.full(768, 0.5e-200)
+    span = np.full(768, build_mesh(512, WeightSpec(1.2), 1.6).nodes[1])
+    tracemalloc.start()
+    try:
+        pieces = 0
+        for s, _, _ in quadrature._graded_pieces(near, span):
+            pieces += len(s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert pieces == 768 * 621
+    assert peak <= 2**20
 
 
 def test_band_evaluates_few_kernel_elements(monkeypatch):
