@@ -235,10 +235,11 @@ def render_line_plot(path: Path, curves, title: str = "") -> None:
 
 def cmd_solve(args) -> int:
     w = _weight_or_forcing(args)
-    f = parse_nonlinearity(args.f)
     alpha, out = args.alpha, Path(args.out)
 
     if args.forcing is not None:
+        if args.f is not None:
+            raise ValueError("--f applies to --weight; a --forcing solve is linear")
         # the Picard flags are unused on the linear path, but still checked
         check_picard_controls(args.tol, args.max_iter)
         solution = solve_linear(w, alpha, args.n)
@@ -250,6 +251,7 @@ def cmd_solve(args) -> int:
                 " for signed data",
                 0,
             )
+        f = parse_nonlinearity("const:1" if args.f is None else args.f)
         report = solve_nonlinear(
             w, f, alpha, args.n, tol=args.tol, max_iter=args.max_iter
         )
@@ -391,8 +393,9 @@ def _build_parser() -> _Parser:
 
     solve = subs.add_parser("solve", help="solve and write t,u,du,q CSV")
     _add_problem_flags(solve, "solve.csv", _SOLVE_N_HELP)
-    solve.add_argument("--f", default="const:1",
-                       help="nonlinearity (const:/linear:/power:/affine:)")
+    solve.add_argument("--f",
+                       help="nonlinearity (const:/linear:/power:/affine:) of a"
+                       " --weight solve; default const:1")
     solve.add_argument("--tol", type=float, default=1e-8,
                        help="Picard sup-norm stopping tolerance")
     solve.add_argument("--max-iter", type=int, default=200, dest="max_iter")

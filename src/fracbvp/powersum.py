@@ -160,6 +160,9 @@ class PowerSum:
     def __call__(self, t):
         """Evaluate at t >= 0: a float at a scalar, an array at an array.
 
+        Any array-like t is taken as an array, a list included, and a 0-d
+        array gives a float, as the quadrature's operators return.
+
         At t = 0 the value is defined only when every exponent is >= 0
         (with the 0**0 = 1 convention); a negative exponent raises
         :class:`SingularEvaluationError`.
@@ -176,7 +179,7 @@ class PowerSum:
         for c, lam in self._terms:
             # t^0 = 1 for every t, 0 included: c * t^0 is c to the bit
             out += c if lam == 0.0 else c * np.power(arr, lam)
-        return out if isinstance(t, np.ndarray) else float(out)
+        return float(out) if out.ndim == 0 else out
 
     def __repr__(self) -> str:
         return f"PowerSum({list(self._terms)!r})"

@@ -78,17 +78,16 @@ at t = 1 - 1e-9 for g_reg = sqrt(1-s)).  Where d = t/2, one such piece,
 [t_c, t/2], spans a ratio below 1.7.  The t-free term over the pieces and
 the right part are the suffix sum from t_c.  D^(alpha-1)u, whose left
 kernel does not depend on t, owns instead the left piece [a, t] of the
-panel t lies in, a its lower node (t/2 in the first panel), under
-Gauss-Legendre, and subtracts the integral of g over it from its prefix
-and suffix sums from a.  A target with cut 0 (t < t_1/EPS) has no far
-field: for u and u' it owns the origin piece [0, t/2], which lies inside
-[0, t_1] as EPS >= 0.5, and [t/2, t] under the rule at s = t.  The
-origin row's weights serve only kernels that vanish like s, so the t-free
-term over [t/2, t_1] takes a geometric run of Gauss-Legendre pieces
-[2^k t/2, 2^(k+1) t/2], the last one clipped at t_1, each of a ratio of
-at most 2 (geometric refinement: Schwab, p- and hp-Finite Element
-Methods, 1998), and the suffix sum from t_1 the rest;
-D^(alpha-1)u in the first panel owns the same origin piece and run.
+panel t lies in, a its lower node, under Gauss-Legendre, and subtracts
+the integral of g over it from its prefix and suffix sums from a.  A
+target with cut 0 (t < t_1/EPS) has no far field: it owns the origin
+piece [0, t/2], which lies inside [0, t_1] as EPS >= 0.5, and [t/2, t],
+for u and u' under the rule at s = t, for D^(alpha-1)u as its left piece
+(a = t/2).  The origin row's weights serve only kernels that vanish like
+s, so the t-free term over [t/2, t_1] takes a geometric run of
+Gauss-Legendre pieces [2^k t/2, 2^(k+1) t/2], the last one clipped at
+t_1, each of a ratio of at most 2 (geometric refinement: Schwab, p- and
+hp-Finite Element Methods, 1998), and the suffix sum from t_1 the rest.
 Only these own pieces go in row blocks of at most 768 targets, built in
 one place, item by item (_own_pieces): each item holds at most 768
 pieces, the graded pieces and geometric runs of a block coming in runs
@@ -332,6 +331,24 @@ def apply_operators(kinds, t, g_singular_exponent, g_regular, alpha, mesh):
     kind requested.  The kinds share one assembly pass: the shared panels,
     one evaluation of g_regular per quadrature point, the pieces each
     target owns and, for u and u', the far-field moments.
+
+    The pass takes the kept targets (u vanishes at t = 0 and t = 1, and
+    only D^(alpha-1)u is computed at t = 1), sorted once by t.  The mesh
+    panels, split to ratios of at most 2 (_panel_edges), are shared by all
+    targets (_SharedPanels).  Each target t has its cut c, the last edge
+    t_c <= EPS*t, and lies in panel lo-1, nodes[lo-1] < t <= nodes[lo].
+    Its pieces (_own_pieces) are built in row blocks of _BUDGET //
+    GAUSS_ORDER rows, with g evaluated per batch of a block's pieces
+    (_own_sums), and the far field takes all targets in one call
+    (_far_series).  One rule then assembles every kind, by its index a:
+    its sum over the pieces the target owns, plus t^e times its left part,
+    the shared panels below a, plus t^e times its right part, the run
+    [t/2, t_1] if the target owns one plus right_sums[max(a, 1)].  For u
+    and u', a = c, e is the exponent of their left bracket and the left
+    part is the far series (for u', left_sums[c] less it).  For
+    D^(alpha-1)u, a = 0 without a far field (c = 0) and lo-1 otherwise,
+    the left part is left_sums[a], and t^e is 1.0.  Each kind is written
+    into its zeros at the kept targets' flat indices and scaled in place.
     """
     alpha = checked_alpha(alpha)
     t = np.asarray(t, dtype=float)
@@ -339,22 +356,47 @@ def apply_operators(kinds, t, g_singular_exponent, g_regular, alpha, mesh):
         if kind not in _DOMAINS:
             raise ValueError(f"unknown operator {kind!r}")
         _checked_t(t, _DOMAINS[kind])
-    # u vanishes at t = 0 and t = 1; D^(alpha-1)u is computed at t = 1.
+    beta_g = float(g_singular_exponent)
+    if not alpha - beta_g > 0.0:  # NaN fails too
+        raise ConditionHError(
+            f"forcing singularity exponent {beta_g} is not below the order"
+            f" {alpha}; the Green integral diverges"
+        )
     keep = (t > 0.0) & ((t < 1.0) | ("dalpha" in kinds))
-    values = _green_integrals(
-        tuple(kinds), t[keep], g_singular_exponent, g_regular, alpha, mesh
-    )
-    results = []
-    for kind, value in zip(kinds, values):
-        out = np.zeros(t.shape)
-        out[keep] = value
+    order = np.argsort(t, axis=None, kind="stable")
+    order = order[keep.ravel()[order]]  # the flat indices of the kept targets
+    results = tuple(np.zeros(t.shape) for _ in kinds)
+    if order.size and kinds:  # else there is nothing to integrate
+        panels = _SharedPanels.build(_panel_edges(mesh.nodes), beta_g, g_regular, alpha)
+        ts = t.ravel()[order]
+        # t^e of the kinds with a left bracket
+        te = {
+            kind: ts**_bracket_exponent(kind, alpha) for kind in kinds if kind != "dalpha"
+        }
+        lo = np.searchsorted(panels.nodes, ts, side="left")
+        cut = np.searchsorted(panels.nodes, EPS * ts, side="right") - 1
+        total = _own_sums(kinds, ts, te, lo, cut, g_regular, panels)
+        runs = total.pop("right")
+        b = [_series_coefficients(_bracket_exponent(kind, alpha)) for kind in te]
+        far = dict(zip(te, _far_series(tuple(te), ts, cut, b, panels))) if te else {}
+        for kind, out in zip(kinds, results):
+            if kind == "dalpha":
+                a = np.where(cut == 0, 0, lo - 1)
+                left = panels.left_sums[a]
+            else:
+                a = cut
+                left = far[kind] if kind == "u" else panels.left_sums[a] - far[kind]
+            scale = te.get(kind, 1.0)
+            right = runs + panels.right_sums[np.maximum(a, 1)]
+            out.flat[order] = total[kind] + scale * left + scale * right
+    for kind, out in zip(kinds, results):
         if kind == "u":
             out[t == 1.0] = 0.0
-            out = out / gamma(alpha)
+            out /= gamma(alpha)
         elif kind == "du":
-            out = out * (alpha - 1.0) / gamma(alpha)
-        results.append(_as_result(out))
-    return tuple(results)
+            out *= alpha - 1.0
+            out /= gamma(alpha)
+    return tuple(_as_result(out) for out in results)
 
 
 def apply_green(t, g_singular_exponent, g_regular, alpha, mesh):
@@ -476,66 +518,6 @@ def _bracket_exponent(kind, alpha):
     return alpha - 1.0 if kind == "u" else alpha - 2.0
 
 
-def _green_integrals(kinds, t, beta_g, g_regular, alpha, mesh):
-    """Unscaled operator integrals at a 1-D array of targets, one array per kind.
-
-    ``kinds`` is a tuple of "u" (Green integral), "du" (u' without its
-    factor (alpha-1)/Gamma(alpha)) and "dalpha" (D^(alpha-1)u).  Targets
-    lie in (0, 1]; t = 1 is not admitted for "du".  The mesh panels, split
-    to ratios of at most 2 (_panel_edges), are shared by all targets
-    (_SharedPanels), whose record of their edges ``nodes``, beta_g and
-    alpha the helpers read.  Each target t has its cut c, the last edge
-    t_c <= EPS*t.  For u and u' it sums the shared panels below t_c from
-    the far field (_far_series) and owns the piece [t_c, t]; D^(alpha-1)u
-    owns the left piece [a, t] of the panel t lies in, a = nodes[lo-1].
-    Targets without a far field (c = 0) own a few more pieces, see
-    _own_pieces.  The targets are sorted once for all kinds: the pieces
-    they own are built in blocks of _BUDGET // GAUSS_ORDER rows, with g
-    evaluated per batch of a block's pieces (_own_sums), and the far field
-    takes all of them in one call.
-    """
-    beta_g = float(beta_g)
-    if not alpha - beta_g > 0.0:  # NaN fails too
-        raise ConditionHError(
-            f"forcing singularity exponent {beta_g} is not below the order"
-            f" {alpha}; the Green integral diverges"
-        )
-    if not (t.size and kinds):  # else a block owns no piece at all
-        return tuple(np.empty(0) for _ in kinds)
-    panels = _SharedPanels.build(_panel_edges(mesh.nodes), beta_g, g_regular, alpha)
-    nodes = panels.nodes
-    order = np.argsort(t, kind="stable")
-    ts = t[order]
-    # t^e of the kinds with a left bracket
-    te = {
-        kind: ts**_bracket_exponent(kind, alpha) for kind in kinds if kind != "dalpha"
-    }
-    # nodes[lo-1] < t <= nodes[lo]: t lies in panel lo-1
-    lo = np.searchsorted(nodes, ts, side="left")
-    # the cut c, the last edge t_c <= EPS*t
-    cut = np.searchsorted(nodes, EPS * ts, side="right") - 1
-    total = _own_sums(kinds, ts, te, lo, cut, g_regular, panels)
-    # the right kernel over the runs [t/2, t_1] of the targets that own one
-    pieces = total.pop("right")
-    if te:  # the far field, the shared panels below the cut
-        b = [_series_coefficients(_bracket_exponent(kind, alpha)) for kind in te]
-        for kind, far_sum in zip(te, _far_series(tuple(te), ts, cut, b, panels)):
-            if kind == "du":
-                far_sum = panels.left_sums[cut] - far_sum
-            total[kind] += te[kind] * far_sum
-        right = pieces + panels.right_sums[np.maximum(cut, 1)]
-    out = tuple(np.empty(len(t)) for _ in kinds)
-    for kind, values in zip(kinds, out):
-        if kind == "dalpha":  # shared left panels j = 0..lo-2
-            # past the first panel the runs are those of u and u'
-            right_d = np.where(lo == 1, pieces, 0.0)
-            right_d += panels.right_sums[np.maximum(lo - 1, 1)]
-            values[order] = total[kind] + panels.left_sums[lo - 1] + right_d
-        else:
-            values[order] = total[kind] + te[kind] * right
-    return out
-
-
 def _panel_edges(nodes):
     # The mesh nodes, and inside each panel [t_j, t_(j+1)] past the origin
     # panel whose ratio r = t_(j+1)/t_j exceeds 2, the geometric nodes
@@ -553,7 +535,7 @@ def _panel_edges(nodes):
 class _SharedPanels:
     """Gauss points of the shared panels [nodes[j], nodes[j+1]], one row each.
 
-    The record of one pass: the helpers of _green_integrals read from here
+    The record of one pass: the helpers of apply_operators read from here
     the split edges ``nodes``, the forcing's exponent ``beta_g`` and the
     order ``alpha`` the panels were built from.  Row j is panel j.  The
     weights carry s^(-beta_g); row 0, the origin panel, takes the
@@ -839,9 +821,8 @@ def _own_pieces(kinds, t, te, lo, cut, panels, block):
 
     D^(alpha-1)u subtracts the integral of g over the left piece [a, t],
     a = nodes[lo-1], under Gauss-Legendre, from panels.left_sums[lo-1] +
-    panels.right_sums[lo-1].  In the first panel (lo = 1) a = t/2, and the
-    target owns the origin piece and the run above, then
-    panels.right_sums[1].
+    panels.right_sums[lo-1].  A target with c = 0 takes a = t/2 instead,
+    and owns the origin piece and the run above, then panels.right_sums[1].
 
     Yields (points, parts) items, points a (pieces, GAUSS_ORDER) array, in
     this order: the origin piece and the runs, if a target owns them, the
@@ -858,15 +839,12 @@ def _own_pieces(kinds, t, te, lo, cut, panels, block):
     r0 = block.start
     t, lo, cut = t[block], lo[block], cut[block]
     te = {kind: x[block] for kind, x in te.items()}
-    k = int(np.count_nonzero(lo == 1))  # the targets in the first panel
-    # the targets with a run: for u and u' those with cut 0
-    m = int(np.count_nonzero(cut == 0)) if te else k
+    m = int(np.count_nonzero(cut == 0))  # the targets without a far field
     if m:
         s0, w0 = _origin_panel(0.5 * t[:m], panels.origin, beta_g)
         parts = []
-        if "dalpha" in kinds:  # k <= m: a target in the first panel has cut 0
-            kw = _dalpha_bracket(s0[:k], alpha) * w0[:k]
-            parts.append(("dalpha", slice(r0, r0 + k), kw))
+        if "dalpha" in kinds:
+            parts.append(("dalpha", slice(r0, r0 + m), _dalpha_bracket(s0, alpha) * w0))
         for kind in te:
             e = _bracket_exponent(kind, alpha)
             k0 = bracket_values(t[:m, None], s0, alpha, e, te[kind][:m, None])
@@ -876,8 +854,8 @@ def _own_pieces(kinds, t, te, lo, cut, panels, block):
         for s1, w1, rows1 in _graded_pieces(0.5 * t[:m], np.full(m, nodes[1])):
             w1 *= np.power(s1, -beta_g)
             yield s1, [("right", r0 + rows1, np.power(1.0 - s1, alpha - 1.0) * w1)]
-    if "dalpha" in kinds:  # the left piece [a, t], a = t/2 in the first panel
-        s3, w3 = _gauss(np.where(lo == 1, 0.5 * t, nodes[lo - 1]), t)
+    if "dalpha" in kinds:  # the left piece [a, t], a = t/2 without a far field
+        s3, w3 = _gauss(np.where(cut == 0, 0.5 * t, nodes[lo - 1]), t)
         w3 *= np.power(s3, -beta_g)
         yield s3, [("dalpha", block, -w3)]
     if te:

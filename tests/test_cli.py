@@ -307,6 +307,22 @@ def test_solve_rejects_non_finite_tol(tmp_path, flag, value):
     assert code == EXIT_PARSE
 
 
+@pytest.mark.parametrize("f", ["power:3", "const:1"])
+def test_solve_forcing_rejects_f(tmp_path, capsys, f):
+    # A --forcing solve is linear and has no nonlinearity to take: --f is
+    # one error line and exit 3, and nothing is written.
+    out = tmp_path / "x.csv"
+    code = main([
+        "solve", "--alpha", "1.5", "--forcing", "t^0.5", "--f", f, "--n", "32",
+        "--out", str(out),
+    ])
+    captured = capsys.readouterr()
+    assert code == EXIT_PARSE
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "flag,value",
     # --damping is no longer a flag, so it fails as a usage error on both paths

@@ -83,6 +83,12 @@ def test_eval_on_arrays_checks_the_domain():
     with pytest.raises(SingularEvaluationError):
         PowerSum([(1.0, -0.5)])(np.array([0.0, 0.5]))
     assert np.array_equal(ONE(np.array([0.0, 0.5])), [1.0, 1.0])
+    # a list gives an array, a 0-d array a float, as WeightSpec and
+    # apply_green return them
+    sqrt = PowerSum([(1.0, 0.5)])
+    assert np.array_equal(sqrt([0.25, 1.0]), [0.5, 1.0])
+    value = sqrt(np.array(0.25))
+    assert value == 0.5 and type(value) is float
 
 
 def test_eval_vectorized_matches_scalar():

@@ -391,7 +391,8 @@ def test_operators_in_one_pass_match_single_calls(problem, n):
     # the pieces each target owns and the far-field moments (as long as the
     # longer of the two series); each must still agree with its own
     # call.  Targets: interior nodes, random points, nodes x (1 +- 1e-12),
-    # a point far below t_1 and one next to t = 1.
+    # a point far below t_1, one next to t = 1, and two in (t_1, t_1/EPS),
+    # past the first panel and without a far field.
     w, alpha = _PARITY_PROBLEMS[problem]
     mesh = build_mesh(n, w, alpha)
     beta_g, reg = w.singular_decomposition()
@@ -399,6 +400,7 @@ def test_operators_in_one_pass_match_single_calls(problem, n):
     t = np.concatenate((
         inner, np.random.default_rng(n).uniform(0.0, 1.0, 200),
         inner * (1.0 + 1e-12), inner * (1.0 - 1e-12), [1.4e-17, 1.0 - 1e-9],
+        mesh.nodes[1] * np.array([1.2, 1.6]),
     ))
     t = t[(t > 0.0) & (t < 1.0)]
     kinds = ("u", "du", "dalpha")
@@ -447,15 +449,13 @@ def _g_points(kinds, t, mesh):
     # t, which u and u' share, with the Gauss-Legendre pieces that double
     # away from it down to the cut when it stops at 1 - t or t/2 from t, the
     # Gauss-Legendre left piece [a, t] of D^(alpha-1)u, and for every target
-    # with cut 0 (for D^(alpha-1)u alone, every target in the first panel)
-    # the origin piece [0, t/2] and the run of Gauss-Legendre pieces
-    # [2^k t/2, 2^(k+1) t/2] up to edges[1] = t_1
+    # with cut 0 the origin piece [0, t/2] and the run of Gauss-Legendre
+    # pieces [2^k t/2, 2^(k+1) t/2] up to edges[1] = t_1
     edges = quadrature._panel_edges(mesh.nodes)
     t = t[(t > 0.0) & ((t < 1.0) | ("dalpha" in kinds))]
-    lo = np.searchsorted(edges, t)
     bracket = bool({"u", "du"} & set(kinds))
     cut = np.searchsorted(edges, quadrature.EPS * t, side="right") - 1
-    near = cut == 0 if bracket else lo == 1
+    near = cut == 0
     jacobi = len(t) if bracket else 0
     # the graded pieces: one per k >= 0 with 2^k d below t - t_c, d the
     # width of the Gauss-Jacobi piece
@@ -760,7 +760,7 @@ def _far_field_case(grading, alpha, kind, reg=_POSITIVE, margin=0.2):
 
 
 def _far_field(kind, panels, t, e, cut):
-    # the left bracket below each target's cut as _green_integrals sums it:
+    # the left bracket below each target's cut as apply_operators sums it:
     # t^e times the far series of u, and for u' t^e times left_sums[c] less
     # its far series
     b = [quadrature._series_coefficients(e)]
